@@ -10,7 +10,8 @@ Four subcommands share one JSON configuration format:
 - ``rank``: compute a gamma-weighted rank with its full audit trail.
 
 Exit codes: 0 success, 1 malformed input, 2 degenerate configuration
-(vanishing determinant in range), 3 verification failure.
+(vanishing determinant in range), 3 verification failure (including an
+internal identity check that did not hold).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional, Tuple
 
 from .construct import DegenerateConfigError, build_z, casorati_lambda, sobolev_poly
 from .diffop import AssumptionFailed, EigenMismatch, build_bundle, operator_order, verify_eigen
-from .exactmath import Poly, RationalFunction, rat, rat_str
+from .exactmath import IdentityCheckFailed, Poly, RationalFunction, rat, rat_str
 from .rank import predicted_order, weighted_rank
 from .sobolev import SobolevConfig, bilinear
 
@@ -226,6 +227,9 @@ def main(argv=None) -> int:
     except DegenerateConfigError as exc:
         print(f"degenerate configuration: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except IdentityCheckFailed as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     _emit(payload, args.out)
     return code
 

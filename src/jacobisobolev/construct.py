@@ -9,7 +9,7 @@ q_n itself as an explicit combination of m+1 consecutive Jacobi polynomials.
 For n >= m the determinant entries are plain rationals and p(n) q(n) != 0.
 For n < m the quotient by p(x) q(x) may be 0/0 at integer points, so the
 determinant cofactors are carried symbolically in x, reduced against
-p(x) q(x), and only then evaluated; divisibility is asserted, not assumed.
+p(x) q(x), and only then evaluated; divisibility is checked, not assumed.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from . import _linalg
 from .exactmath import (
     ONE,
     X,
+    IdentityCheckFailed,
     Poly,
     RationalFunction,
     falling_binomial,
@@ -80,7 +81,8 @@ def build_p(alpha, beta, m1: int, m2: int) -> Poly:
         n1 = (-1) ** j * pochhammer(X + (-m2 - i - j + a + 1), j)
         n2 = pochhammer(X + (-1 - j + b + 1), j)
         p2 = p2 * n1 * n2
-    assert p1 == p2
+    if p1 != p2:
+        raise IdentityCheckFailed("build_z", "the two product forms of p agree")
     return p1
 
 
@@ -94,7 +96,8 @@ def build_q(alpha, beta, m: int) -> Poly:
             q1 = q1 * Poly([2 * Fraction(-m) + a + b + i + h, 2])
             # sigma_{x - m + (i+h+1)/2} with sigma_y = 2y + a + b - 1
             q2 = q2 * Poly([2 * (Fraction(i + h + 1, 2) - m) + a + b - 1, 2])
-    assert q1 == q2
+    if q1 != q2:
+        raise IdentityCheckFailed("build_z", "the two product forms of q agree")
     return sign * q1
 
 
@@ -204,7 +207,8 @@ def casorati_lambda(sys: ZSystem, cfg: SobolevConfig, n: int) -> Fraction:
     m = cfg.m
     pq = sys.p(n) * sys.q(n)
     if n >= m:
-        assert pq != 0
+        if pq == 0:
+            raise IdentityCheckFailed("casorati_lambda", f"p({n}) q({n}) != 0 for n >= m")
         matrix = [
             [sys.rho[h][j](n) * sys.z[h](n - j) for j in range(1, m + 1)] for h in range(m)
         ]
@@ -251,7 +255,8 @@ def sobolev_poly(sys: ZSystem, cfg: SobolevConfig, n: int) -> Poly:
     for j in range(m + 1):
         if values[j] != 0:
             result = result + values[j] * jacobi_poly(ctx, n - j)
-    assert result.degree == n
+    if result.degree != n:
+        raise IdentityCheckFailed("sobolev_poly", f"deg q_{n} = {n}")
     return result
 
 

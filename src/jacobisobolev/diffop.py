@@ -31,6 +31,7 @@ from .exactmath import (
     ONE,
     X,
     ZERO,
+    IdentityCheckFailed,
     NotInvariantError,
     NotSkewError,
     Poly,
@@ -166,7 +167,8 @@ def d_operators(ctx, m1: int, m2: int) -> List[DiffOp]:
     half = (a + b + 1) / 2
     d1 = DiffOp([Poly.constant(-half), Poly([1, -1])])
     d2 = DiffOp([Poly.constant(half), Poly([1, 1])])
-    assert d1.in_algebra and d2.in_algebra
+    if not (d1.in_algebra and d2.in_algebra):
+        raise IdentityCheckFailed("d_operators", "deg a_j <= j for D1 and D2")
     return [d1] * m1 + [d2] * m2
 
 
@@ -298,8 +300,11 @@ def build_bundle(cfg, sys, custom_s: Optional[RationalFunction] = None) -> Opera
     # and generates the eigenvalue sequence through
     # P_S(theta_x) = lambda_x + lambda_{x+m} + constant
     theta = theta_poly(a, b)
-    assert ps(theta) - ps(theta.shift(-1)) == s_omega + s_omega.shift(m)
-    assert (ps(theta) - lam - lam.shift(m)).degree <= 0
+    ps_theta = ps(theta)
+    if ps_theta - ps(theta.shift(-1)) != s_omega + s_omega.shift(m):
+        raise IdentityCheckFailed("build_bundle", "P_S(theta_x) - P_S(theta_{x-1}) = SOmega_x + SOmega_{x+m}")
+    if (ps_theta - lam - lam.shift(m)).degree > 0:
+        raise IdentityCheckFailed("build_bundle", "P_S(theta_x) = lambda_x + lambda_{x+m} + constant")
 
     # assemble the operator
     d_cl = classical_operator(ctx)
@@ -308,7 +313,8 @@ def build_bundle(cfg, sys, custom_s: Optional[RationalFunction] = None) -> Opera
     for h in range(m):
         term = compose(compose(op_poly(mh_tilde[h], d_cl), d_ops[h]), op_poly(sys.Y[h], d_cl))
         op = op + term
-    assert op.in_algebra
+    if not op.in_algebra:
+        raise IdentityCheckFailed("build_bundle", "deg a_j <= j for the assembled D")
     return OperatorBundle(
         S=S,
         Omega=omega,
@@ -328,7 +334,7 @@ def verify_eigen(bundle: OperatorBundle, cfg, sys, n_max: int) -> List[Fraction]
     The eigenvalue function lambda is a discrete primitive, hence fixed only
     up to an additive constant; c is pinned from the n = 0 case and reused for
     every n. P_S reproduces the same sequence through the exact identity
-    P_S(theta_n) = lambda(n) + lambda(n+m) + constant (asserted at build time).
+    P_S(theta_n) = lambda(n) + lambda(n+m) + constant (checked at build time).
     """
     from .construct import sobolev_poly
 
@@ -361,7 +367,7 @@ def p_from_y_tuple(alpha, beta, m1: int, m2: int, ys: Sequence[Poly]) -> Tuple[P
     """The normalized bordered determinant for an arbitrary Y-tuple.
 
     Returns (P, d, r) where P is the determinant divided by p(x) q(x)
-    (exactness asserted), d = 2 sum(deg Y) - 2(C(m1,2) + C(m2,2)) is the
+    (exactness checked), d = 2 sum(deg Y) - 2(C(m1,2) + C(m2,2)) is the
     generic degree, and r is the generic leading coefficient: the product of
     the Y leading coefficients times the two Vandermonde determinants of the
     degree tuples.

@@ -1,8 +1,11 @@
 """Exact scalar, polynomial and rational-function arithmetic.
 
-All coefficients are ``fractions.Fraction`` (arbitrary precision, always
-reduced, denominator positive), so every operation in this package is exact:
-there is no floating point anywhere.
+A ``Poly`` is a trimmed tuple of ``fractions.Fraction`` coefficients
+(arbitrary precision, always reduced, denominator positive), so every
+operation in this package is exact: there is no floating point anywhere.
+The inner loops of polynomial multiplication and gcd run on Python ints: the
+operands are scaled to integer numerators over a common denominator, and the
+result is turned back into reduced fractions once per output coefficient.
 
 Beyond the basic rings this module provides the structural transforms the
 rest of the package is built on: Pochhammer products, gamma-function ratios
@@ -33,6 +36,19 @@ class NotInvariantError(ValueError):
 
 class NotSkewError(ValueError):
     """Polynomial is not negated by the reflection it was claimed to be."""
+
+
+class IdentityCheckFailed(RuntimeError):
+    """An identity the package checks on its own results did not hold.
+
+    This signals a defect in the computation, not bad input; the command
+    line maps it to the verification-failure exit code.
+    """
+
+    def __init__(self, stage: str, identity: str):
+        super().__init__(f"{stage}: check failed: {identity}")
+        self.stage = stage
+        self.identity = identity
 
 
 def rat(value: Union[int, str, Fraction]) -> Fraction:
@@ -69,6 +85,13 @@ class Poly:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Poly is immutable")
+
+    @classmethod
+    def _trusted(cls, coeffs: tuple) -> "Poly":
+        """Wrap reduced Fractions with a nonzero last entry, skipping coercion."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
 
     # -- constructors -------------------------------------------------------
 
@@ -141,13 +164,16 @@ class Poly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return ZERO
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        na, da = _scaled_ints(self.coeffs)
+        nb, db = _scaled_ints(other.coeffs)
+        out = [0] * (len(na) + len(nb) - 1)
+        for i, a in enumerate(na):
+            if a:
+                for j, b in enumerate(nb, i):
+                    out[j] += a * b
+        den = da * db
+        # the leading product is nonzero, so the result needs no trimming
+        return Poly._trusted(tuple([Fraction(c, den) for c in out]))
 
     __rmul__ = __mul__
 
@@ -228,11 +254,20 @@ class Poly:
         return self / self.lead
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic gcd via the Euclidean algorithm with primitive normalization."""
-        a, b = _primitive(self), _primitive(other)
-        while not b.is_zero:
-            a, b = b, _primitive(a % b)
-        return a.monic()
+        """Monic gcd by a primitive remainder sequence over the integers.
+
+        The gcd of zero and b is b made monic; the gcd of two zeros is zero.
+        """
+        a = _primitive_ints(_scaled_ints(self.coeffs)[0])
+        b = _primitive_ints(_scaled_ints(other.coeffs)[0])
+        if len(a) < len(b):
+            a, b = b, a
+        while b:
+            a, b = b, _primitive_ints(_pseudo_rem(a, b))
+        if not a:
+            return ZERO
+        lead = a[-1]
+        return Poly._trusted(tuple([Fraction(c, lead) for c in a]))
 
     # -- protocol -----------------------------------------------------------
 
@@ -284,20 +319,42 @@ def _as_poly(value) -> Poly:
     return NotImplemented
 
 
-def _primitive(p: Poly) -> Poly:
-    """Scale to integer coefficients with content 1 (keeps Euclid small)."""
-    if p.is_zero:
-        return p
-    den_lcm = 1
-    for c in p.coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    if ints[-1] < 0:
-        g = -g
-    return Poly([Fraction(v, g) for v in ints])
+def _scaled_ints(coeffs: Sequence[Fraction]):
+    """Integer numerators over the lcm of the denominators, and that lcm."""
+    den = math.lcm(*[c.denominator for c in coeffs])
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _primitive_ints(ints: list) -> list:
+    """The integer list divided by its content (the gcd of its entries)."""
+    g = math.gcd(*ints)
+    return ints if g <= 1 else [c // g for c in ints]
+
+
+def _pseudo_rem(a: list, b: list) -> list:
+    """A nonzero rational multiple of a mod b, for trimmed integer lists.
+
+    Each step cancels the leading term with the smallest integer multipliers,
+    so the rows grow only by the cofactor of the gcd of the two leads.
+    """
+    r = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    tail = b[:-1]
+    while len(r) > db:
+        c = r.pop()
+        if c:
+            g = math.gcd(c, lead)
+            s, t = lead // g, c // g
+            if s != 1:
+                r = [s * v for v in r]
+            for j, v in enumerate(tail, len(r) - db):
+                r[j] -= t * v
+    while r and not r[-1]:
+        r.pop()
+    return r
 
 
 class RationalFunction:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import ONE, X, ZERO, Poly, falling_binomial, pochhammer
+from .exactmath import X, ZERO, IdentityCheckFailed, Poly, falling_binomial, pochhammer
 
 
 @dataclass(frozen=True)
@@ -55,16 +55,33 @@ def jacobi_poly(ctx: JacobiContext, n: int) -> Poly:
         return cached
     a, b = ctx.alpha, ctx.beta
     front = (-1) ** n * pochhammer(a + b + 1, n) / (Fraction(2) ** n * pochhammer(b + 1, n))
-    xm1 = X - 1
-    xp1 = X + 1
-    total = ZERO
-    for j in range(n + 1):
-        c = falling_binomial(n + a, j) * falling_binomial(n + b, n - j)
-        if c == 0:
-            continue
-        total = total + c * xm1 ** (n - j) * xp1**j
-    result = front * total
-    assert result.degree == n
+    # weights[j] = C(n+a, j) C(n+b, n-j), each binomial by its ratio recurrence
+    upper = [Fraction(1)]
+    for j in range(n):
+        upper.append(upper[-1] * (n + a - j) / (j + 1))
+    lower = [Fraction(1)] * (n + 1)
+    for j in range(n, 0, -1):
+        lower[j - 1] = lower[j] * (b + j) / (n - j + 1)
+    weights = [u * v for u, v in zip(upper, lower)]
+    lcm = math.lcm(*[w.denominator for w in weights])
+    # total = lcm * sum_j weights[j] (x-1)^(n-j) (x+1)^j over the integers;
+    # the product moves from j to j+1 by dividing by x-1, multiplying by x+1
+    prod = [math.comb(n, i) * (-1) ** (n - i) for i in range(n + 1)]
+    total = [0] * (n + 1)
+    for j, w in enumerate(weights):
+        if j:
+            quot = prod[1:]
+            for i in range(n - 2, -1, -1):
+                quot[i] += quot[i + 1]
+            prod = [quot[0]] + [quot[i - 1] + quot[i] for i in range(1, n)] + [quot[-1]]
+        if w:
+            scale = w.numerator * (lcm // w.denominator)
+            for i, c in enumerate(prod):
+                total[i] += scale * c
+    num, den = front.numerator, front.denominator * lcm
+    result = Poly([Fraction(num * c, den) for c in total])
+    if result.degree != n:
+        raise IdentityCheckFailed("jacobi_poly", f"deg J_{n} = {n}")
     _POLY_CACHE[key] = result
     return result
 

@@ -52,6 +52,10 @@ class SobolevConfig:
     xi: Poly = field(default=ONE)
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "m1", "m2"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.m1 < 0 or self.m2 < 0 or self.m < 1:
             raise ValueError("need m1, m2 >= 0 with m1 + m2 >= 1")
         if self.alpha < 0 or self.beta < 0:
@@ -90,10 +94,10 @@ class SobolevConfig:
     @classmethod
     def from_json(cls, data: dict) -> "SobolevConfig":
         return cls(
-            alpha=int(data["alpha"]),
-            beta=int(data["beta"]),
-            m1=int(data["m1"]),
-            m2=int(data["m2"]),
+            alpha=data["alpha"],
+            beta=data["beta"],
+            m1=data["m1"],
+            m2=data["m2"],
             M=[[rat(c) for c in row] for row in data.get("M", [])],
             N=[[rat(c) for c in row] for row in data.get("N", [])],
             xi=Poly.from_json(data.get("xi", ["1"])),

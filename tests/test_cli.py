@@ -1,12 +1,16 @@
 """Command-line front end: subcommands, exit codes, determinism."""
 
+import ast
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import jacobisobolev
 from jacobisobolev.cli import main
+from jacobisobolev.diffop import DiffOp
 from jacobisobolev.exactmath import Poly, X, pochhammer
 
 EXAMPLE_CONFIG = {
@@ -75,6 +79,15 @@ class TestInputValidation:
     def test_negative_nmax_rejected(self, config_path, capsys):
         assert main(["construct", "--config", config_path, "--nmax", "-1"]) == 1
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "m1", "m2"])
+    @pytest.mark.parametrize("value", [2.7, "2", True])
+    def test_non_integer_parameter_rejected(self, tmp_path, capsys, field, value):
+        # int() would silently turn 2.7 into 2 and true into 1
+        cfg = dict(EXAMPLE_CONFIG, **{field: value})
+        path = write_json(tmp_path / "c.json", cfg)
+        assert main(["construct", "--config", path, "--nmax", "2"]) == 1
+        assert field in capsys.readouterr().err
+
 
 class TestVerify:
     def test_full_report(self, config_path, tmp_path):
@@ -120,6 +133,26 @@ class TestVerify:
         s_path = write_json(tmp_path / "s.json", {"num": ["1", "1"], "den": ["0", "1", "1"]})
         code = main(["verify", "--config", config_path, "--nmax", "4", "--custom-s", s_path])
         assert code == 3
+
+
+class TestIdentityChecks:
+    def test_no_assert_in_package(self):
+        # asserts vanish under python -O; every check must raise instead
+        package = Path(jacobisobolev.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            assert not found, f"assert at {path.name}:{found}"
+
+    def test_failed_check_exits_3_with_one_line(self, config_path, capsys, monkeypatch):
+        monkeypatch.setattr(DiffOp, "in_algebra", property(lambda self: False))
+        code = main(["operator", "--config", config_path, "--nmax", "3"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("verification failure: d_operators:")
+        assert "Traceback" not in captured.err
 
 
 class TestOperator:

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_reference import reference_gcd, reference_mul
+
 from jacobisobolev.exactmath import (
     NEG_INFINITY,
     ONE,
+    ZERO,
     X,
     NotInvariantError,
     NotSkewError,
@@ -30,6 +33,17 @@ rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=6
 )
 small_polys = st.lists(rationals, min_size=0, max_size=6).map(Poly)
+
+# wide numerators and denominators, so the common-denominator scaling and the
+# integer remainder sequence meet coefficients of very different sizes
+wide_rationals = st.builds(
+    Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**12)
+)
+wide_polys = st.lists(wide_rationals, min_size=0, max_size=8).map(Poly)
+constant_polys = st.lists(wide_rationals, min_size=0, max_size=1).map(Poly)
+nonzero_polys = st.lists(wide_rationals, min_size=1, max_size=5).map(Poly).filter(bool)
+negative_lead_polys = nonzero_polys.map(lambda p: -p if p.lead > 0 else p)
+kernel_operands = st.one_of(small_polys, wide_polys, constant_polys, negative_lead_polys)
 
 
 class TestPoly:
@@ -60,6 +74,36 @@ class TestPoly:
         assert p + q == q + p
         assert p * q == q * p
         assert (p + q) * p == p * p + q * p
+
+    @given(kernel_operands, kernel_operands)
+    @settings(max_examples=200, deadline=None)
+    def test_mul_matches_schoolbook(self, p, q):
+        assert p * q == reference_mul(p, q)
+
+    @given(kernel_operands, kernel_operands)
+    @settings(max_examples=200, deadline=None)
+    def test_gcd_matches_euclid(self, p, q):
+        assert p.gcd(q) == reference_gcd(p, q)
+
+    @given(nonzero_polys, kernel_operands, kernel_operands)
+    @settings(max_examples=100, deadline=None)
+    def test_gcd_of_common_factor_products(self, f, g, h):
+        a, b = f * g, f * h
+        got = a.gcd(b)
+        assert got == reference_gcd(a, b)
+        if not (a.is_zero and b.is_zero):
+            assert got.lead == 1
+            assert (a % got).is_zero and (b % got).is_zero
+            assert (got % f).is_zero
+
+    @given(kernel_operands)
+    @settings(max_examples=50, deadline=None)
+    def test_gcd_with_zero(self, b):
+        assert ZERO.gcd(b) == b.monic()
+        assert b.gcd(ZERO) == b.monic()
+
+    def test_gcd_of_two_zeros_is_zero(self):
+        assert ZERO.gcd(ZERO) == ZERO
 
     def test_json_round_trip(self):
         p = Poly([Fraction(1, 3), 0, -2])

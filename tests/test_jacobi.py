@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from kernel_reference import reference_jacobi_poly
+
+from jacobisobolev import jacobi
 from jacobisobolev.exactmath import Poly, X
 from jacobisobolev.jacobi import (
     JacobiContext,
@@ -31,6 +34,16 @@ class TestJacobiPoly:
         for (a, b) in [(2, 1), (3, 3), (0, 0)]:
             expected = Fraction(-(a + b + 1), 2 * (b + 1)) * Poly([a - b, a + b + 2])
             assert jacobi_poly(ctx(a, b), 1) == expected
+
+    @pytest.mark.parametrize(
+        "a, b", [(0, 0), (3, 2), (Fraction(1, 2), Fraction(-1, 3))]
+    )
+    def test_matches_power_expansion(self, a, b, monkeypatch):
+        # an empty cache makes every degree a fresh expansion
+        monkeypatch.setattr(jacobi, "_POLY_CACHE", {})
+        c = ctx(a, b)
+        for n in range(41):
+            assert jacobi_poly(c, n) == reference_jacobi_poly(a, b, n)
 
     def test_degree_is_exact(self):
         for n in range(9):

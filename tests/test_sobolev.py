@@ -32,6 +32,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SobolevConfig(alpha=1, beta=0, m1=1, m2=1, M=[[1]], N=[[1]])
 
+    @pytest.mark.parametrize("value", [2.0, Fraction(2), True])
+    def test_parameters_must_be_ints(self, value):
+        with pytest.raises(TypeError):
+            SobolevConfig(alpha=value, beta=2, m1=1, m2=1, M=[[1]], N=[[1]])
+
     def test_xi_invariance_enforced(self):
         with pytest.raises(ValueError):
             SobolevConfig(alpha=2, beta=2, m1=1, m2=1, M=[[1]], N=[[1]], xi=X)
