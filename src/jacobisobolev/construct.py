@@ -168,7 +168,7 @@ def build_z(cfg: SobolevConfig) -> ZSystem:
     theta = theta_poly(a, b)
     for z, y in zip(zs, ys):
         if y(theta) != z:
-            raise AssertionError("theta-basis form disagrees with z")
+            raise IdentityCheckFailed("build_z", "the theta-basis form Y_l(theta_x) = z_l(x)")
     rho: List[Tuple[RationalFunction, ...]] = []
     for h in range(1, m + 1):
         if h <= m1:
@@ -187,6 +187,14 @@ def build_z(cfg: SobolevConfig) -> ZSystem:
     )
     _ZSYS_CACHE[cfg] = system
     return system
+
+
+def _regular_value(ratio: RationalFunction, n: int, stage: str, what: str) -> Fraction:
+    """ratio(n), which the construction guarantees is not a pole."""
+    try:
+        return ratio(n)
+    except ZeroDivisionError as exc:
+        raise IdentityCheckFailed(stage, f"{what} is regular at n={n}") from exc
 
 
 _LAMBDA_CACHE: Dict[Tuple[SobolevConfig, int], Fraction] = {}
@@ -219,7 +227,7 @@ def casorati_lambda(sys: ZSystem, cfg: SobolevConfig, n: int) -> Fraction:
             for h in range(m)
         ]
         ratio = RationalFunction(_linalg.det(matrix), sys.p * sys.q)
-        value = ratio(n)  # reduced quotient must be regular at n
+        value = _regular_value(ratio, n, "casorati_lambda", "the reduced Lambda quotient")
     _LAMBDA_CACHE[key] = value
     return value
 
@@ -250,7 +258,8 @@ def sobolev_poly(sys: ZSystem, cfg: SobolevConfig, n: int) -> Poly:
                 values.append(Fraction(0))  # multiplies the zero polynomial anyway
                 continue
             minor = _linalg.det([[row[r] for r in range(m + 1) if r != j] for row in entries])
-            values.append((minor / RationalFunction(pq_poly))(n))
+            ratio = minor / RationalFunction(pq_poly)
+            values.append(_regular_value(ratio, n, "sobolev_poly", f"the reduced minor {j} quotient"))
     result = Poly()
     for j in range(m + 1):
         if values[j] != 0:
@@ -371,7 +380,7 @@ def _gamma_sum_is_zero(terms: List[_GammaProduct]) -> bool:
         return True
     powers = live[0].powers
     if any(t.powers != powers for t in live[1:]):
-        raise AssertionError("incomparable Gamma products in one sum")
+        raise IdentityCheckFailed("verify_comb_identities", "the Gamma products of one sum are comparable")
     return sum(t.coeff for t in live) == 0
 
 

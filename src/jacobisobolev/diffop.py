@@ -16,6 +16,14 @@ polynomial in theta). The final operator is
     D = 1/2 P_S(D_cl) + sum_h MhTilde_h(D_cl) D_h Y_h(D_cl)
 
 with D_cl the classical second-order operator.
+
+Operators are applied, composed and evaluated at polynomials by one integer
+kernel: the coefficients are scaled to int lists over one common denominator
+and d^j x^t = t!/(t-j)! x^(t-j). A product of operators, and a polynomial in
+an operator, is recovered from its images of x^k, k up to its order bound:
+with a_j = c_j / (den j!) the image of x^k is sum_j C(k, j) c_j x^(k-j) / den,
+a triangular system whose solution c_j is again a list of ints. None of this
+assumes that the operators lie in the algebra.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from .exactmath import (
     NotSkewError,
     Poly,
     RationalFunction,
+    _scaled_ints,
     anti_difference,
     divide_skew_by_sigma,
     involute,
@@ -96,11 +105,9 @@ class DiffOp:
         return ZERO
 
     def apply(self, p: Poly) -> Poly:
-        total = ZERO
-        for j, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                total = total + c * p.derivative(j)
-        return total
+        rows, den = _scaled_rows(self)
+        nums, dp = _scaled_ints(p.coeffs)
+        return Poly._from_ints(_apply_rows(rows, nums), den * dp)
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -135,30 +142,93 @@ class DiffOp:
         }
 
 
+def _scaled_rows(op: DiffOp):
+    """The coefficients of op as int lists over one common denominator."""
+    den = math.lcm(*[c.denominator for p in op.coeffs for c in p.coeffs])
+    rows = [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in op.coeffs]
+    return rows, den
+
+
+def _apply_rows(rows: list, p: list) -> list:
+    """sum_j rows[j] * d^j p for int lists, trimmed of trailing zeros."""
+    out = [0] * (max(map(len, rows), default=0) + len(p))
+    for j, row in enumerate(rows):
+        if j:
+            p = [t * c for t, c in enumerate(p)][1:]
+            if not p:
+                break
+        for i, a in enumerate(row):
+            if a:
+                for t, b in enumerate(p, i):
+                    out[t] += a * b
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _from_images(images: list, den: int) -> DiffOp:
+    """The operator whose image of x^k is images[k] / den, k < len(images).
+
+    With a_j = c_j / (den j!), images[k] = sum_{j<=k} C(k, j) c_j x^(k-j);
+    each c_k is images[k] less the terms of the c_j already found.
+    """
+    found: List[list] = []
+    coeffs: List[Poly] = []
+    scale = den
+    for k, image in enumerate(images):
+        c = list(image)
+        for j, cj in enumerate(found):
+            if cj:
+                b = math.comb(k, j)
+                c.extend([0] * (k - j + len(cj) - len(c)))
+                for t, v in enumerate(cj, k - j):
+                    c[t] -= b * v
+        if k:
+            scale *= k
+        while c and not c[-1]:
+            c.pop()
+        found.append(c)
+        coeffs.append(Poly._from_ints(c, scale))
+    return DiffOp(coeffs)
+
+
 def compose(a: DiffOp, b: DiffOp) -> DiffOp:
-    """Operator product a . b, so (a.b)(p) = a(b(p)); exact Leibniz rule."""
-    n = len(a.coeffs) + len(b.coeffs)
-    out = [ZERO] * max(n - 1, 0)
-    for i, ai in enumerate(a.coeffs):
-        if ai.is_zero:
-            continue
-        for j, bj in enumerate(b.coeffs):
-            if bj.is_zero:
-                continue
-            # d^i (b_j d^j f) = sum_k C(i,k) b_j^(k) d^(i+j-k) f
-            for k in range(i + 1):
-                term = math.comb(i, k) * ai * bj.derivative(k)
-                if not term.is_zero:
-                    out[i + j - k] = out[i + j - k] + term
-    return DiffOp(out)
+    """Operator product a . b, so (a.b)(p) = a(b(p)).
+
+    Recovered from the images a(b(x^k)) for k <= ord a + ord b.
+    """
+    if not (a.coeffs and b.coeffs):
+        return DiffOp()
+    ra, da = _scaled_rows(a)
+    rb, db = _scaled_rows(b)
+    n = len(ra) + len(rb) - 2
+    images = [_apply_rows(ra, _apply_rows(rb, [0] * k + [1])) for k in range(n + 1)]
+    return _from_images(images, da * db)
 
 
 def op_poly(p: Poly, d: DiffOp) -> DiffOp:
-    """Evaluate a polynomial at an operator by Horner's rule."""
-    acc = DiffOp()
-    for c in reversed(p.coeffs):
-        acc = compose(acc, d) + DiffOp([c])
-    return acc
+    """Evaluate a polynomial at an operator.
+
+    The images p(d)(x^k), k <= deg p * ord d, come from Horner's rule on int
+    lists: after i steps the accumulator is over the denominator dp * dd^i.
+    """
+    if p.is_zero:
+        return DiffOp()
+    rows, dd = _scaled_rows(d)
+    cs, dp = _scaled_ints(p.coeffs)
+    n = (len(cs) - 1) * max(len(rows) - 1, 0)
+    images = []
+    for k in range(n + 1):
+        acc = [0] * k + [cs[-1]]
+        scale = 1
+        for c in reversed(cs[:-1]):
+            scale *= dd
+            acc = _apply_rows(rows, acc)
+            if c:
+                acc.extend([0] * (k + 1 - len(acc)))
+                acc[k] += c * scale
+        images.append(acc)
+    return _from_images(images, dp * dd ** (len(cs) - 1))
 
 
 def d_operators(ctx, m1: int, m2: int) -> List[DiffOp]:
@@ -338,14 +408,16 @@ def verify_eigen(bundle: OperatorBundle, cfg, sys, n_max: int) -> List[Fraction]
     """
     from .construct import sobolev_poly
 
-    q0 = sobolev_poly(sys, cfg, 0)
-    image = bundle.D.apply(q0)
-    c = image.coeff(0) / q0.coeff(0) - bundle.lam(0)
+    qn = sobolev_poly(sys, cfg, 0)
+    image = bundle.D.apply(qn)
+    c = image.coeff(0) / qn.coeff(0) - bundle.lam(0)
     eigenvalues: List[Fraction] = []
     for n in range(n_max + 1):
-        qn = sobolev_poly(sys, cfg, n)
+        if n:
+            qn = sobolev_poly(sys, cfg, n)
+            image = bundle.D.apply(qn)
         value = bundle.lam(n) + c
-        residual = bundle.D.apply(qn) - value * qn
+        residual = image - value * qn
         if not residual.is_zero:
             raise EigenMismatch(n, residual)
         eigenvalues.append(value)

@@ -3,9 +3,10 @@
 A ``Poly`` is a trimmed tuple of ``fractions.Fraction`` coefficients
 (arbitrary precision, always reduced, denominator positive), so every
 operation in this package is exact: there is no floating point anywhere.
-The inner loops of polynomial multiplication and gcd run on Python ints: the
-operands are scaled to integer numerators over a common denominator, and the
-result is turned back into reduced fractions once per output coefficient.
+The inner loops of polynomial multiplication, gcd, Taylor shift and scalar
+evaluation run on Python ints: the operands are scaled to integer numerators
+over a common denominator, and the result is turned back into reduced
+fractions once per output coefficient.
 
 Beyond the basic rings this module provides the structural transforms the
 rest of the package is built on: Pochhammer products, gamma-function ratios
@@ -92,6 +93,14 @@ class Poly:
         p = object.__new__(cls)
         object.__setattr__(p, "coeffs", coeffs)
         return p
+
+    @classmethod
+    def _from_ints(cls, nums: list, den: int) -> "Poly":
+        """The polynomial sum nums[i] x^i / den, for ints nums and den > 0."""
+        end = len(nums)
+        while end and not nums[end - 1]:
+            end -= 1
+        return cls._trusted(tuple([Fraction(c, den) for c in nums[:end]]))
 
     # -- constructors -------------------------------------------------------
 
@@ -232,11 +241,16 @@ class Poly:
             for c in reversed(self.coeffs):
                 acc = acc * point + Poly.constant(c)
             return acc if isinstance(acc, Poly) else Poly.constant(acc)
-        point = Fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        u, v = _num_den(point)
+        if not self.coeffs:
+            return Fraction(0)
+        nums, den = _scaled_ints(self.coeffs)
+        # for point = u/v: sum n_i u^i v^(d-i) / (den v^d), by Horner on ints
+        acc, scale = nums[-1], 1
+        for n in reversed(nums[:-1]):
+            scale *= v
+            acc = acc * u + n * scale
+        return Fraction(acc, den * scale)
 
     def derivative(self, times: int = 1) -> "Poly":
         p = self
@@ -245,8 +259,31 @@ class Poly:
         return p
 
     def shift(self, c: Scalar) -> "Poly":
-        """Substitute x -> x + c."""
-        return self(Poly([Fraction(c), 1]))
+        """Substitute x -> x + c.
+
+        For c = u/v, the numerators n_i become n_i v^(d-i), which makes the
+        polynomial one in y = v x; that one is shifted by the integer u in
+        place, and the coefficient of x^k comes back over den v^(d-k).
+        """
+        u, v = _num_den(c)
+        if not u or len(self.coeffs) < 2:
+            return self
+        a, den = _scaled_ints(self.coeffs)
+        d = len(a) - 1
+        scale = 1
+        for i in range(d - 1, -1, -1):
+            scale *= v
+            a[i] *= scale
+        # Taylor shift by u: d passes of synthetic division by x - u
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                a[j] += u * a[j + 1]
+        out = []
+        scale *= den
+        for n in a:
+            out.append(Fraction(n, scale))
+            scale //= v
+        return Poly._trusted(tuple(out))
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -325,6 +362,14 @@ def _scaled_ints(coeffs: Sequence[Fraction]):
     if den == 1:
         return [c.numerator for c in coeffs], 1
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _num_den(value):
+    """Numerator and positive denominator of an int or rational scalar."""
+    if isinstance(value, int):
+        return value, 1
+    value = Fraction(value)
+    return value.numerator, value.denominator
 
 
 def _primitive_ints(ints: list) -> list:
@@ -452,7 +497,11 @@ class RationalFunction:
         return RationalFunction(self.num(g), self.den(g))
 
     def shift(self, c: Scalar) -> "RationalFunction":
-        return RationalFunction(self.num.shift(c), self.den.shift(c))
+        # a shift keeps the quotient reduced and the denominator monic
+        rf = object.__new__(RationalFunction)
+        object.__setattr__(rf, "num", self.num.shift(c))
+        object.__setattr__(rf, "den", self.den.shift(c))
+        return rf
 
     def __eq__(self, other) -> bool:
         other = _as_rf(other)

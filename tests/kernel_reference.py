@@ -1,15 +1,17 @@
 """Straightforward Fraction versions of the exact kernel's inner loops.
 
-The package multiplies, takes gcds and expands Jacobi polynomials on
-integers over a common denominator. These are the plain rational
-algorithms it replaced; the differential tests require exact equality with
-them.
+The package multiplies, takes gcds, shifts, evaluates and expands Jacobi
+polynomials on integers over a common denominator, and applies, composes
+and evaluates differential operators through their images of x^k on
+integers. These are the plain rational algorithms it replaced; the
+differential tests require exact equality with them.
 """
 
 import functools
 import math
 from fractions import Fraction
 
+from jacobisobolev.diffop import DiffOp
 from jacobisobolev.exactmath import ZERO, Poly, X, falling_binomial, pochhammer
 
 
@@ -76,3 +78,56 @@ def reference_jacobi_poly(alpha, beta, n: int) -> Poly:
         term = reference_mul(_reference_pow(X - 1, n - j), _reference_pow(X + 1, j))
         total = total + c * term
     return front * total
+
+
+def reference_shift(p: Poly, c) -> Poly:
+    """p(x + c) by Horner's rule on Poly products."""
+    step = Poly([Fraction(c), 1])
+    acc = ZERO
+    for coeff in reversed(p.coeffs):
+        acc = acc * step + coeff
+    return acc
+
+
+def reference_eval(p: Poly, point) -> Fraction:
+    """p(point) by Horner's rule, one Fraction per step."""
+    point = Fraction(point)
+    acc = Fraction(0)
+    for coeff in reversed(p.coeffs):
+        acc = acc * point + coeff
+    return acc
+
+
+def reference_apply(op: DiffOp, p: Poly) -> Poly:
+    """sum_j a_j * p^(j) on Fraction polynomials."""
+    total = ZERO
+    for j, c in enumerate(op.coeffs):
+        if not c.is_zero:
+            total = total + c * p.derivative(j)
+    return total
+
+
+def reference_compose(a: DiffOp, b: DiffOp) -> DiffOp:
+    """Operator product a . b by the Leibniz rule on Fraction polynomials."""
+    n = len(a.coeffs) + len(b.coeffs)
+    out = [ZERO] * max(n - 1, 0)
+    for i, ai in enumerate(a.coeffs):
+        if ai.is_zero:
+            continue
+        for j, bj in enumerate(b.coeffs):
+            if bj.is_zero:
+                continue
+            # d^i (b_j d^j f) = sum_k C(i,k) b_j^(k) d^(i+j-k) f
+            for k in range(i + 1):
+                term = math.comb(i, k) * ai * bj.derivative(k)
+                if not term.is_zero:
+                    out[i + j - k] = out[i + j - k] + term
+    return DiffOp(out)
+
+
+def reference_op_poly(p: Poly, d: DiffOp) -> DiffOp:
+    """p(d) by Horner's rule on Leibniz products."""
+    acc = DiffOp()
+    for c in reversed(p.coeffs):
+        acc = reference_compose(acc, d) + DiffOp([c])
+    return acc

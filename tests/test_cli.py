@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, exit codes, determinism."""
 
 import ast
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -9,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import jacobisobolev
+from jacobisobolev import _linalg, construct
 from jacobisobolev.cli import main
 from jacobisobolev.diffop import DiffOp
-from jacobisobolev.exactmath import Poly, X, pochhammer
+from jacobisobolev.exactmath import IdentityCheckFailed, Poly, RationalFunction, X, pochhammer
 
 EXAMPLE_CONFIG = {
     "alpha": 1, "beta": 1, "m1": 1, "m2": 1,
@@ -147,15 +149,67 @@ class TestIdentityChecks:
     def test_failed_check_exits_3_with_one_line(self, config_path, capsys, monkeypatch):
         monkeypatch.setattr(DiffOp, "in_algebra", property(lambda self: False))
         code = main(["operator", "--config", config_path, "--nmax", "3"])
+        self.assert_one_line_exit_3(code, capsys, "d_operators")
+
+
+    def assert_one_line_exit_3(self, code, capsys, stage):
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
         assert captured.err.count("\n") == 1
-        assert captured.err.startswith("verification failure: d_operators:")
+        assert captured.err.startswith(f"verification failure: {stage}:")
         assert "Traceback" not in captured.err
+
+    @pytest.fixture
+    def fresh_caches(self, monkeypatch):
+        monkeypatch.setattr(construct, "_ZSYS_CACHE", {})
+        monkeypatch.setattr(construct, "_LAMBDA_CACHE", {})
+
+    def test_theta_basis_mismatch_exits_3(self, config_path, capsys, monkeypatch, fresh_caches):
+        wrong_theta = construct.theta_poly(1, 1) + 1
+        monkeypatch.setattr(construct, "theta_poly", lambda a, b: wrong_theta)
+        code = main(["construct", "--config", config_path, "--nmax", "3"])
+        self.assert_one_line_exit_3(code, capsys, "build_z")
+
+    def test_pole_in_lambda_quotient_exits_3(self, config_path, capsys, monkeypatch, fresh_caches):
+        # a unit determinant leaves 1 / (p q), and q(0) = 0 for this config
+        real_det = _linalg.det
+        monkeypatch.setattr(
+            _linalg, "det", lambda rows: Poly([1]) if isinstance(rows[0][0], Poly) else real_det(rows)
+        )
+        code = main(["construct", "--config", config_path, "--nmax", "3"])
+        self.assert_one_line_exit_3(code, capsys, "casorati_lambda")
+
+    def test_pole_in_minor_quotient_exits_3(self, config_path, capsys, monkeypatch, fresh_caches):
+        real_det = _linalg.det
+
+        def det(rows):
+            if isinstance(rows[0][0], RationalFunction):
+                return RationalFunction(Poly([1]))
+            return real_det(rows)
+
+        monkeypatch.setattr(_linalg, "det", det)
+        code = main(["construct", "--config", config_path, "--nmax", "3"])
+        self.assert_one_line_exit_3(code, capsys, "sobolev_poly")
+
+    def test_incomparable_gamma_products_raise(self):
+        # verify_comb_identities is library-only; its check raises, not asserts
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        terms = [construct._GammaProduct.gamma(half), construct._GammaProduct.gamma(third)]
+        with pytest.raises(IdentityCheckFailed, match="verify_comb_identities"):
+            construct._gamma_sum_is_zero(terms)
 
 
 class TestOperator:
+    def test_golden_report(self, tmp_path, capsys):
+        # the (3,3,2,1) baseline masses M[i][j] = (i+2j)%3-1, N[i][j] = (2i+j)%3-1;
+        # the digest is of the report before operators were built from images
+        cfg = {"alpha": 3, "beta": 3, "m1": 2, "m2": 1, "M": [["-1", "1"], ["0", "-1"]], "N": [["-1"]]}
+        path = write_json(tmp_path / "c.json", cfg)
+        assert main(["operator", "--config", path, "--nmax", "8"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == "1dd3be8b66c0133f926e894cce7dc1154190926c29a0ea9dcca437784c3aa8da"
+
     def test_operator_export(self, config_path, tmp_path):
         out = tmp_path / "op.json"
         code = main(["operator", "--config", config_path, "--nmax", "5", "--out", str(out)])

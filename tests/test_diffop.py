@@ -5,6 +5,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kernel_reference import reference_apply, reference_compose, reference_op_poly
 
 from jacobisobolev.construct import build_z, sobolev_poly
 from jacobisobolev.diffop import (
@@ -17,6 +21,7 @@ from jacobisobolev.diffop import (
     d_operators,
     default_s,
     degree_of_P_check,
+    op_poly,
     operator_order,
     p_from_y_tuple,
     verify_eigen,
@@ -35,6 +40,26 @@ from jacobisobolev.jacobi import JacobiContext, classical_operator, jacobi_poly
 from jacobisobolev.sobolev import SobolevConfig
 
 from conftest import cached_bundle, random_configs
+
+small_rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
+# large numerators over large, mutually unrelated denominators, so the common
+# denominator of an operator is far from any one coefficient's
+wide_rationals = st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**12))
+coefficients = st.one_of(small_rationals, wide_rationals)
+polys = st.lists(coefficients, max_size=6).map(Poly)
+
+
+def operators(max_order):
+    """Zero, identity, in-algebra operators and ones that raise the degree."""
+    in_algebra = st.integers(0, max_order).flatmap(
+        lambda n: st.tuples(*[st.lists(coefficients, max_size=j + 1).map(Poly) for j in range(n + 1)])
+    )
+    return st.one_of(
+        st.just(DiffOp()),
+        st.just(DiffOp.identity()),
+        in_algebra.map(DiffOp),
+        st.lists(st.lists(coefficients, max_size=4).map(Poly), max_size=max_order + 1).map(DiffOp),
+    )
 
 
 def ctx(a, b):
@@ -99,6 +124,48 @@ class TestCompose:
         b = DiffOp([Poly([]), X * X - 1])
         p = Poly([1, -2, 0, 3])
         assert compose(a, b).apply(p) == a.apply(b.apply(p))
+
+
+class TestIntKernel:
+    """apply, compose and op_poly against the Fraction and Leibniz references."""
+
+    @given(operators(6), polys)
+    @settings(max_examples=150, deadline=None)
+    def test_apply_matches_reference(self, op, p):
+        assert op.apply(p) == reference_apply(op, p)
+
+    @given(operators(3), operators(3))
+    @settings(max_examples=150, deadline=None)
+    def test_compose_matches_leibniz(self, a, b):
+        assert compose(a, b) == reference_compose(a, b)
+
+    @given(st.lists(coefficients, max_size=4).map(Poly), operators(2))
+    @settings(max_examples=100, deadline=None)
+    def test_op_poly_matches_reference(self, p, d):
+        assert op_poly(p, d) == reference_op_poly(p, d)
+
+    def test_zero_and_identity(self):
+        op = DiffOp([Poly([Fraction(1, 3), 2]), X * X, Poly([0, 0, 0, Fraction(-7, 10**12)])])
+        zero, one = DiffOp(), DiffOp.identity()
+        for a, b in [(zero, op), (op, zero), (zero, zero)]:
+            assert compose(a, b) == zero
+        assert compose(one, op) == op == compose(op, one)
+        assert op_poly(Poly([]), op) == zero
+        assert op_poly(Poly([5, 1]), zero) == DiffOp([5])
+        assert zero.apply(X) == Poly([]) and op.apply(Poly([])) == Poly([])
+
+    def test_degree_raising_operators(self):
+        times_x = DiffOp([X])  # outside the algebra
+        x_squared_ddx = DiffOp([Poly([]), X * X])
+        assert compose(times_x, times_x) == DiffOp([X * X])
+        assert compose(x_squared_ddx, times_x) == reference_compose(x_squared_ddx, times_x)
+        assert op_poly(Poly([1, 1, 1]), times_x) == DiffOp([Poly([1, 1, 1])])
+        assert op_poly(Poly([0, 0, 1]), x_squared_ddx) == reference_op_poly(Poly([0, 0, 1]), x_squared_ddx)
+
+    def test_classical_powers(self):
+        op = classical_operator(ctx(Fraction(1, 2), Fraction(-1, 3)))
+        p = Poly([Fraction(2, 7), -1, Fraction(5, 3)])
+        assert op_poly(p, op) == reference_op_poly(p, op)
 
 
 class TestDOperators:

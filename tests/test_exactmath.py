@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_reference import reference_gcd, reference_mul
+from kernel_reference import reference_eval, reference_gcd, reference_mul, reference_shift
 
 from jacobisobolev.exactmath import (
     NEG_INFINITY,
@@ -104,6 +104,23 @@ class TestPoly:
 
     def test_gcd_of_two_zeros_is_zero(self):
         assert ZERO.gcd(ZERO) == ZERO
+
+    @given(kernel_operands, st.one_of(rationals, wide_rationals, st.integers(-50, 50)))
+    @settings(max_examples=200, deadline=None)
+    def test_shift_and_evaluation_match_horner(self, p, c):
+        assert p.shift(c) == reference_shift(p, c)
+        value = p(c)
+        assert isinstance(value, Fraction)
+        assert value == reference_eval(p, c)
+
+    @pytest.mark.parametrize("c", [0, 3, -2, Fraction(6, 7), Fraction(-6, 7), Fraction(1, 10**15)])
+    def test_shift_and_evaluation_pinned(self, c):
+        p = Poly([Fraction(1, 3), -2, 0, Fraction(5, 4), 7])
+        assert p.shift(c) == reference_shift(p, c)
+        assert p(c) == reference_eval(p, c)
+        assert ZERO.shift(c) == ZERO
+        assert ZERO(c) == Fraction(0) and isinstance(ZERO(c), Fraction)
+        assert Poly([Fraction(2, 3)]).shift(c) == Poly([Fraction(2, 3)])
 
     def test_json_round_trip(self):
         p = Poly([Fraction(1, 3), 0, -2])
