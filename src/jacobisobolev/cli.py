@@ -50,7 +50,7 @@ def _load_config(path: str) -> SobolevConfig:
 def _load_custom_s(path: Optional[str], cfg: SobolevConfig, sys_z) -> Optional[RationalFunction]:
     """Parse {num: coeffs, den: "auto-omega" | coeffs}; "auto-omega" puts the
     Casorati determinant in the denominator, which users cannot easily
-    precompute themselves."""
+    precompute themselves. S must be nonzero."""
     if path is None:
         return None
     try:
@@ -63,12 +63,15 @@ def _load_custom_s(path: Optional[str], cfg: SobolevConfig, sys_z) -> Optional[R
     if den == "auto-omega":
         from .diffop import _omega
 
-        omega = _omega(cfg, sys_z)
-        return RationalFunction(num) / omega
-    try:
-        return RationalFunction(num, Poly.from_json(den))
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"bad custom S denominator: {exc}") from exc
+        custom_s = RationalFunction(num) / _omega(cfg, sys_z)
+    else:
+        try:
+            custom_s = RationalFunction(num, Poly.from_json(den))
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise InputError(f"bad custom S denominator: {exc}") from exc
+    if custom_s.is_zero:
+        raise InputError(f"bad custom S {path}: S must be nonzero")
+    return custom_s
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:

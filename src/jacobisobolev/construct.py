@@ -10,12 +10,14 @@ For n >= m the determinant entries are plain rationals and p(n) q(n) != 0.
 For n < m the quotient by p(x) q(x) may be 0/0 at integer points, so the
 determinant cofactors are carried symbolically in x, reduced against
 p(x) q(x), and only then evaluated; divisibility is checked, not assumed.
+These reduced quotients do not depend on n, so each is built once per
+configuration and kept on its `ZSystem`, as is every q_n once built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -48,6 +50,9 @@ class ZSystem:
     p: Poly
     q: Poly
     rho: Tuple[Tuple[RationalFunction, ...], ...]  # rho[h-1][j], j = 0..m
+    # the reduced n < m quotients: "lambda" for Lambda, j for the minor j
+    quotients: Dict[object, RationalFunction] = field(default_factory=dict, compare=False, repr=False)
+    q_polys: Dict[int, Poly] = field(default_factory=dict, compare=False, repr=False)
 
 
 def _u_polys(alpha: Fraction, beta: Fraction, lam: Fraction, j: int) -> Tuple[Poly, Poly]:
@@ -222,11 +227,13 @@ def casorati_lambda(sys: ZSystem, cfg: SobolevConfig, n: int) -> Fraction:
         ]
         value = _linalg.det(matrix) / pq
     else:
-        matrix = [
-            [sys.rho[h][j].as_poly() * sys.z[h].shift(-j) for j in range(1, m + 1)]
-            for h in range(m)
-        ]
-        ratio = RationalFunction(_linalg.det(matrix), sys.p * sys.q)
+        ratio = sys.quotients.get("lambda")
+        if ratio is None:
+            matrix = [
+                [sys.rho[h][j].as_poly() * sys.z[h].shift(-j) for j in range(1, m + 1)]
+                for h in range(m)
+            ]
+            ratio = sys.quotients["lambda"] = RationalFunction(_linalg.det(matrix), sys.p * sys.q)
         value = _regular_value(ratio, n, "casorati_lambda", "the reduced Lambda quotient")
     _LAMBDA_CACHE[key] = value
     return value
@@ -234,6 +241,9 @@ def casorati_lambda(sys: ZSystem, cfg: SobolevConfig, n: int) -> Fraction:
 
 def sobolev_poly(sys: ZSystem, cfg: SobolevConfig, n: int) -> Poly:
     """The degree-n Sobolev-orthogonal polynomial from the bordered determinant."""
+    cached = sys.q_polys.get(n)
+    if cached is not None:
+        return cached
     for k in range(n + 1):
         if casorati_lambda(sys, cfg, k) == 0:
             raise DegenerateConfigError(f"Lambda({k}) = 0")
@@ -247,18 +257,21 @@ def sobolev_poly(sys: ZSystem, cfg: SobolevConfig, n: int) -> Poly:
             for j in range(m + 1)
         ]
     else:
-        pq_poly = sys.p * sys.q
-        entries = [
-            [sys.rho[h][r] * RationalFunction(sys.z[h].shift(-r)) for r in range(m + 1)]
-            for h in range(m)
-        ]
+        entries = None
         values = []
         for j in range(m + 1):
             if j > n:
                 values.append(Fraction(0))  # multiplies the zero polynomial anyway
                 continue
-            minor = _linalg.det([[row[r] for r in range(m + 1) if r != j] for row in entries])
-            ratio = minor / RationalFunction(pq_poly)
+            ratio = sys.quotients.get(j)
+            if ratio is None:
+                if entries is None:
+                    entries = [
+                        [sys.rho[h][r] * RationalFunction(sys.z[h].shift(-r)) for r in range(m + 1)]
+                        for h in range(m)
+                    ]
+                minor = _linalg.det([[row[r] for r in range(m + 1) if r != j] for row in entries])
+                ratio = sys.quotients[j] = minor / RationalFunction(sys.p * sys.q)
             values.append(_regular_value(ratio, n, "sobolev_poly", f"the reduced minor {j} quotient"))
     result = Poly()
     for j in range(m + 1):
@@ -266,6 +279,7 @@ def sobolev_poly(sys: ZSystem, cfg: SobolevConfig, n: int) -> Poly:
             result = result + values[j] * jacobi_poly(ctx, n - j)
     if result.degree != n:
         raise IdentityCheckFailed("sobolev_poly", f"deg q_{n} = {n}")
+    sys.q_polys[n] = result
     return result
 
 

@@ -295,6 +295,8 @@ class Poly:
 
         The gcd of zero and b is b made monic; the gcd of two zeros is zero.
         """
+        if len(self.coeffs) == 1 or len(other.coeffs) == 1:
+            return ONE  # a nonzero constant divides everything
         a = _primitive_ints(_scaled_ints(self.coeffs)[0])
         b = _primitive_ints(_scaled_ints(other.coeffs)[0])
         if len(a) < len(b):
@@ -420,8 +422,10 @@ class RationalFunction:
                 num = num.div_exact(g)
                 den = den.div_exact(g)
         lead = den.lead
-        object.__setattr__(self, "num", num / lead)
-        object.__setattr__(self, "den", den / lead)
+        if lead != 1:
+            num, den = num / lead, den / lead
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("RationalFunction is immutable")

@@ -3,7 +3,8 @@
 The package multiplies, takes gcds, shifts, evaluates and expands Jacobi
 polynomials on integers over a common denominator, and applies, composes
 and evaluates differential operators through their images of x^k on
-integers. These are the plain rational algorithms it replaced; the
+integers. It builds each n < m Casorati quotient and each q_n once per
+configuration. These are the plain algorithms it replaced; the
 differential tests require exact equality with them.
 """
 
@@ -11,8 +12,18 @@ import functools
 import math
 from fractions import Fraction
 
+from jacobisobolev import _linalg
 from jacobisobolev.diffop import DiffOp
-from jacobisobolev.exactmath import ZERO, Poly, X, falling_binomial, pochhammer
+from jacobisobolev.exactmath import (
+    ONE,
+    ZERO,
+    Poly,
+    RationalFunction,
+    X,
+    falling_binomial,
+    pochhammer,
+)
+from jacobisobolev.jacobi import JacobiContext, jacobi_poly
 
 
 def reference_mul(p: Poly, q: Poly) -> Poly:
@@ -50,6 +61,20 @@ def reference_gcd(p: Poly, q: Poly) -> Poly:
     while not b.is_zero:
         a, b = b, _primitive(a % b)
     return a.monic()
+
+
+def reference_rational_parts(num: Poly, den: Poly):
+    """The (num, den) pair of num/den, reduced by the gcd and always divided
+    by the lead of the denominator."""
+    if den.is_zero:
+        raise ZeroDivisionError("zero denominator")
+    if num.is_zero:
+        den = ONE
+    else:
+        g = reference_gcd(num, den)
+        num, den = num.div_exact(g), den.div_exact(g)
+    lead = den.lead
+    return num / lead, den / lead
 
 
 @functools.lru_cache(maxsize=None)
@@ -131,3 +156,48 @@ def reference_op_poly(p: Poly, d: DiffOp) -> DiffOp:
     for c in reversed(p.coeffs):
         acc = reference_compose(acc, d) + DiffOp([c])
     return acc
+
+
+def reference_casorati_lambda(sys, cfg, n: int) -> Fraction:
+    """Lambda(n), with the n < m quotient rebuilt for every n."""
+    m = cfg.m
+    if n >= m:
+        matrix = [
+            [sys.rho[h][j](n) * sys.z[h](n - j) for j in range(1, m + 1)] for h in range(m)
+        ]
+        return _linalg.det(matrix) / (sys.p(n) * sys.q(n))
+    matrix = [
+        [sys.rho[h][j].as_poly() * sys.z[h].shift(-j) for j in range(1, m + 1)]
+        for h in range(m)
+    ]
+    return RationalFunction(_linalg.det(matrix), sys.p * sys.q)(n)
+
+
+def reference_sobolev_poly(sys, cfg, n: int) -> Poly:
+    """q_n, with every n < m minor quotient rebuilt for every n."""
+    ctx = JacobiContext(Fraction(cfg.alpha), Fraction(cfg.beta))
+    m = cfg.m
+    if n >= m:
+        pq = sys.p(n) * sys.q(n)
+        rows = [[sys.rho[h][j](n) * sys.z[h](n - j) for j in range(m + 1)] for h in range(m)]
+        values = [
+            _linalg.det([[row[r] for r in range(m + 1) if r != j] for row in rows]) / pq
+            for j in range(m + 1)
+        ]
+    else:
+        entries = [
+            [sys.rho[h][r] * RationalFunction(sys.z[h].shift(-r)) for r in range(m + 1)]
+            for h in range(m)
+        ]
+        values = []
+        for j in range(m + 1):
+            if j > n:
+                values.append(Fraction(0))
+                continue
+            minor = _linalg.det([[row[r] for r in range(m + 1) if r != j] for row in entries])
+            values.append((minor / RationalFunction(sys.p * sys.q))(n))
+    result = ZERO
+    for j in range(m + 1):
+        if values[j] != 0:
+            result = result + values[j] * jacobi_poly(ctx, n - j)
+    return result

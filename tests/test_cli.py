@@ -4,6 +4,9 @@ import ast
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +27,18 @@ EXAMPLE_CONFIG = {
 def write_json(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+# the (3,3,2,1) baseline masses M[i][j] = (i+2j)%3-1, N[i][j] = (2i+j)%3-1
+GOLDEN_OPERATOR_CONFIG = {
+    "alpha": 3, "beta": 3, "m1": 2, "m2": 1, "M": [["-1", "1"], ["0", "-1"]], "N": [["-1"]],
+}
+GOLDEN_OPERATOR_SHA256 = "1dd3be8b66c0133f926e894cce7dc1154190926c29a0ea9dcca437784c3aa8da"
+
+# equal scalar masses at alpha = beta = 2, with S = sigma R / Omega of criterion 6
+GOLDEN_VERIFY_CONFIG = {"alpha": 2, "beta": 2, "m1": 1, "m2": 1, "M": [["1"]], "N": [["1"]]}
+GOLDEN_VERIFY_S = {"num": ["8", "5", "-5/2", "5/2", "5/2", "1/2"], "den": "auto-omega"}
+GOLDEN_VERIFY_SHA256 = "4f7762663b700424a4f49c56bf1a2109132376614ced84b5612cc017a5099b07"
 
 
 @pytest.fixture
@@ -131,6 +146,35 @@ class TestVerify:
         assert report["predicted_order"] == 4 * alpha + 2
         assert report["eigen"]["status"] == "pass"
 
+    @pytest.mark.parametrize("command", ["verify", "operator"])
+    @pytest.mark.parametrize(
+        "custom",
+        [
+            {"num": [1], "den": [0]},
+            {"num": [1], "den": []},
+            {"num": [], "den": [1]},
+            {"num": ["0"], "den": "auto-omega"},
+        ],
+    )
+    def test_zero_custom_s_parts_exit_1(self, tmp_path, capsys, command, custom):
+        cfg = {"alpha": 2, "beta": 1, "m1": 1, "m2": 1, "M": [[1]], "N": [[1]]}
+        path = write_json(tmp_path / "c.json", cfg)
+        s_path = write_json(tmp_path / "s.json", custom)
+        code = main([command, "--config", path, "--nmax", "4", "--custom-s", s_path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: bad custom S")
+
+    def test_golden_custom_s_report(self, tmp_path, capsys):
+        # criterion 6 at a = 2 with its order-lowering S over auto-omega;
+        # the digest is of the report before the n < m quotients were memoised
+        path = write_json(tmp_path / "c.json", GOLDEN_VERIFY_CONFIG)
+        s_path = write_json(tmp_path / "s.json", GOLDEN_VERIFY_S)
+        assert main(["verify", "--config", path, "--nmax", "8", "--custom-s", s_path]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == GOLDEN_VERIFY_SHA256
+
     def test_invalid_custom_s_exits_3(self, config_path, tmp_path):
         s_path = write_json(tmp_path / "s.json", {"num": ["1", "1"], "den": ["0", "1", "1"]})
         code = main(["verify", "--config", config_path, "--nmax", "4", "--custom-s", s_path])
@@ -202,13 +246,11 @@ class TestIdentityChecks:
 
 class TestOperator:
     def test_golden_report(self, tmp_path, capsys):
-        # the (3,3,2,1) baseline masses M[i][j] = (i+2j)%3-1, N[i][j] = (2i+j)%3-1;
         # the digest is of the report before operators were built from images
-        cfg = {"alpha": 3, "beta": 3, "m1": 2, "m2": 1, "M": [["-1", "1"], ["0", "-1"]], "N": [["-1"]]}
-        path = write_json(tmp_path / "c.json", cfg)
+        path = write_json(tmp_path / "c.json", GOLDEN_OPERATOR_CONFIG)
         assert main(["operator", "--config", path, "--nmax", "8"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-        assert digest == "1dd3be8b66c0133f926e894cce7dc1154190926c29a0ea9dcca437784c3aa8da"
+        assert digest == GOLDEN_OPERATOR_SHA256
 
     def test_operator_export(self, config_path, tmp_path):
         out = tmp_path / "op.json"
@@ -218,6 +260,27 @@ class TestOperator:
         assert data["order"] == data["predicted_order"] == 6
         assert len(data["operator"]["coeffs"]) == 7
         assert data["eigen_checked_to"] == 5
+
+
+class TestOptimizedInterpreter:
+    def test_golden_reports_under_python_O(self, tmp_path):
+        # no identity check or output may hang on __debug__
+        config = write_json(tmp_path / "c.json", GOLDEN_OPERATOR_CONFIG)
+        verify_config = write_json(tmp_path / "v.json", GOLDEN_VERIFY_CONFIG)
+        s_path = write_json(tmp_path / "s.json", GOLDEN_VERIFY_S)
+        src = str(Path(jacobisobolev.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        runs = [
+            (["operator", "--config", config, "--nmax", "8"], GOLDEN_OPERATOR_SHA256),
+            (["verify", "--config", verify_config, "--nmax", "8", "--custom-s", s_path], GOLDEN_VERIFY_SHA256),
+        ]
+        for argv, want in runs:
+            done = subprocess.run(
+                [sys.executable, "-O", "-m", "jacobisobolev", *argv],
+                capture_output=True, env=env, check=False,
+            )
+            assert done.returncode == 0, done.stderr
+            assert hashlib.sha256(done.stdout).hexdigest() == want
 
 
 class TestRank:

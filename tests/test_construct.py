@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from jacobisobolev import construct
 from jacobisobolev.construct import (
     DegenerateConfigError,
+    ZSystem,
     build_p,
     build_q,
     build_z,
@@ -18,7 +20,8 @@ from jacobisobolev.construct import (
 from jacobisobolev.exactmath import Poly, X, theta_substitute
 from jacobisobolev.sobolev import SobolevConfig, bilinear, gram_orthogonal_oracle
 
-from conftest import random_configs
+from conftest import STANDARD_SHAPES, random_configs
+from kernel_reference import reference_casorati_lambda, reference_sobolev_poly
 
 
 def scalar_multiple(p: Poly, q: Poly) -> bool:
@@ -131,6 +134,59 @@ class TestSobolevPoly:
         sys_z = build_z(cfg)
         with pytest.raises(DegenerateConfigError):
             sobolev_poly(sys_z, cfg, 2)
+
+
+class TestPerConfigMemos:
+    @pytest.fixture
+    def cold_configs(self, monkeypatch):
+        """Draw configs, then start from empty caches, so no memo is warm."""
+
+        def draw(shape, count):
+            configs = random_configs(shape, count=count)
+            monkeypatch.setattr(construct, "_ZSYS_CACHE", {})
+            monkeypatch.setattr(construct, "_LAMBDA_CACHE", {})
+            return configs
+
+        return draw
+
+    @pytest.mark.parametrize("shape", STANDARD_SHAPES)
+    def test_memoised_values_match_per_n_rebuild(self, shape, cold_configs):
+        (cfg,) = cold_configs(shape, 1)
+        sys_z = build_z(cfg)
+        degrees = range(cfg.m + 2)
+        want_lambda = [reference_casorati_lambda(sys_z, cfg, n) for n in degrees]
+        want_q = [reference_sobolev_poly(sys_z, cfg, n) for n in degrees]
+        for order in (reversed(degrees), degrees):
+            for n in order:
+                assert casorati_lambda(sys_z, cfg, n) == want_lambda[n]
+                assert sobolev_poly(sys_z, cfg, n) == want_q[n]
+            # Lambda(n) must come from the held quotient, not from the value cache
+            construct._LAMBDA_CACHE.clear()
+        assert set(sys_z.quotients) == {"lambda", *range(cfg.m)}
+        assert set(sys_z.q_polys) == set(degrees)
+
+    def test_distinct_configs_do_not_share_entries(self, cold_configs):
+        cfg_a, cfg_b = cold_configs((3, 2, 2, 1), 2)
+        sys_a, sys_b = build_z(cfg_a), build_z(cfg_b)
+        for n in range(cfg_a.m + 1):
+            sobolev_poly(sys_a, cfg_a, n)
+        assert not sys_b.quotients and not sys_b.q_polys
+        for n in range(cfg_b.m + 1):
+            assert sobolev_poly(sys_b, cfg_b, n) == reference_sobolev_poly(sys_b, cfg_b, n)
+        assert sys_a.q_polys is not sys_b.q_polys
+        assert sys_a.quotients is not sys_b.quotients
+        assert sys_a.q_polys[cfg_a.m - 1] != sys_b.q_polys[cfg_b.m - 1]
+        assert sys_a.quotients["lambda"] != sys_b.quotients["lambda"]
+
+    def test_equality_and_hash_ignore_memos(self, cold_configs):
+        (cfg,) = cold_configs((2, 2, 1, 1), 1)
+        warm = build_z(cfg)
+        for n in range(cfg.m + 1):
+            sobolev_poly(warm, cfg, n)
+        cold = ZSystem(z=warm.z, Y=warm.Y, p=warm.p, q=warm.q, rho=warm.rho)
+        assert warm.q_polys and not cold.q_polys
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
 
 
 class TestRlCrossCheck:

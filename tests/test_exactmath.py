@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_reference import reference_eval, reference_gcd, reference_mul, reference_shift
+from kernel_reference import (
+    reference_eval,
+    reference_gcd,
+    reference_mul,
+    reference_rational_parts,
+    reference_shift,
+)
 
 from jacobisobolev.exactmath import (
     NEG_INFINITY,
@@ -44,6 +50,8 @@ constant_polys = st.lists(wide_rationals, min_size=0, max_size=1).map(Poly)
 nonzero_polys = st.lists(wide_rationals, min_size=1, max_size=5).map(Poly).filter(bool)
 negative_lead_polys = nonzero_polys.map(lambda p: -p if p.lead > 0 else p)
 kernel_operands = st.one_of(small_polys, wide_polys, constant_polys, negative_lead_polys)
+nonzero_constants = st.one_of(rationals, wide_rationals).filter(bool).map(Poly.constant)
+monic_polys = nonzero_polys.map(Poly.monic)
 
 
 class TestPoly:
@@ -105,6 +113,18 @@ class TestPoly:
     def test_gcd_of_two_zeros_is_zero(self):
         assert ZERO.gcd(ZERO) == ZERO
 
+    @given(nonzero_constants, kernel_operands)
+    @settings(max_examples=100, deadline=None)
+    def test_gcd_with_constant_matches_euclid(self, c, b):
+        assert c.gcd(b) == reference_gcd(c, b) == ONE
+        assert b.gcd(c) == reference_gcd(b, c) == ONE
+
+    @pytest.mark.parametrize("c", [1, -1, Fraction(-7, 3), Fraction(10**30, 10**12 + 1)])
+    def test_gcd_with_constant_pinned(self, c):
+        c = Poly.constant(c)
+        assert ZERO.gcd(c) == c.gcd(ZERO) == reference_gcd(ZERO, c) == ONE
+        assert ZERO.gcd(ZERO) == reference_gcd(ZERO, ZERO) == ZERO
+
     @given(kernel_operands, st.one_of(rationals, wide_rationals, st.integers(-50, 50)))
     @settings(max_examples=200, deadline=None)
     def test_shift_and_evaluation_match_horner(self, p, c):
@@ -135,6 +155,23 @@ class TestRationalFunction:
         assert f.num == Poly([1, Fraction(1, 2)])
         g = RationalFunction(X, 3 * (X + 1))
         assert g.den == X + 1 and g.num == Poly([0, Fraction(1, 3)])
+
+    @given(kernel_operands, st.one_of(monic_polys, nonzero_polys, nonzero_constants))
+    @settings(max_examples=200, deadline=None)
+    def test_normalisation_matches_divide_by_lead(self, num, den):
+        f = RationalFunction(num, den)
+        assert (f.num, f.den) == reference_rational_parts(num, den)
+        assert f.den.lead == 1
+
+    @pytest.mark.parametrize(
+        "den", [ONE, X + 1, 3 * (X + 1), Poly([Fraction(1, 10**12), 0, Fraction(-(10**30), 7)])]
+    )
+    def test_normalisation_pinned(self, den):
+        zero = RationalFunction(ZERO, den)
+        assert (zero.num, zero.den) == reference_rational_parts(ZERO, den) == (ZERO, ONE)
+        num = Poly([Fraction(10**30, 7), -1, Fraction(1, 10**12)])
+        f = RationalFunction(num, den)
+        assert (f.num, f.den) == reference_rational_parts(num, den)
 
     def test_evaluation_and_pole(self):
         f = RationalFunction(ONE, X)
