@@ -22,7 +22,6 @@ from .diffop import (
     EigenMismatch,
     OperatorBundle,
     build_bundle,
-    check_order,
     compose,
     d_operators,
     degree_of_P_check,
@@ -60,7 +59,6 @@ __all__ = [
     "build_bundle",
     "build_z",
     "casorati_lambda",
-    "check_order",
     "compose",
     "d_operators",
     "default_s",

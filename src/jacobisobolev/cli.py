@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .construct import DegenerateConfigError, build_z, casorati_lambda, sobolev_poly
-from .diffop import AssumptionFailed, EigenMismatch, build_bundle, operator_order, verify_eigen
+from .diffop import AssumptionFailed, EigenMismatch, _omega, build_bundle, operator_order, verify_eigen
 from .exactmath import IdentityCheckFailed, Poly, RationalFunction, rat, rat_str
 from .rank import predicted_order, weighted_rank
 from .sobolev import SobolevConfig, bilinear
@@ -32,6 +32,9 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_DEGENERATE = 2
 EXIT_VERIFY = 3
+
+# the three structural assumptions that build_bundle checks
+ASSUMPTIONS = ("s_omega_polynomial", "sigma_factorization", "eigenvalue_generator")
 
 
 class InputError(ValueError):
@@ -61,8 +64,6 @@ def _load_custom_s(path: Optional[str], cfg: SobolevConfig, sys_z) -> Optional[R
     except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"bad custom S {path}: {exc}") from exc
     if den == "auto-omega":
-        from .diffop import _omega
-
         custom_s = RationalFunction(num) / _omega(cfg, sys_z)
     else:
         try:
@@ -83,8 +84,23 @@ def _emit(payload: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def cmd_construct(cfg: SobolevConfig, n_max: int) -> Tuple[int, dict]:
-    system = build_z(cfg)
+def _first_degenerate(system, cfg: SobolevConfig, n_max: int) -> Optional[int]:
+    """The first n <= n_max with Lambda(n) = 0, or None."""
+    return next((n for n in range(n_max + 1) if casorati_lambda(system, cfg, n) == 0), None)
+
+
+def _orthogonality_failure(cfg: SobolevConfig, qs) -> Optional[dict]:
+    """The first failed check: B(q_n, x^j) != 0 for j < n, or B(q_n, q_n) = 0 (j None)."""
+    for n, qn in enumerate(qs):
+        for j in range(n):
+            if bilinear(cfg, qn, Poly.monomial(j)) != 0:
+                return {"n": n, "j": j}
+        if bilinear(cfg, qn, qn) == 0:
+            return {"n": n, "j": None}
+    return None
+
+
+def cmd_construct(cfg: SobolevConfig, system, n_max: int) -> Tuple[int, dict]:
     polys = []
     for n in range(n_max + 1):
         lam = casorati_lambda(system, cfg, n)
@@ -93,32 +109,18 @@ def cmd_construct(cfg: SobolevConfig, n_max: int) -> Tuple[int, dict]:
     return EXIT_OK, {"config": cfg.to_json(), "n_max": n_max, "polynomials": polys}
 
 
-def cmd_verify(cfg: SobolevConfig, n_max: int, custom_s) -> Tuple[int, dict]:
-    system = build_z(cfg)
+def cmd_verify(cfg: SobolevConfig, system, n_max: int, custom_s) -> Tuple[int, dict]:
     report: dict = {"config": cfg.to_json(), "lambda_nonzero_checked_to": n_max}
-    for n in range(n_max + 1):
-        if casorati_lambda(system, cfg, n) == 0:
-            report["degenerate_at"] = n
-            return EXIT_DEGENERATE, report
+    degenerate_at = _first_degenerate(system, cfg, n_max)
+    if degenerate_at is not None:
+        report["degenerate_at"] = degenerate_at
+        return EXIT_DEGENERATE, report
 
-    failed = False
-    ortho = {"status": "pass", "first_failure": None}
-    qs = [sobolev_poly(system, cfg, n) for n in range(n_max + 1)]
-    for n in range(n_max + 1):
-        for j in range(n):
-            if bilinear(cfg, qs[n], Poly.monomial(j)) != 0:
-                ortho = {"status": "fail", "first_failure": {"n": n, "j": j}}
-                failed = True
-                break
-        if ortho["status"] == "fail":
-            break
-        if bilinear(cfg, qs[n], qs[n]) == 0:
-            ortho = {"status": "fail", "first_failure": {"n": n, "j": None}}
-            failed = True
-            break
-    report["orthogonality"] = ortho
+    first_failure = _orthogonality_failure(cfg, [sobolev_poly(system, cfg, n) for n in range(n_max + 1)])
+    failed = first_failure is not None
+    report["orthogonality"] = {"status": "fail" if failed else "pass", "first_failure": first_failure}
 
-    assumption_status = {"s_omega_polynomial": True, "sigma_factorization": True, "eigenvalue_generator": True}
+    assumption_status = dict.fromkeys(ASSUMPTIONS, True)
     try:
         bundle = build_bundle(cfg, system, custom_s)
     except AssumptionFailed as exc:
@@ -146,11 +148,10 @@ def cmd_verify(cfg: SobolevConfig, n_max: int, custom_s) -> Tuple[int, dict]:
     return (EXIT_VERIFY if failed else EXIT_OK), report
 
 
-def cmd_operator(cfg: SobolevConfig, n_max: int, custom_s) -> Tuple[int, dict]:
-    system = build_z(cfg)
-    for n in range(n_max + 1):
-        if casorati_lambda(system, cfg, n) == 0:
-            return EXIT_DEGENERATE, {"config": cfg.to_json(), "degenerate_at": n}
+def cmd_operator(cfg: SobolevConfig, system, n_max: int, custom_s) -> Tuple[int, dict]:
+    degenerate_at = _first_degenerate(system, cfg, n_max)
+    if degenerate_at is not None:
+        return EXIT_DEGENERATE, {"config": cfg.to_json(), "degenerate_at": degenerate_at}
     try:
         bundle = build_bundle(cfg, system, custom_s)
     except AssumptionFailed as exc:
@@ -164,7 +165,7 @@ def cmd_operator(cfg: SobolevConfig, n_max: int, custom_s) -> Tuple[int, dict]:
         "operator": bundle.D.to_json(),
         "order": operator_order(bundle),
         "predicted_order": bundle.predicted_order,
-        "assumptions": {"s_omega_polynomial": True, "sigma_factorization": True, "eigenvalue_generator": True},
+        "assumptions": dict.fromkeys(ASSUMPTIONS, True),
         "eigen_checked_to": n_max,
     }
 
@@ -215,15 +216,13 @@ def main(argv=None) -> int:
             cfg = _load_config(args.config)
             if args.nmax < 0:
                 raise InputError("--nmax must be nonnegative")
+            system = build_z(cfg)
             if args.command == "construct":
-                code, payload = cmd_construct(cfg, args.nmax)
+                code, payload = cmd_construct(cfg, system, args.nmax)
             else:
-                system = build_z(cfg)
                 custom_s = _load_custom_s(args.custom_s, cfg, system)
-                if args.command == "verify":
-                    code, payload = cmd_verify(cfg, args.nmax, custom_s)
-                else:
-                    code, payload = cmd_operator(cfg, args.nmax, custom_s)
+                command = cmd_verify if args.command == "verify" else cmd_operator
+                code, payload = command(cfg, system, args.nmax, custom_s)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

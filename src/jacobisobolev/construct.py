@@ -10,8 +10,10 @@ For n >= m the determinant entries are plain rationals and p(n) q(n) != 0.
 For n < m the quotient by p(x) q(x) may be 0/0 at integer points, so the
 determinant cofactors are carried symbolically in x, reduced against
 p(x) q(x), and only then evaluated; divisibility is checked, not assumed.
-These reduced quotients do not depend on n, so each is built once per
-configuration and kept on its `ZSystem`, as is every q_n once built.
+
+The `ZSystem` of a configuration holds every value derived from it, each
+built once on first use: Lambda(n), the reduced n < m quotients (which do
+not depend on n), q_n, and Omega with its entry matrix (see `diffop`).
 """
 
 from __future__ import annotations
@@ -41,18 +43,26 @@ class DegenerateConfigError(ValueError):
     """Lambda(k) vanished for some k in range: no orthogonal family exists."""
 
 
+def _memo():
+    return field(default_factory=dict, init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class ZSystem:
-    """The sequence functions and normalizers attached to one configuration."""
+    """The sequence functions and normalizers of one configuration, and the
+    Casorati values built from them. The memo fields are filled on first use,
+    ignored by ==, hash and repr, and start empty after `dataclasses.replace`."""
 
     z: Tuple[Poly, ...]  # z_l as polynomials in x, l = 1..m
     Y: Tuple[Poly, ...]  # the same functions as polynomials in theta
     p: Poly
     q: Poly
     rho: Tuple[Tuple[RationalFunction, ...], ...]  # rho[h-1][j], j = 0..m
+    lambdas: Dict[int, Fraction] = _memo()  # Lambda(n)
     # the reduced n < m quotients: "lambda" for Lambda, j for the minor j
-    quotients: Dict[object, RationalFunction] = field(default_factory=dict, compare=False, repr=False)
-    q_polys: Dict[int, Poly] = field(default_factory=dict, compare=False, repr=False)
+    quotients: Dict[object, RationalFunction] = _memo()
+    q_polys: Dict[int, Poly] = _memo()  # q_n
+    omega: Dict[str, object] = _memo()  # "E": Omega's entry matrix, "det": Omega
 
 
 def _u_polys(alpha: Fraction, beta: Fraction, lam: Fraction, j: int) -> Tuple[Poly, Poly]:
@@ -202,9 +212,6 @@ def _regular_value(ratio: RationalFunction, n: int, stage: str, what: str) -> Fr
         raise IdentityCheckFailed(stage, f"{what} is regular at n={n}") from exc
 
 
-_LAMBDA_CACHE: Dict[Tuple[SobolevConfig, int], Fraction] = {}
-
-
 def casorati_lambda(sys: ZSystem, cfg: SobolevConfig, n: int) -> Fraction:
     """Lambda(n) = det(rho^h_{n,j} z_h(n-j)) / (p(n) q(n)), exactly.
 
@@ -213,8 +220,7 @@ def casorati_lambda(sys: ZSystem, cfg: SobolevConfig, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    key = (cfg, n)
-    cached = _LAMBDA_CACHE.get(key)
+    cached = sys.lambdas.get(n)
     if cached is not None:
         return cached
     m = cfg.m
@@ -235,16 +241,19 @@ def casorati_lambda(sys: ZSystem, cfg: SobolevConfig, n: int) -> Fraction:
             ]
             ratio = sys.quotients["lambda"] = RationalFunction(_linalg.det(matrix), sys.p * sys.q)
         value = _regular_value(ratio, n, "casorati_lambda", "the reduced Lambda quotient")
-    _LAMBDA_CACHE[key] = value
+    sys.lambdas[n] = value
     return value
 
 
 def sobolev_poly(sys: ZSystem, cfg: SobolevConfig, n: int) -> Poly:
     """The degree-n Sobolev-orthogonal polynomial from the bordered determinant."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     cached = sys.q_polys.get(n)
     if cached is not None:
         return cached
-    for k in range(n + 1):
+    # q_{n-1} is held only once Lambda(0..n-1) were found nonzero
+    for k in range(n if n - 1 in sys.q_polys else 0, n + 1):
         if casorati_lambda(sys, cfg, k) == 0:
             raise DegenerateConfigError(f"Lambda({k}) = 0")
     ctx = JacobiContext(Fraction(cfg.alpha), Fraction(cfg.beta))

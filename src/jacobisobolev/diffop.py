@@ -44,6 +44,7 @@ from .exactmath import (
     NotSkewError,
     Poly,
     RationalFunction,
+    _as_rf,
     _scaled_ints,
     anti_difference,
     divide_skew_by_sigma,
@@ -276,17 +277,23 @@ class OperatorBundle:
 
 
 def _omega(cfg, sys) -> RationalFunction:
-    from .jacobi import JacobiContext
+    """Omega = det E, E[l][r] = xi^l_{x-r, m-r} z_l(x-r) for l, r = 1..m.
 
-    ctx = JacobiContext(Fraction(cfg.alpha), Fraction(cfg.beta))
-    m, m1 = cfg.m, cfg.m1
-    entries = []
-    for l in range(1, m + 1):
-        row = []
-        for j in range(1, m + 1):
-            row.append(xi(ctx, m1, l, m - j).shift(-j) * RationalFunction(sys.z[l - 1].shift(-j)))
-        entries.append(row)
-    return _linalg.det(entries)
+    E and Omega are built once and held on the system; `build_bundle` takes
+    the M_h minors from the same E.
+    """
+    held = sys.omega
+    if "det" not in held:
+        from .jacobi import JacobiContext
+
+        ctx = JacobiContext(Fraction(cfg.alpha), Fraction(cfg.beta))
+        m, m1 = cfg.m, cfg.m1
+        held["E"] = [
+            [xi(ctx, m1, l, m - r).shift(-r) * RationalFunction(sys.z[l - 1].shift(-r)) for r in range(1, m + 1)]
+            for l in range(1, m + 1)
+        ]
+        held["det"] = _linalg.det(held["E"])
+    return held["det"]
 
 
 def default_s(cfg, sys) -> RationalFunction:
@@ -307,6 +314,7 @@ def build_bundle(cfg, sys, custom_s: Optional[RationalFunction] = None) -> Opera
     m, m1 = cfg.m, cfg.m1
     ctx = JacobiContext(a, b)
     omega = _omega(cfg, sys)
+    entries = sys.omega["E"]
     S = custom_s if custom_s is not None else default_s(cfg, sys)
 
     # check 1: S * Omega is a polynomial
@@ -320,22 +328,14 @@ def build_bundle(cfg, sys, custom_s: Optional[RationalFunction] = None) -> Opera
     # check 2: M_h = sigma^h_{x+1} * MhTilde_h(theta_x)
     mh_list: List[Poly] = []
     mh_tilde: List[Poly] = []
-    index_sets = [[r for r in range(1, m + 1) if r != h] for h in range(m + 2)]
+    others = [[i for i in range(m) if i != k] for k in range(m)]
     for h in range(1, m + 1):
         total = RationalFunction(ZERO)
         for j in range(1, m + 1):
-            minor_entries = [
-                [
-                    xi(ctx, m1, l, m - r).shift(j - r)
-                    * RationalFunction(sys.z[l - 1].shift(j - r))
-                    for r in index_sets[j]
-                ]
-                for l in index_sets[h]
-            ]
-            minor = _linalg.det(minor_entries)
-            if not isinstance(minor, RationalFunction):
-                minor = RationalFunction(minor)
-            total = total + (-1) ** (h + j) * xi(ctx, m1, h, m - j) * S.shift(j) * minor
+            # the (h, j) minor has entries xi^l_{x+j-r, m-r} z_l(x+j-r) = E[l][r](x+j),
+            # so it is E's (h, j) minor shifted by j: a shift commutes with det
+            minor = _linalg.det([[entries[l][r] for r in others[j - 1]] for l in others[h - 1]])
+            total = total + (-1) ** (h + j) * xi(ctx, m1, h, m - j) * S.shift(j) * _as_rf(minor).shift(j)
         if not total.is_polynomial:
             raise AssumptionFailed("sigma_factorization", f"M_{h} is not a polynomial")
         mh = total.as_poly()
@@ -426,13 +426,6 @@ def verify_eigen(bundle: OperatorBundle, cfg, sys, n_max: int) -> List[Fraction]
 
 def operator_order(bundle: OperatorBundle) -> int:
     return int(bundle.D.order)
-
-
-def check_order(bundle: OperatorBundle, cfg) -> bool:
-    """Whether the measured order matches the weighted-rank prediction."""
-    from .rank import predicted_order
-
-    return operator_order(bundle) == predicted_order(cfg)
 
 
 def p_from_y_tuple(alpha, beta, m1: int, m2: int, ys: Sequence[Poly]) -> Tuple[Poly, int, Fraction]:

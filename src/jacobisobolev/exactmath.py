@@ -22,8 +22,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Rat = Fraction
-
 Scalar = Union[int, Fraction]
 
 #: degree of the zero polynomial; compares below every integer degree and
@@ -520,9 +518,6 @@ class RationalFunction:
         if self.is_polynomial:
             return f"RF({self.num!r})"
         return f"RF({self.num!r} / {self.den!r})"
-
-
-RF_ONE = RationalFunction(ONE)
 
 
 def _as_rf(value):

@@ -68,6 +68,8 @@ class SobolevConfig:
             raise ValueError("beta >= m1 is required when M is nonzero")
         if self.alpha < self.m2 or self.beta < self.m1:
             raise ParameterOutOfRangeError("weight exponents would be negative")
+        if self.xi.is_zero:
+            raise ValueError("xi must be nonzero")
         shift = self.alpha + self.beta - self.m - 1
         if involute(self.xi, shift) != self.xi:
             raise ValueError("xi must be invariant under x -> -(x + alpha+beta-m)")

@@ -4,8 +4,9 @@ The package multiplies, takes gcds, shifts, evaluates and expands Jacobi
 polynomials on integers over a common denominator, and applies, composes
 and evaluates differential operators through their images of x^k on
 integers. It builds each n < m Casorati quotient and each q_n once per
-configuration. These are the plain algorithms it replaced; the
-differential tests require exact equality with them.
+configuration, and takes the M_h minors from Omega's entry matrix. These
+are the plain algorithms it replaced; the differential tests require exact
+equality with them.
 """
 
 import functools
@@ -13,7 +14,7 @@ import math
 from fractions import Fraction
 
 from jacobisobolev import _linalg
-from jacobisobolev.diffop import DiffOp
+from jacobisobolev.diffop import DiffOp, xi
 from jacobisobolev.exactmath import (
     ONE,
     ZERO,
@@ -201,3 +202,42 @@ def reference_sobolev_poly(sys, cfg, n: int) -> Poly:
         if values[j] != 0:
             result = result + values[j] * jacobi_poly(ctx, n - j)
     return result
+
+
+def reference_omega_entries(cfg, sys) -> list:
+    """Omega's entries xi^l_{x-j, m-j} z_l(x-j), l, j = 1..m."""
+    ctx = JacobiContext(Fraction(cfg.alpha), Fraction(cfg.beta))
+    m = cfg.m
+    return [
+        [
+            xi(ctx, cfg.m1, l, m - j).shift(-j) * RationalFunction(sys.z[l - 1].shift(-j))
+            for j in range(1, m + 1)
+        ]
+        for l in range(1, m + 1)
+    ]
+
+
+def reference_mh(cfg, sys, S: RationalFunction) -> list:
+    """M_1..M_m as rational functions, each shifted (h, j) minor rebuilt from
+    its own shifted entries xi^l_{x+j-r, m-r} z_l(x+j-r)."""
+    ctx = JacobiContext(Fraction(cfg.alpha), Fraction(cfg.beta))
+    m, m1 = cfg.m, cfg.m1
+    index_sets = [[r for r in range(1, m + 1) if r != h] for h in range(m + 1)]
+    out = []
+    for h in range(1, m + 1):
+        total = RationalFunction(ZERO)
+        for j in range(1, m + 1):
+            minor = _linalg.det(
+                [
+                    [
+                        xi(ctx, m1, l, m - r).shift(j - r) * RationalFunction(sys.z[l - 1].shift(j - r))
+                        for r in index_sets[j]
+                    ]
+                    for l in index_sets[h]
+                ]
+            )
+            if not isinstance(minor, RationalFunction):
+                minor = RationalFunction(minor)
+            total = total + (-1) ** (h + j) * xi(ctx, m1, h, m - j) * S.shift(j) * minor
+        out.append(total)
+    return out

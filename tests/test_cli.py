@@ -1,22 +1,30 @@
 """Command-line front end: subcommands, exit codes, determinism."""
 
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kernel_reference import reference_omega_entries
 
 import jacobisobolev
 from jacobisobolev import _linalg, construct
 from jacobisobolev.cli import main
 from jacobisobolev.diffop import DiffOp
 from jacobisobolev.exactmath import IdentityCheckFailed, Poly, RationalFunction, X, pochhammer
+from jacobisobolev.sobolev import SobolevConfig
 
 EXAMPLE_CONFIG = {
     "alpha": 1, "beta": 1, "m1": 1, "m2": 1,
@@ -105,6 +113,15 @@ class TestInputValidation:
         assert main(["construct", "--config", path, "--nmax", "2"]) == 1
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["construct", "verify", "operator"])
+    @pytest.mark.parametrize("xi", [[], ["0"]])
+    def test_zero_xi_rejected(self, tmp_path, capsys, command, xi):
+        path = write_json(tmp_path / "c.json", dict(EXAMPLE_CONFIG, xi=xi))
+        assert main([command, "--config", path, "--nmax", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "xi must be nonzero" in captured.err
+
 
 class TestVerify:
     def test_full_report(self, config_path, tmp_path):
@@ -175,6 +192,25 @@ class TestVerify:
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         assert digest == GOLDEN_VERIFY_SHA256
 
+    def test_auto_omega_takes_det_e_once(self, tmp_path, capsys, monkeypatch):
+        # _load_custom_s and build_bundle share the system's Omega
+        monkeypatch.setattr(construct, "_ZSYS_CACHE", {})
+        cfg = SobolevConfig.from_json(GOLDEN_VERIFY_CONFIG)
+        entries = reference_omega_entries(cfg, construct.build_z(cfg))
+        real_det = _linalg.det
+        dets_of_e = []
+
+        def det(rows):
+            if len(rows) == len(entries) and rows == entries:
+                dets_of_e.append(rows)
+            return real_det(rows)
+
+        monkeypatch.setattr(_linalg, "det", det)
+        path = write_json(tmp_path / "c.json", GOLDEN_VERIFY_CONFIG)
+        s_path = write_json(tmp_path / "s.json", GOLDEN_VERIFY_S)
+        assert main(["verify", "--config", path, "--nmax", "8", "--custom-s", s_path]) == 0
+        assert len(dets_of_e) == 1
+
     def test_invalid_custom_s_exits_3(self, config_path, tmp_path):
         s_path = write_json(tmp_path / "s.json", {"num": ["1", "1"], "den": ["0", "1", "1"]})
         code = main(["verify", "--config", config_path, "--nmax", "4", "--custom-s", s_path])
@@ -189,6 +225,28 @@ class TestIdentityChecks:
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
             assert not found, f"assert at {path.name}:{found}"
+
+    def test_module_level_caches_pinned(self):
+        # every per-config value lives on its ZSystem; the Jacobi caches are
+        # keyed by (alpha, beta) and shared across configs
+        package = Path(jacobisobolev.__file__).parent
+        found = set()
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for node in tree.body:
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                    targets = [node.target]
+                else:
+                    continue
+                value = node.value
+                is_dict = isinstance(value, (ast.Dict, ast.DictComp)) or (
+                    isinstance(value, ast.Call) and getattr(value.func, "id", None) in ("dict", "defaultdict")
+                )
+                if is_dict:
+                    found.update(f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name))
+        assert found == {"construct._ZSYS_CACHE", "jacobi._POLY_CACHE", "jacobi._MOMENT_CACHE"}
 
     def test_failed_check_exits_3_with_one_line(self, config_path, capsys, monkeypatch):
         monkeypatch.setattr(DiffOp, "in_algebra", property(lambda self: False))
@@ -207,7 +265,6 @@ class TestIdentityChecks:
     @pytest.fixture
     def fresh_caches(self, monkeypatch):
         monkeypatch.setattr(construct, "_ZSYS_CACHE", {})
-        monkeypatch.setattr(construct, "_LAMBDA_CACHE", {})
 
     def test_theta_basis_mismatch_exits_3(self, config_path, capsys, monkeypatch, fresh_caches):
         wrong_theta = construct.theta_poly(1, 1) + 1
@@ -281,6 +338,49 @@ class TestOptimizedInterpreter:
             )
             assert done.returncode == 0, done.stderr
             assert hashlib.sha256(done.stdout).hexdigest() == want
+
+
+RATIONALS = st.sampled_from(["1", "-1", "0", "2", "-2", "1/2", "-3/2"])
+COEFFS = st.lists(RATIONALS, max_size=3)
+
+
+@st.composite
+def cli_cases(draw):
+    """A config with m <= 3, an xi, a command, an --nmax and maybe a custom S."""
+    m1 = draw(st.integers(0, 2))
+    m2 = draw(st.integers(0 if m1 else 1, 3 - m1))
+    alpha, beta = m2 + draw(st.integers(0, 2)), m1 + draw(st.integers(0, 2))
+    config = {
+        "alpha": alpha, "beta": beta, "m1": m1, "m2": m2,
+        "M": [[draw(RATIONALS) for _ in range(m1)] for _ in range(m1)],
+        "N": [[draw(RATIONALS) for _ in range(m2)] for _ in range(m2)],
+    }
+    # 2 + x (x + alpha + beta - m) is invariant under x -> -(x + alpha + beta - m); 1 + x is not
+    valid_xi = [["1"], ["2", str(alpha + beta - m1 - m2), "1"]]
+    config["xi"] = draw(st.sampled_from(valid_xi if draw(st.integers(0, 3)) else [[], ["0"], ["1", "1"]]))
+    command = draw(st.sampled_from(["construct", "verify", "operator"]))
+    custom = None
+    if command != "construct" and draw(st.booleans()):
+        num = draw(st.lists(RATIONALS, min_size=1, max_size=3))
+        custom = {"num": num, "den": draw(st.one_of(st.just("auto-omega"), COEFFS))}
+    return config, command, draw(st.integers(-1, 10)), custom
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(cli_cases())
+    def test_cli_never_escapes(self, case):
+        config, command, nmax, custom = case
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [command, "--config", write_json(Path(tmp) / "c.json", config), "--nmax", str(nmax)]
+            if custom is not None:
+                argv += ["--custom-s", write_json(Path(tmp) / "s.json", custom)]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        assert err.getvalue().count("\n") <= 1
 
 
 class TestRank:

@@ -1,5 +1,6 @@
 """Construction of the orthogonal family via Casorati determinants."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -135,6 +136,13 @@ class TestSobolevPoly:
         with pytest.raises(DegenerateConfigError):
             sobolev_poly(sys_z, cfg, 2)
 
+    def test_negative_degree_rejected(self):
+        cfg = SobolevConfig(alpha=2, beta=2, m1=1, m2=1, M=[[1]], N=[[1]])
+        sys_z = build_z(cfg)
+        for build in (casorati_lambda, sobolev_poly):
+            with pytest.raises(ValueError, match="n must be nonnegative"):
+                build(sys_z, cfg, -1)
+
 
 class TestPerConfigMemos:
     @pytest.fixture
@@ -144,7 +152,6 @@ class TestPerConfigMemos:
         def draw(shape, count):
             configs = random_configs(shape, count=count)
             monkeypatch.setattr(construct, "_ZSYS_CACHE", {})
-            monkeypatch.setattr(construct, "_LAMBDA_CACHE", {})
             return configs
 
         return draw
@@ -160,8 +167,8 @@ class TestPerConfigMemos:
             for n in order:
                 assert casorati_lambda(sys_z, cfg, n) == want_lambda[n]
                 assert sobolev_poly(sys_z, cfg, n) == want_q[n]
-            # Lambda(n) must come from the held quotient, not from the value cache
-            construct._LAMBDA_CACHE.clear()
+            # Lambda(n) must come from the held quotient, not from the value memo
+            sys_z.lambdas.clear()
         assert set(sys_z.quotients) == {"lambda", *range(cfg.m)}
         assert set(sys_z.q_polys) == set(degrees)
 
@@ -177,6 +184,26 @@ class TestPerConfigMemos:
         assert sys_a.quotients is not sys_b.quotients
         assert sys_a.q_polys[cfg_a.m - 1] != sys_b.q_polys[cfg_b.m - 1]
         assert sys_a.quotients["lambda"] != sys_b.quotients["lambda"]
+
+    @pytest.mark.parametrize("how", ["direct", "replace"])
+    def test_swapped_rows_get_their_own_values(self, how):
+        # z_1 and z_2 share their rho row, so swapping them negates every
+        # Casorati determinant and minor
+        cfg = SobolevConfig(alpha=3, beta=2, m1=2, m2=1, M=[[1, 0], [2, 1]], N=[[1]])
+        sys_z = build_z(cfg)
+        degrees = range(cfg.m + 2)
+        lambdas = [casorati_lambda(sys_z, cfg, n) for n in degrees]
+        qs = [sobolev_poly(sys_z, cfg, n) for n in degrees]
+        z = (sys_z.z[1], sys_z.z[0], sys_z.z[2])
+        Y = (sys_z.Y[1], sys_z.Y[0], sys_z.Y[2])
+        if how == "direct":
+            swapped = ZSystem(z=z, Y=Y, p=sys_z.p, q=sys_z.q, rho=sys_z.rho)
+        else:
+            swapped = dataclasses.replace(sys_z, z=z, Y=Y)
+        assert lambdas[1] == -57344
+        for n in degrees:
+            assert casorati_lambda(swapped, cfg, n) == -lambdas[n]
+            assert sobolev_poly(swapped, cfg, n) == -qs[n]
 
     def test_equality_and_hash_ignore_memos(self, cold_configs):
         (cfg,) = cold_configs((2, 2, 1, 1), 1)

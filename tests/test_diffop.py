@@ -8,15 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_reference import reference_apply, reference_compose, reference_op_poly
+from kernel_reference import (
+    reference_apply,
+    reference_compose,
+    reference_mh,
+    reference_omega_entries,
+    reference_op_poly,
+)
 
+from jacobisobolev import _linalg
 from jacobisobolev.construct import build_z, sobolev_poly
 from jacobisobolev.diffop import (
     AssumptionFailed,
+    _omega,
     DiffOp,
     EigenMismatch,
     build_bundle,
-    check_order,
     compose,
     d_operators,
     default_s,
@@ -37,9 +44,10 @@ from jacobisobolev.exactmath import (
     theta_substitute,
 )
 from jacobisobolev.jacobi import JacobiContext, classical_operator, jacobi_poly
+from jacobisobolev.rank import predicted_order
 from jacobisobolev.sobolev import SobolevConfig
 
-from conftest import cached_bundle, random_configs
+from conftest import STANDARD_SHAPES, cached_bundle, random_configs
 
 small_rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
 # large numerators over large, mutually unrelated denominators, so the common
@@ -274,6 +282,31 @@ class TestBundleDefaultS:
         assert involute(bundle.SOmega, gamma - 1) == -bundle.SOmega.shift(cfg.m)
 
 
+class TestOmegaAndMinors:
+    # beside the STANDARD_SHAPES, one shape with no first block and one with no second
+    @pytest.mark.parametrize("shape", STANDARD_SHAPES + [(3, 1, 0, 3), (1, 3, 3, 0)])
+    def test_bundle_matches_rebuilt_minors(self, shape):
+        cfg = random_configs(shape, count=1)[0]
+        sys_z = build_z(cfg)
+        bundle = cached_bundle(cfg)
+        assert bundle.Omega == _linalg.det(reference_omega_entries(cfg, sys_z))
+        assert [RationalFunction(mh) for mh in bundle.Mh] == reference_mh(cfg, sys_z, bundle.S)
+
+    def test_custom_s_matches_rebuilt_minors(self):
+        cfg = scalar_example_config(1)
+        sys_z = build_z(cfg)
+        custom = build_bundle(cfg, sys_z, lowered_order_s(cfg, cached_bundle(cfg)))
+        assert [RationalFunction(mh) for mh in custom.Mh] == reference_mh(cfg, sys_z, custom.S)
+
+    def test_omega_is_held_on_the_system(self):
+        cfg = random_configs((3, 2, 2, 1), count=1)[0]
+        sys_z = build_z(cfg)
+        omega = _omega(cfg, sys_z)
+        assert _omega(cfg, sys_z) is omega
+        assert sys_z.omega["E"] == reference_omega_entries(cfg, sys_z)
+        assert build_bundle(cfg, sys_z).Omega is omega
+
+
 class TestEigenProperty:
     def test_generic_config(self):
         cfg = random_configs((2, 1, 1, 1), count=1)[0]
@@ -332,7 +365,7 @@ class TestOrderPrediction:
     def test_check_order_generic(self):
         for shape in [(2, 1, 1, 1), (2, 2, 1, 1)]:
             cfg = random_configs(shape, count=1)[0]
-            assert check_order(cached_bundle(cfg), cfg)
+            assert operator_order(cached_bundle(cfg)) == predicted_order(cfg)
 
 
 class TestYTupleStructure:

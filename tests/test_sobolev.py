@@ -41,6 +41,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SobolevConfig(alpha=2, beta=2, m1=1, m2=1, M=[[1]], N=[[1]], xi=X)
 
+    @pytest.mark.parametrize("xi", [Poly([]), Poly([0])])
+    def test_zero_xi_rejected(self, xi):
+        # a zero xi has degree -inf, which no operator order can absorb
+        with pytest.raises(ValueError, match="xi must be nonzero"):
+            SobolevConfig(alpha=2, beta=2, m1=1, m2=1, M=[[1]], N=[[1]], xi=xi)
+
     def test_json_round_trip(self):
         cfg = SobolevConfig(
             alpha=2, beta=1, m1=1, m2=1, M=[[Fraction(1, 2)]], N=[[-2]]
