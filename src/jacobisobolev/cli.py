@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 
 from .construct import DegenerateConfigError, build_z, casorati_lambda, sobolev_poly
 from .diffop import AssumptionFailed, EigenMismatch, _omega, build_bundle, operator_order, verify_eigen
-from .exactmath import IdentityCheckFailed, Poly, RationalFunction, rat, rat_str
+from .exactmath import IdentityCheckFailed, Poly, RationalFunction, rat, rat_rows, rat_str
 from .rank import predicted_order, weighted_rank
 from .sobolev import SobolevConfig, bilinear
 
@@ -173,9 +173,7 @@ def cmd_operator(cfg: SobolevConfig, system, n_max: int, custom_s) -> Tuple[int,
 def cmd_rank(gamma: str, matrix_json: str) -> Tuple[int, dict]:
     try:
         gamma_value = rat(gamma)
-        rows = json.loads(matrix_json)
-        matrix = [[rat(c) for c in row] for row in rows]
-        trace = weighted_rank(gamma_value, matrix)
+        trace = weighted_rank(gamma_value, rat_rows(json.loads(matrix_json)))
     except (ValueError, TypeError, json.JSONDecodeError) as exc:
         raise InputError(f"bad rank input: {exc}") from exc
     return EXIT_OK, {

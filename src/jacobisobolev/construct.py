@@ -6,14 +6,14 @@ normalizing polynomials p and q, the rho weights, the Casorati determinant
 Lambda(n) that certifies existence of the orthogonal polynomial q_n, and
 q_n itself as an explicit combination of m+1 consecutive Jacobi polynomials.
 
-For n >= m the determinant entries are plain rationals and p(n) q(n) != 0.
-For n < m the quotient by p(x) q(x) may be 0/0 at integer points, so the
-determinant cofactors are carried symbolically in x, reduced against
-p(x) q(x), and only then evaluated; divisibility is checked, not assumed.
+Lambda(n) = P(n) for one polynomial P per configuration: the determinant
+over x divided by p(x) q(x), exactness checked. P is also q_n's j = 0 minor.
+Its other minors are plain rationals for n >= m; for n < m they may be 0/0
+at integer points, so they are reduced against p(x) q(x) symbolically first.
 
 The `ZSystem` of a configuration holds every value derived from it, each
-built once on first use: Lambda(n), the reduced n < m quotients (which do
-not depend on n), q_n, and Omega with its entry matrix (see `diffop`).
+built once on first use: P, the n < m minor quotients (which do not depend
+on n), q_n, and Omega with its entry matrix and M_h minors (see `diffop`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import _linalg
 from .exactmath import (
@@ -58,11 +58,9 @@ class ZSystem:
     p: Poly
     q: Poly
     rho: Tuple[Tuple[RationalFunction, ...], ...]  # rho[h-1][j], j = 0..m
-    lambdas: Dict[int, Fraction] = _memo()  # Lambda(n)
-    # the reduced n < m quotients: "lambda" for Lambda, j for the minor j
-    quotients: Dict[object, RationalFunction] = _memo()
+    quotients: Dict[int, Union[Poly, RationalFunction]] = _memo()  # minor j / (p q); 0: P
     q_polys: Dict[int, Poly] = _memo()  # q_n
-    omega: Dict[str, object] = _memo()  # "E": Omega's entry matrix, "det": Omega
+    omega: Dict[str, object] = _memo()  # "E": Omega's entries, "det": Omega, "minors": M_h minors
 
 
 def _u_polys(alpha: Fraction, beta: Fraction, lam: Fraction, j: int) -> Tuple[Poly, Poly]:
@@ -114,6 +112,13 @@ def build_q(alpha, beta, m: int) -> Poly:
     if q1 != q2:
         raise IdentityCheckFailed("build_z", "the two product forms of q agree")
     return sign * q1
+
+
+def rho_table(a: Fraction, b: Fraction, m1: int, m: int) -> Tuple[Tuple[RationalFunction, ...], ...]:
+    """rho[h-1][j], j = 0..m: a Gamma ratio (a polynomial for j >= 1) if h <= m1, else 1."""
+    first = tuple((-1) ** (m - j) * gamma_ratio(a - j, b - 1, a - m, b - j) for j in range(m + 1))
+    ones = (RationalFunction(ONE),) * (m + 1)
+    return (first,) * m1 + (ones,) * (m - m1)
 
 
 _ZSYS_CACHE: Dict[SobolevConfig, ZSystem] = {}
@@ -184,65 +189,39 @@ def build_z(cfg: SobolevConfig) -> ZSystem:
     for z, y in zip(zs, ys):
         if y(theta) != z:
             raise IdentityCheckFailed("build_z", "the theta-basis form Y_l(theta_x) = z_l(x)")
-    rho: List[Tuple[RationalFunction, ...]] = []
-    for h in range(1, m + 1):
-        if h <= m1:
-            row = tuple(
-                (-1) ** (m - j) * gamma_ratio(a - j, b - 1, a - m, b - j) for j in range(m + 1)
-            )
-        else:
-            row = tuple(RationalFunction(ONE) for _ in range(m + 1))
-        rho.append(row)
     system = ZSystem(
         z=tuple(zs),
         Y=tuple(ys),
         p=build_p(cfg.alpha, cfg.beta, m1, m2),
         q=build_q(cfg.alpha, cfg.beta, m),
-        rho=tuple(rho),
+        rho=rho_table(a, b, m1, m),
     )
     _ZSYS_CACHE[cfg] = system
     return system
 
 
-def _regular_value(ratio: RationalFunction, n: int, stage: str, what: str) -> Fraction:
-    """ratio(n), which the construction guarantees is not a pole."""
-    try:
-        return ratio(n)
-    except ZeroDivisionError as exc:
-        raise IdentityCheckFailed(stage, f"{what} is regular at n={n}") from exc
+def lambda_poly(sys: ZSystem) -> Poly:
+    """P = det(rho^h_{x,j} z_h(x-j))_{j=1..m} / (p q), exactly; held as `quotients[0]`."""
+    held = sys.quotients.get(0)
+    if held is None:
+        m = len(sys.z)
+        matrix = [[sys.rho[h][j].as_poly() * sys.z[h].shift(-j) for j in range(1, m + 1)] for h in range(m)]
+        held, rem = divmod(_linalg.det(matrix), sys.p * sys.q)
+        if not rem.is_zero:
+            raise IdentityCheckFailed("casorati_lambda", "p q divides the Casorati determinant")
+        sys.quotients[0] = held
+    return held
 
 
 def casorati_lambda(sys: ZSystem, cfg: SobolevConfig, n: int) -> Fraction:
-    """Lambda(n) = det(rho^h_{n,j} z_h(n-j)) / (p(n) q(n)), exactly.
+    """Lambda(n) = det(rho^h_{n,j} z_h(n-j)) / (p(n) q(n)) = P(n), exactly.
 
     Nonvanishing of Lambda(0..n) is equivalent to existence of the
     orthogonal polynomials q_0..q_n.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    cached = sys.lambdas.get(n)
-    if cached is not None:
-        return cached
-    m = cfg.m
-    pq = sys.p(n) * sys.q(n)
-    if n >= m:
-        if pq == 0:
-            raise IdentityCheckFailed("casorati_lambda", f"p({n}) q({n}) != 0 for n >= m")
-        matrix = [
-            [sys.rho[h][j](n) * sys.z[h](n - j) for j in range(1, m + 1)] for h in range(m)
-        ]
-        value = _linalg.det(matrix) / pq
-    else:
-        ratio = sys.quotients.get("lambda")
-        if ratio is None:
-            matrix = [
-                [sys.rho[h][j].as_poly() * sys.z[h].shift(-j) for j in range(1, m + 1)]
-                for h in range(m)
-            ]
-            ratio = sys.quotients["lambda"] = RationalFunction(_linalg.det(matrix), sys.p * sys.q)
-        value = _regular_value(ratio, n, "casorati_lambda", "the reduced Lambda quotient")
-    sys.lambdas[n] = value
-    return value
+    return lambda_poly(sys)(n)
 
 
 def sobolev_poly(sys: ZSystem, cfg: SobolevConfig, n: int) -> Poly:
@@ -254,24 +233,24 @@ def sobolev_poly(sys: ZSystem, cfg: SobolevConfig, n: int) -> Poly:
         return cached
     # q_{n-1} is held only once Lambda(0..n-1) were found nonzero
     for k in range(n if n - 1 in sys.q_polys else 0, n + 1):
-        if casorati_lambda(sys, cfg, k) == 0:
+        lam = casorati_lambda(sys, cfg, k)
+        if lam == 0:
             raise DegenerateConfigError(f"Lambda({k}) = 0")
     ctx = JacobiContext(Fraction(cfg.alpha), Fraction(cfg.beta))
     m = cfg.m
+    values = [lam]  # the j = 0 minor quotient is P
     if n >= m:
         pq = sys.p(n) * sys.q(n)
+        if pq == 0:
+            raise IdentityCheckFailed("sobolev_poly", f"p({n}) q({n}) != 0 for n >= m")
         rows = [[sys.rho[h][j](n) * sys.z[h](n - j) for j in range(m + 1)] for h in range(m)]
-        values = [
+        values += [
             _linalg.det([[row[r] for r in range(m + 1) if r != j] for row in rows]) / pq
-            for j in range(m + 1)
+            for j in range(1, m + 1)
         ]
     else:
         entries = None
-        values = []
-        for j in range(m + 1):
-            if j > n:
-                values.append(Fraction(0))  # multiplies the zero polynomial anyway
-                continue
+        for j in range(1, n + 1):  # a minor j > n would multiply the zero polynomial
             ratio = sys.quotients.get(j)
             if ratio is None:
                 if entries is None:
@@ -281,11 +260,15 @@ def sobolev_poly(sys: ZSystem, cfg: SobolevConfig, n: int) -> Poly:
                     ]
                 minor = _linalg.det([[row[r] for r in range(m + 1) if r != j] for row in entries])
                 ratio = sys.quotients[j] = minor / RationalFunction(sys.p * sys.q)
-            values.append(_regular_value(ratio, n, "sobolev_poly", f"the reduced minor {j} quotient"))
+            try:
+                values.append(ratio(n))
+            except ZeroDivisionError as exc:
+                what = f"the reduced minor {j} quotient is regular at n={n}"
+                raise IdentityCheckFailed("sobolev_poly", what) from exc
     result = Poly()
-    for j in range(m + 1):
-        if values[j] != 0:
-            result = result + values[j] * jacobi_poly(ctx, n - j)
+    for j, value in enumerate(values):
+        if value != 0:
+            result = result + value * jacobi_poly(ctx, n - j)
     if result.degree != n:
         raise IdentityCheckFailed("sobolev_poly", f"deg q_{n} = {n}")
     sys.q_polys[n] = result

@@ -280,7 +280,7 @@ def _omega(cfg, sys) -> RationalFunction:
     """Omega = det E, E[l][r] = xi^l_{x-r, m-r} z_l(x-r) for l, r = 1..m.
 
     E and Omega are built once and held on the system; `build_bundle` takes
-    the M_h minors from the same E.
+    the M_h minors from the same E and holds them there too.
     """
     held = sys.omega
     if "det" not in held:
@@ -314,7 +314,6 @@ def build_bundle(cfg, sys, custom_s: Optional[RationalFunction] = None) -> Opera
     m, m1 = cfg.m, cfg.m1
     ctx = JacobiContext(a, b)
     omega = _omega(cfg, sys)
-    entries = sys.omega["E"]
     S = custom_s if custom_s is not None else default_s(cfg, sys)
 
     # check 1: S * Omega is a polynomial
@@ -328,14 +327,19 @@ def build_bundle(cfg, sys, custom_s: Optional[RationalFunction] = None) -> Opera
     # check 2: M_h = sigma^h_{x+1} * MhTilde_h(theta_x)
     mh_list: List[Poly] = []
     mh_tilde: List[Poly] = []
-    others = [[i for i in range(m) if i != k] for k in range(m)]
+    if "minors" not in sys.omega:
+        # the (h, j) minor has entries xi^l_{x+j-r, m-r} z_l(x+j-r) = E[l][r](x+j), so it is
+        # E's (h, j) minor shifted by j (a shift commutes with det); it does not depend on S
+        E, rest = sys.omega["E"], [[i for i in range(m) if i != k] for k in range(m)]
+        sys.omega["minors"] = [
+            [_as_rf(_linalg.det([[E[l][r] for r in rest[j]] for l in rest[h]])).shift(j + 1) for j in range(m)]
+            for h in range(m)
+        ]
+    minors = sys.omega["minors"]
     for h in range(1, m + 1):
         total = RationalFunction(ZERO)
         for j in range(1, m + 1):
-            # the (h, j) minor has entries xi^l_{x+j-r, m-r} z_l(x+j-r) = E[l][r](x+j),
-            # so it is E's (h, j) minor shifted by j: a shift commutes with det
-            minor = _linalg.det([[entries[l][r] for r in others[j - 1]] for l in others[h - 1]])
-            total = total + (-1) ** (h + j) * xi(ctx, m1, h, m - j) * S.shift(j) * _as_rf(minor).shift(j)
+            total = total + (-1) ** (h + j) * xi(ctx, m1, h, m - j) * S.shift(j) * minors[h - 1][j - 1]
         if not total.is_polynomial:
             raise AssumptionFailed("sigma_factorization", f"M_{h} is not a polynomial")
         mh = total.as_poly()
@@ -429,41 +433,35 @@ def operator_order(bundle: OperatorBundle) -> int:
 
 
 def p_from_y_tuple(alpha, beta, m1: int, m2: int, ys: Sequence[Poly]) -> Tuple[Poly, int, Fraction]:
-    """The normalized bordered determinant for an arbitrary Y-tuple.
+    """The normalized Casorati determinant for an arbitrary Y-tuple.
 
-    Returns (P, d, r) where P is the determinant divided by p(x) q(x)
-    (exactness checked), d = 2 sum(deg Y) - 2(C(m1,2) + C(m2,2)) is the
+    Returns (P, d, r) where P is `construct.lambda_poly` of the system with
+    z_l = Y_l(theta_x), d = 2 sum(deg Y) - 2(C(m1,2) + C(m2,2)) is the
     generic degree, and r is the generic leading coefficient: the product of
     the Y leading coefficients times the two Vandermonde determinants of the
     degree tuples.
     """
-    from .construct import build_p, build_q
+    from .construct import ZSystem, build_p, build_q, lambda_poly, rho_table
 
     a, b = Fraction(alpha), Fraction(beta)
     m = m1 + m2
     if len(ys) != m:
         raise ValueError("need one Y polynomial per row")
     theta = theta_poly(a, b)
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(1, m + 1):
-            y_at = ys[i](theta.shift(-j))
-            if i < m1:
-                n1 = (-1) ** (m - j) * pochhammer(X + (a - m + 1), m - j)
-                n2 = pochhammer(X + (b - j + 1), j - 1)
-                row.append(n1 * n2 * y_at)
-            else:
-                row.append(y_at)
-        rows.append(row)
-    det = _linalg.det(rows)
-    if not isinstance(det, Poly):
-        det = Poly.constant(det)
-    p = build_p(alpha, beta, m1, m2)
-    q = build_q(alpha, beta, m)
-    result = det.div_exact(p * q)
+    system = ZSystem(
+        z=tuple(y(theta) for y in ys),
+        Y=tuple(ys),
+        p=build_p(alpha, beta, m1, m2),
+        q=build_q(alpha, beta, m),
+        rho=rho_table(a, b, m1, m),
+    )
+    return (lambda_poly(system),) + _degree_law(m1, ys)
+
+
+def _degree_law(m1: int, ys: Sequence[Poly]) -> Tuple[int, Fraction]:
+    """The generic degree d and leading coefficient r of P (see `p_from_y_tuple`)."""
     degs = [int(y.degree) for y in ys]
-    d = 2 * sum(degs) - 2 * (math.comb(m1, 2) + math.comb(m2, 2))
+    d = 2 * sum(degs) - 2 * (math.comb(m1, 2) + math.comb(len(ys) - m1, 2))
     lead = Fraction(1)
     for y in ys:
         lead *= y.lead
@@ -471,14 +469,16 @@ def p_from_y_tuple(alpha, beta, m1: int, m2: int, ys: Sequence[Poly]) -> Tuple[P
         for i in range(len(block)):
             for j in range(i + 1, len(block)):
                 lead *= block[j] - block[i]
-    return result, d, lead
+    return d, lead
 
 
 def degree_of_P_check(cfg, sys) -> bool:
-    """Degree law for the built Y-tuple: exact when block degrees are distinct."""
-    p, d, lead = p_from_y_tuple(cfg.alpha, cfg.beta, cfg.m1, cfg.m2, sys.Y)
-    degs = [int(y.degree) for y in sys.Y]
-    blocks_distinct = len(set(degs[: cfg.m1])) == cfg.m1 and len(set(degs[cfg.m1 :])) == cfg.m2
-    if not blocks_distinct:
+    """Degree law for the system's P: exact when the generic lead is nonzero
+    (the block degrees are distinct)."""
+    from .construct import lambda_poly
+
+    p = lambda_poly(sys)
+    d, lead = _degree_law(cfg.m1, sys.Y)
+    if lead == 0:
         return p.degree <= d
     return p.degree == d and p.lead == lead

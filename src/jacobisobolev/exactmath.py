@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -57,6 +57,17 @@ def rat(value: Union[int, str, Fraction]) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     return Fraction(str(value))
+
+
+def rat_rows(rows) -> List[List[Fraction]]:
+    """Parse a list of rows of rationals; a string or a mapping is rejected, not
+    split into its characters or keys."""
+    out = []
+    for row in rows:  # a string, or a JSON object, iterates as strings
+        if isinstance(row, (str, dict)):
+            raise TypeError(f"a matrix must be a list of rows, got {row!r}")
+        out.append([rat(c) for c in row])
+    return out
 
 
 def rat_str(value: Scalar) -> str:
@@ -112,6 +123,8 @@ class Poly:
 
     @classmethod
     def from_strings(cls, items: Sequence[Union[str, int]]) -> "Poly":
+        if isinstance(items, (str, dict)):
+            raise TypeError(f"coefficients must be a list, got {items!r}")
         return cls([rat(s) for s in items])
 
     # -- basic queries ------------------------------------------------------

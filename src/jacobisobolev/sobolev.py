@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import _linalg
-from .exactmath import ONE, Poly, involute, rat, rat_str
+from .exactmath import ONE, Poly, involute, rat_rows, rat_str
 from .jacobi import integrate_against_weight
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
@@ -33,7 +33,7 @@ class ParameterOutOfRangeError(ValueError):
 
 
 def _freeze_matrix(rows, size: int, name: str) -> Matrix:
-    rows = tuple(tuple(Fraction(c) for c in row) for row in rows)
+    rows = tuple(tuple(row) for row in rat_rows(rows))
     if len(rows) != size or any(len(row) != size for row in rows):
         raise ValueError(f"{name} must be a {size}x{size} matrix")
     return rows
@@ -100,8 +100,8 @@ class SobolevConfig:
             beta=data["beta"],
             m1=data["m1"],
             m2=data["m2"],
-            M=[[rat(c) for c in row] for row in data.get("M", [])],
-            N=[[rat(c) for c in row] for row in data.get("N", [])],
+            M=data.get("M", []),
+            N=data.get("N", []),
             xi=Poly.from_json(data.get("xi", ["1"])),
         )
 

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 from jacobisobolev import (
+    Poly,
     SobolevConfig,
     build_bundle,
     build_z,
@@ -39,6 +40,22 @@ def random_configs(shape, count=5, seed=0, guard=12):
             configs.append(cfg)
     _CONFIG_CACHE[key] = configs
     return configs
+
+
+def degree_law_cases():
+    """Criterion 10's (m1, m2, Y-tuple) cases: distinct degrees in each block."""
+    rng = random.Random(7)
+    shapes = [(1, 0), (1, 1), (2, 1), (2, 2), (3, 1)]
+    for trial in range(10):
+        m1, m2 = shapes[trial % len(shapes)]
+        ys = []
+        for size in (m1, m2):
+            degrees = rng.sample(range(0, 4), size)
+            for d in degrees:
+                coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
+                lead = Fraction(rng.choice([-2, -1, 1, 2, 3]))
+                ys.append(Poly(coeffs + [lead]))
+        yield m1, m2, ys
 
 
 def cached_bundle(cfg, custom_s=None):

@@ -3,10 +3,10 @@
 The package multiplies, takes gcds, shifts, evaluates and expands Jacobi
 polynomials on integers over a common denominator, and applies, composes
 and evaluates differential operators through their images of x^k on
-integers. It builds each n < m Casorati quotient and each q_n once per
-configuration, and takes the M_h minors from Omega's entry matrix. These
-are the plain algorithms it replaced; the differential tests require exact
-equality with them.
+integers. It builds Lambda's polynomial, each n < m Casorati quotient and
+each q_n once per configuration, and takes the M_h minors from Omega's entry
+matrix. These are the plain algorithms it replaced; the differential tests
+require exact equality with them.
 """
 
 import functools
@@ -14,6 +14,7 @@ import math
 from fractions import Fraction
 
 from jacobisobolev import _linalg
+from jacobisobolev.construct import build_p, build_q
 from jacobisobolev.diffop import DiffOp, xi
 from jacobisobolev.exactmath import (
     ONE,
@@ -23,6 +24,7 @@ from jacobisobolev.exactmath import (
     X,
     falling_binomial,
     pochhammer,
+    theta_poly,
 )
 from jacobisobolev.jacobi import JacobiContext, jacobi_poly
 
@@ -160,7 +162,8 @@ def reference_op_poly(p: Poly, d: DiffOp) -> DiffOp:
 
 
 def reference_casorati_lambda(sys, cfg, n: int) -> Fraction:
-    """Lambda(n), with the n < m quotient rebuilt for every n."""
+    """Lambda(n), from a rational determinant for n >= m and the n < m
+    quotient rebuilt for every n."""
     m = cfg.m
     if n >= m:
         matrix = [
@@ -241,3 +244,37 @@ def reference_mh(cfg, sys, S: RationalFunction) -> list:
             total = total + (-1) ** (h + j) * xi(ctx, m1, h, m - j) * S.shift(j) * minor
         out.append(total)
     return out
+
+
+def reference_p_from_y_tuple(alpha, beta, m1: int, m2: int, ys) -> tuple:
+    """(P, d, lead) of the degree law, with P from its own rows
+    (-1)^(m-j) (x+a-m+1)_{m-j} (x+b-j+1)_{j-1} Y_i(theta_{x-j})."""
+    a, b = Fraction(alpha), Fraction(beta)
+    m = m1 + m2
+    theta = theta_poly(a, b)
+    rows = []
+    for i in range(m):
+        row = []
+        for j in range(1, m + 1):
+            y_at = ys[i](theta.shift(-j))
+            if i < m1:
+                n1 = (-1) ** (m - j) * pochhammer(X + (a - m + 1), m - j)
+                n2 = pochhammer(X + (b - j + 1), j - 1)
+                row.append(n1 * n2 * y_at)
+            else:
+                row.append(y_at)
+        rows.append(row)
+    det = _linalg.det(rows)
+    if not isinstance(det, Poly):
+        det = Poly.constant(det)
+    result = det.div_exact(build_p(alpha, beta, m1, m2) * build_q(alpha, beta, m))
+    degs = [int(y.degree) for y in ys]
+    d = 2 * sum(degs) - 2 * (math.comb(m1, 2) + math.comb(m2, 2))
+    lead = Fraction(1)
+    for y in ys:
+        lead *= y.lead
+    for block in (degs[:m1], degs[m1:]):
+        for i in range(len(block)):
+            for j in range(i + 1, len(block)):
+                lead *= block[j] - block[i]
+    return result, d, lead

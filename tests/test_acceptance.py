@@ -36,6 +36,7 @@ from jacobisobolev.sobolev import SobolevConfig, bilinear, gram_orthogonal_oracl
 from conftest import (
     STANDARD_SHAPES,
     cached_bundle,
+    degree_law_cases,
     random_configs,
     record_criterion,
 )
@@ -275,17 +276,7 @@ def test_criterion_09_combinatorial_identities():
 
 def test_criterion_10_degree_law():
     def body():
-        rng = random.Random(7)
-        shapes = [(1, 0), (1, 1), (2, 1), (2, 2), (3, 1)]
-        for trial in range(10):
-            m1, m2 = shapes[trial % len(shapes)]
-            ys = []
-            for size in (m1, m2):
-                degrees = rng.sample(range(0, 4), size)
-                for d in degrees:
-                    coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
-                    lead = Fraction(rng.choice([-2, -1, 1, 2, 3]))
-                    ys.append(Poly(coeffs + [lead]))
+        for m1, m2, ys in degree_law_cases():
             p, d, lead = p_from_y_tuple(Fraction(5), Fraction(4), m1, m2, ys)
             assert p.degree == d
             assert p.lead == lead

@@ -23,7 +23,7 @@ import jacobisobolev
 from jacobisobolev import _linalg, construct
 from jacobisobolev.cli import main
 from jacobisobolev.diffop import DiffOp
-from jacobisobolev.exactmath import IdentityCheckFailed, Poly, RationalFunction, X, pochhammer
+from jacobisobolev.exactmath import ONE, IdentityCheckFailed, Poly, RationalFunction, X, pochhammer
 from jacobisobolev.sobolev import SobolevConfig
 
 EXAMPLE_CONFIG = {
@@ -121,6 +121,38 @@ class TestInputValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "xi must be nonzero" in captured.err
+
+
+    # a JSON string or object where a list is expected used to be split into
+    # its digits or keys
+    @pytest.mark.parametrize(
+        "command, config, custom, prefix",
+        [
+            ("construct", dict(EXAMPLE_CONFIG, xi="10"), None, "error: bad config"),
+            ("construct", dict(EXAMPLE_CONFIG, xi={"3": "1"}), None, "error: bad config"),
+            ("construct", dict(EXAMPLE_CONFIG, M=["1"]), None, "error: bad config"),
+            ("construct", dict(EXAMPLE_CONFIG, M=[{"1": "0"}]), None, "error: bad config"),
+            ("construct", dict(EXAMPLE_CONFIG, N="1"), None, "error: bad config"),
+            ("verify", EXAMPLE_CONFIG, {"num": "12", "den": ["1"]}, "error: bad custom S"),
+            ("verify", EXAMPLE_CONFIG, {"num": ["1"], "den": "12"}, "error: bad custom S"),
+        ],
+        ids=["xi", "xi-object", "M-row", "M-row-object", "N", "S-num", "S-den"],
+    )
+    def test_string_for_list_rejected(self, tmp_path, capsys, command, config, custom, prefix):
+        argv = [command, "--config", write_json(tmp_path / "c.json", config), "--nmax", "3"]
+        if custom is not None:
+            argv += ["--custom-s", write_json(tmp_path / "s.json", custom)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith(prefix)
+
+    @pytest.mark.parametrize("matrix", ['["12","34"]', '"12"', '[[1,2],"34"]', '[{"1":0},{"2":0}]'])
+    def test_rank_string_rows_rejected(self, capsys, matrix):
+        assert main(["rank", "--gamma", "3", "--matrix", matrix]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: bad rank input")
 
 
 class TestVerify:
@@ -273,7 +305,7 @@ class TestIdentityChecks:
         self.assert_one_line_exit_3(code, capsys, "build_z")
 
     def test_pole_in_lambda_quotient_exits_3(self, config_path, capsys, monkeypatch, fresh_caches):
-        # a unit determinant leaves 1 / (p q), and q(0) = 0 for this config
+        # a unit determinant is not divisible by p q, which is not constant here
         real_det = _linalg.det
         monkeypatch.setattr(
             _linalg, "det", lambda rows: Poly([1]) if isinstance(rows[0][0], Poly) else real_det(rows)
@@ -285,8 +317,9 @@ class TestIdentityChecks:
         real_det = _linalg.det
 
         def det(rows):
+            # the j >= 1 minor quotients are evaluated from n = 1 on
             if isinstance(rows[0][0], RationalFunction):
-                return RationalFunction(Poly([1]))
+                return RationalFunction(ONE, X - 1)
             return real_det(rows)
 
         monkeypatch.setattr(_linalg, "det", det)

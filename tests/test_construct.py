@@ -156,21 +156,23 @@ class TestPerConfigMemos:
 
         return draw
 
-    @pytest.mark.parametrize("shape", STANDARD_SHAPES)
+    # beside the STANDARD_SHAPES, one shape with no first block and one with no second
+    @pytest.mark.parametrize("shape", STANDARD_SHAPES + [(3, 1, 0, 3), (1, 3, 3, 0)])
     def test_memoised_values_match_per_n_rebuild(self, shape, cold_configs):
         (cfg,) = cold_configs(shape, 1)
         sys_z = build_z(cfg)
-        degrees = range(cfg.m + 2)
+        degrees = range(2 * cfg.m + 5)
         want_lambda = [reference_casorati_lambda(sys_z, cfg, n) for n in degrees]
         want_q = [reference_sobolev_poly(sys_z, cfg, n) for n in degrees]
         for order in (reversed(degrees), degrees):
             for n in order:
                 assert casorati_lambda(sys_z, cfg, n) == want_lambda[n]
                 assert sobolev_poly(sys_z, cfg, n) == want_q[n]
-            # Lambda(n) must come from the held quotient, not from the value memo
-            sys_z.lambdas.clear()
-        assert set(sys_z.quotients) == {"lambda", *range(cfg.m)}
+        assert set(sys_z.quotients) == set(range(cfg.m))
+        assert isinstance(sys_z.quotients[0], Poly)
         assert set(sys_z.q_polys) == set(degrees)
+        for n in range(2 * cfg.m + 5, 2 * cfg.m + 9):
+            assert casorati_lambda(sys_z, cfg, n) == reference_casorati_lambda(sys_z, cfg, n)
 
     def test_distinct_configs_do_not_share_entries(self, cold_configs):
         cfg_a, cfg_b = cold_configs((3, 2, 2, 1), 2)
@@ -183,7 +185,7 @@ class TestPerConfigMemos:
         assert sys_a.q_polys is not sys_b.q_polys
         assert sys_a.quotients is not sys_b.quotients
         assert sys_a.q_polys[cfg_a.m - 1] != sys_b.q_polys[cfg_b.m - 1]
-        assert sys_a.quotients["lambda"] != sys_b.quotients["lambda"]
+        assert sys_a.quotients[0] != sys_b.quotients[0]
 
     @pytest.mark.parametrize("how", ["direct", "replace"])
     def test_swapped_rows_get_their_own_values(self, how):

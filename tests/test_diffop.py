@@ -14,6 +14,7 @@ from kernel_reference import (
     reference_mh,
     reference_omega_entries,
     reference_op_poly,
+    reference_p_from_y_tuple,
 )
 
 from jacobisobolev import _linalg
@@ -47,7 +48,7 @@ from jacobisobolev.jacobi import JacobiContext, classical_operator, jacobi_poly
 from jacobisobolev.rank import predicted_order
 from jacobisobolev.sobolev import SobolevConfig
 
-from conftest import STANDARD_SHAPES, cached_bundle, random_configs
+from conftest import STANDARD_SHAPES, cached_bundle, degree_law_cases, random_configs
 
 small_rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
 # large numerators over large, mutually unrelated denominators, so the common
@@ -298,6 +299,25 @@ class TestOmegaAndMinors:
         custom = build_bundle(cfg, sys_z, lowered_order_s(cfg, cached_bundle(cfg)))
         assert [RationalFunction(mh) for mh in custom.Mh] == reference_mh(cfg, sys_z, custom.S)
 
+    def test_second_bundle_reuses_held_minors(self, monkeypatch):
+        # the M_h minors of E do not depend on S
+        cfg = scalar_example_config(1)
+        sys_z = build_z(cfg)
+        first = build_bundle(cfg, sys_z)
+        real_det = _linalg.det
+        rf_dets = []
+
+        def det(rows):
+            if rows and isinstance(rows[0][0], RationalFunction):
+                rf_dets.append(rows)
+            return real_det(rows)
+
+        monkeypatch.setattr(_linalg, "det", det)
+        custom = build_bundle(cfg, sys_z, lowered_order_s(cfg, first))
+        assert not rf_dets
+        for bundle in (first, custom):
+            assert [RationalFunction(mh) for mh in bundle.Mh] == reference_mh(cfg, sys_z, bundle.S)
+
     def test_omega_is_held_on_the_system(self):
         cfg = random_configs((3, 2, 2, 1), count=1)[0]
         sys_z = build_z(cfg)
@@ -404,6 +424,11 @@ class TestDegreeLaw:
         p, d, lead = p_from_y_tuple(Fraction(3), Fraction(3), 2, 0, ys)
         assert d == 0
         assert p.degree <= 0
+
+    def test_matches_row_built_determinant(self):
+        for m1, m2, ys in degree_law_cases():
+            want = reference_p_from_y_tuple(Fraction(5), Fraction(4), m1, m2, ys)
+            assert p_from_y_tuple(Fraction(5), Fraction(4), m1, m2, ys) == want
 
     def test_full_config_check(self):
         cfg = random_configs((3, 2, 2, 1), count=1)[0]
