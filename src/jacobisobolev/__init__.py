@@ -7,15 +7,8 @@ assembles a finite-order differential operator having them as eigenfunctions,
 and predicts that operator's order from a weighted matrix rank.
 """
 
-from .construct import (
-    DegenerateConfigError,
-    ZSystem,
-    build_z,
-    casorati_lambda,
-    rl_cross_check,
-    sobolev_poly,
-    verify_comb_identities,
-)
+from .certify import degree_of_P_check, rl_cross_check, verify_comb_identities
+from .construct import DegenerateConfigError, ZSystem, build_z, casorati_lambda, sobolev_poly
 from .diffop import (
     AssumptionFailed,
     DiffOp,
@@ -24,7 +17,6 @@ from .diffop import (
     build_bundle,
     compose,
     d_operators,
-    degree_of_P_check,
     default_s,
     operator_order,
     verify_eigen,

@@ -7,7 +7,7 @@ heuristics are needed because the arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 
 def det(matrix: Sequence[Sequence]) -> object:
@@ -45,14 +45,15 @@ def det(matrix: Sequence[Sequence]) -> object:
     return minors[(1 << n) - 1]
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rational matrix by exact Gaussian elimination."""
+def _reduce(rows: Sequence[Sequence[Fraction]], ncols: int) -> Tuple[List[List[Fraction]], List[int]]:
+    """Gauss-Jordan elimination over the first ncols columns: the reduced rows
+    and the pivot columns, the k-th pivot in row k."""
     work = [[Fraction(c) for c in row] for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    r = 0
+    pivots: List[int] = []
     for col in range(ncols):
+        r = len(pivots)
+        if r == len(work):
+            break
         pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
         if pivot is None:
             continue
@@ -63,10 +64,15 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
             if i != r and work[i][col] != 0:
                 factor = work[i][col]
                 work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    return r
+        pivots.append(col)
+    return work, pivots
+
+
+def rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank of a rational matrix by exact Gaussian elimination."""
+    if not rows:
+        return 0
+    return len(_reduce(rows, len(rows[0]))[1])
 
 
 def in_span(vectors: Sequence[Sequence[Fraction]], candidate: Sequence[Fraction]) -> bool:
@@ -80,16 +86,7 @@ def in_span(vectors: Sequence[Sequence[Fraction]], candidate: Sequence[Fraction]
 def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
     """Solve a square rational system exactly; None if the matrix is singular."""
     n = len(matrix)
-    aug = [[Fraction(c) for c in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [c * inv for c in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
+    work, pivots = _reduce([list(row) + [rhs[i]] for i, row in enumerate(matrix)], n)
+    if len(pivots) < n:
+        return None
+    return [row[n] for row in work]

@@ -1,0 +1,144 @@
+"""Cross-checks of the paper's identities, rebuilt from their definitions.
+
+Nothing on the build path calls this module: `construct` builds q_n and
+`diffop` builds D without it. Each check re-derives a result by a route that
+shares no code with the construction it certifies.
+
+- `rl_cross_check`: R_l(n) is the Sobolev form B(J_n, b_l) against
+  b_l = (1+x)^(l-1) (1-x)^m2 for l <= m1 and (1+x)^m1 (1-x)^(l-m1-1)
+  otherwise; it must equal a prefactor times z_l(n).
+- `verify_comb_identities`: the two families of combinatorial identities.
+  Each term is a rational times 1 / C(alpha+beta-k-l, alpha-k) (or with
+  alpha and beta swapped); divided by the common Gamma(alpha+1)
+  Gamma(beta+1) / Gamma(alpha+beta+1) it is a ratio of Pochhammer symbols,
+  so every sum is a sum of rationals.
+- `p_from_y_tuple` and `degree_of_P_check`: the degree and leading
+  coefficient of the normalized Casorati determinant P.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Sequence, Tuple
+
+from .construct import ZSystem, build_p, build_q, build_z, lambda_poly, rho_table
+from .exactmath import X, Poly, falling_binomial, pochhammer, theta_poly
+from .jacobi import JacobiContext, jacobi_poly
+from .sobolev import SobolevConfig, bilinear
+
+
+def rl_cross_check(cfg: SobolevConfig, l: int, n: int) -> Tuple[Fraction, Fraction]:
+    """The pair (B(J_n, b_l), prefactor * z_l(n)); the two must agree."""
+    if not 1 <= l <= cfg.m:
+        raise ValueError("l out of range")
+    a, b, m1 = cfg.alpha, cfg.beta, cfg.m1
+    if l <= m1:
+        b_l = (X + 1) ** (l - 1) * (1 - X) ** cfg.m2
+        prefactor = Fraction(
+            math.factorial(b) * math.factorial(n + a),
+            math.factorial(a + b) * math.factorial(n + b),
+        )
+    else:
+        b_l = (X + 1) ** m1 * (1 - X) ** (l - m1 - 1)
+        prefactor = (-1) ** n * Fraction(math.factorial(b), math.factorial(a + b))
+    j_n = jacobi_poly(JacobiContext(Fraction(a), Fraction(b)), n)
+    return bilinear(cfg, j_n, b_l), prefactor * build_z(cfg).z[l - 1](n)
+
+
+def _inverse_binomial(a: Fraction, b: Fraction, k: int, l: int) -> Fraction:
+    """1 / C(a+b-k-l, a-k) divided by Gamma(a+1) Gamma(b+1) / Gamma(a+b+1)."""
+    return pochhammer(a + b - k - l + 1, k + l) / (pochhammer(a - k + 1, k) * pochhammer(b - l + 1, l))
+
+
+def verify_comb_identities(alpha: Fraction, beta: Fraction, m1: int, m2: int) -> bool:
+    """Check both families of combinatorial identities exactly.
+
+    Requires alpha, beta and alpha+beta non-integer (the identities' own
+    hypothesis); every admissible (k, h) pair is evaluated and must give 0.
+    """
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    if 1 in (alpha.denominator, beta.denominator, (alpha + beta).denominator):
+        raise ValueError("alpha, beta and alpha+beta must be non-integers")
+    m = m1 + m2
+
+    def comb(nn: int, kk: int) -> int:
+        return math.comb(nn, kk) if 0 <= kk <= nn else 0
+
+    # first family
+    for h in range(m1 - 1):
+        for k in range(1, m1 - h):
+            total = sum(
+                (-1) ** l
+                * comb(h, m1 - l)
+                * falling_binomial(l - k, l)
+                / (2**l * (beta - l))
+                * _inverse_binomial(alpha, beta, k, l)
+                for l in range(m1)
+            )
+            if total != 0:
+                return False
+    # second family
+    for k in range(1, m):
+        total = sum(
+            (-1) ** k
+            * comb(m - l - 2, m2 - 1)
+            * falling_binomial(l - k, l)
+            / (beta - l)
+            * _inverse_binomial(alpha, beta, k, l)
+            for l in range(m1)
+        ) + sum(
+            comb(m - l - 2, m1 - 1) * falling_binomial(l - k, l) / (alpha - l) * _inverse_binomial(beta, alpha, k, l)
+            for l in range(m2)
+        )
+        if total != 0:
+            return False
+    return True
+
+
+def p_from_y_tuple(alpha, beta, m1: int, m2: int, ys: Sequence[Poly]) -> Tuple[Poly, int, Fraction]:
+    """The normalized Casorati determinant for an arbitrary Y-tuple.
+
+    Returns (P, d, r) where P is `construct.lambda_poly` of the system with
+    z_l = Y_l(theta_x), d = 2 sum(deg Y) - 2(C(m1,2) + C(m2,2)) is the
+    generic degree, and r is the generic leading coefficient: the product of
+    the Y leading coefficients times the two Vandermonde determinants of the
+    degree tuples.
+    """
+    a, b = Fraction(alpha), Fraction(beta)
+    m = m1 + m2
+    if len(ys) != m:
+        raise ValueError("need one Y polynomial per row")
+    theta = theta_poly(a, b)
+    system = ZSystem(
+        z=tuple(y(theta) for y in ys),
+        Y=tuple(ys),
+        p=build_p(alpha, beta, m1, m2),
+        q=build_q(alpha, beta, m),
+        rho=rho_table(a, b, m1, m),
+    )
+    return (lambda_poly(system),) + _degree_law(m1, ys)
+
+
+def _degree_law(m1: int, ys: Sequence[Poly]) -> Tuple[int, Fraction]:
+    """The generic degree d and leading coefficient r of P (see `p_from_y_tuple`)."""
+    degs = [int(y.degree) for y in ys]
+    d = 2 * sum(degs) - 2 * (math.comb(m1, 2) + math.comb(len(ys) - m1, 2))
+    lead = Fraction(1)
+    for y in ys:
+        lead *= y.lead
+    for block in (degs[:m1], degs[m1:]):
+        for i in range(len(block)):
+            for j in range(i + 1, len(block)):
+                lead *= block[j] - block[i]
+    return d, lead
+
+
+def degree_of_P_check(cfg: SobolevConfig, sys: ZSystem) -> bool:
+    """Degree law for the system's P: exact when the generic lead is nonzero
+    (the block degrees are distinct)."""
+    p = lambda_poly(sys)
+    d, lead = _degree_law(cfg.m1, sys.Y)
+    if lead == 0:
+        return p.degree <= d
+    return p.degree == d and p.lead == lead

@@ -14,6 +14,10 @@ at integer points, so they are reduced against p(x) q(x) symbolically first.
 The `ZSystem` of a configuration holds every value derived from it, each
 built once on first use: P, the n < m minor quotients (which do not depend
 on n), q_n, and Omega with its entry matrix and M_h minors (see `diffop`).
+
+This module holds only what the CLI commands run; the cross-checks of the
+paper's identities (the R_l integral route, the combinatorial families and the
+degree law of P) are in `certify`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from . import _linalg
 from .exactmath import (
@@ -30,12 +34,11 @@ from .exactmath import (
     IdentityCheckFailed,
     Poly,
     RationalFunction,
-    falling_binomial,
     gamma_ratio,
     pochhammer,
     theta_poly,
 )
-from .jacobi import JacobiContext, integrate_against_weight, jacobi_poly
+from .jacobi import JacobiContext, jacobi_poly
 from .sobolev import SobolevConfig
 
 
@@ -273,171 +276,3 @@ def sobolev_poly(sys: ZSystem, cfg: SobolevConfig, n: int) -> Poly:
         raise IdentityCheckFailed("sobolev_poly", f"deg q_{n} = {n}")
     sys.q_polys[n] = result
     return result
-
-
-def rl_cross_check(cfg: SobolevConfig, l: int, n: int) -> Tuple[Fraction, Fraction]:
-    """Rebuild R_l(n) from exact integrals and jets, next to its z_l closed form.
-
-    Returns the pair (integral route, prefactor * z_l(n)); the two must agree.
-    The integral route uses the two-node Sobolev recipe with nodes -1 and +1
-    directly, so it shares nothing with build_z.
-    """
-    if not 1 <= l <= cfg.m:
-        raise ValueError("l out of range")
-    a, b, m1, m2 = cfg.alpha, cfg.beta, cfg.m1, cfg.m2
-    ctx = JacobiContext(Fraction(a), Fraction(b))
-    pn = jacobi_poly(ctx, n)
-    if l <= m1:
-        w1 = integrate_against_weight((X + 1) ** (l - 1) * (1 - X) ** m2 * pn, a - m2, b - m1)
-        extra = Fraction(0)
-        for i in range(m1):
-            inner = Fraction(0)
-            for j in range(l, min(l + m2, m1) + 1):
-                inner += (
-                    math.factorial(j - 1)
-                    * math.comb(m2, j - l)
-                    * cfg.M[i][j - 1]
-                    / ((-1) ** m2 * Fraction(-2) ** (j - l - m2))
-                )
-            if inner:
-                extra += inner * pn.derivative(i)(-1)
-        integral_route = w1 + extra
-        prefactor = Fraction(
-            math.factorial(b) * math.factorial(n + a),
-            math.factorial(a + b) * math.factorial(n + b),
-        )
-    else:
-        w2 = integrate_against_weight(
-            (X + 1) ** m1 * (1 - X) ** (l - m1 - 1) * pn, a - m2, b - m1
-        )
-        extra = Fraction(0)
-        for i in range(m2):
-            inner = Fraction(0)
-            for j in range(l - m1, min(l, m2) + 1):
-                inner += (
-                    math.factorial(j - 1)
-                    * math.comb(m1, l - j)
-                    * cfg.N[i][j - 1]
-                    / ((-1) ** (l - m1 - 1) * Fraction(2) ** (j - l))
-                )
-            if inner:
-                extra += inner * pn.derivative(i)(1)
-        integral_route = w2 + extra
-        prefactor = (-1) ** n * Fraction(math.factorial(b), math.factorial(a + b))
-    z_val = build_z(cfg).z[l - 1](n)
-    return integral_route, prefactor * z_val
-
-
-# -- combinatorial identities ------------------------------------------------
-
-
-class _GammaProduct:
-    """A rational multiple of a product of Gamma values at non-integer points.
-
-    Each Gamma(x) is normalized to Gamma(r) with r = x mod 1 in (0, 1) times
-    a rational Pochhammer factor, so products with matching residues can be
-    compared and summed exactly.
-    """
-
-    __slots__ = ("coeff", "powers")
-
-    def __init__(self, coeff: Fraction, powers: Optional[Dict[Fraction, int]] = None):
-        self.coeff = Fraction(coeff)
-        self.powers = {r: e for r, e in (powers or {}).items() if e != 0}
-
-    @classmethod
-    def gamma(cls, x: Fraction) -> "_GammaProduct":
-        x = Fraction(x)
-        if x.denominator == 1:
-            raise ValueError("integer Gamma argument: use factorials instead")
-        r = x - math.floor(x)
-        steps = math.floor(x)
-        if steps >= 0:
-            coeff = pochhammer(r, steps)
-        else:
-            coeff = 1 / pochhammer(x, -steps)
-        return cls(coeff, {r: 1})
-
-    @classmethod
-    def binomial(cls, top: Fraction, bottom: Fraction) -> "_GammaProduct":
-        return cls.gamma(top + 1) / (cls.gamma(bottom + 1) * cls.gamma(top - bottom + 1))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _GammaProduct(self.coeff * other, self.powers)
-        powers = dict(self.powers)
-        for r, e in other.powers.items():
-            powers[r] = powers.get(r, 0) + e
-        return _GammaProduct(self.coeff * other.coeff, powers)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        inv = _GammaProduct(1 / other.coeff, {r: -e for r, e in other.powers.items()})
-        return self * inv
-
-    def __rtruediv__(self, other):
-        return _GammaProduct(Fraction(other)) / self
-
-
-def _gamma_sum_is_zero(terms: List[_GammaProduct]) -> bool:
-    live = [t for t in terms if t.coeff != 0]
-    if not live:
-        return True
-    powers = live[0].powers
-    if any(t.powers != powers for t in live[1:]):
-        raise IdentityCheckFailed("verify_comb_identities", "the Gamma products of one sum are comparable")
-    return sum(t.coeff for t in live) == 0
-
-
-def verify_comb_identities(alpha: Fraction, beta: Fraction, m1: int, m2: int) -> bool:
-    """Check both families of combinatorial identities exactly.
-
-    Requires alpha, beta and alpha+beta non-integer (the identities' own
-    hypothesis); every admissible (k, h) pair is evaluated and must give 0.
-    """
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if 1 in (alpha.denominator, beta.denominator, (alpha + beta).denominator):
-        raise ValueError("alpha, beta and alpha+beta must be non-integers")
-    m = m1 + m2
-
-    def comb(nn: int, kk: int) -> int:
-        return math.comb(nn, kk) if 0 <= kk <= nn else 0
-
-    # first family
-    for h in range(0, m1 - 1):
-        for k in range(1, m1 - h):
-            terms = []
-            for l in range(m1):
-                c = (
-                    Fraction((-1) ** l)
-                    * comb(h, m1 - l)
-                    * falling_binomial(l - k, l)
-                    / (Fraction(2) ** l * (beta - l))
-                )
-                if c == 0:
-                    continue
-                terms.append(c / _GammaProduct.binomial(alpha + beta - k - l, alpha - k))
-            if not _gamma_sum_is_zero(terms):
-                return False
-    # second family
-    for k in range(1, m):
-        terms = []
-        for l in range(m1):
-            c = (
-                Fraction((-1) ** k)
-                * comb(m - l - 2, m2 - 1)
-                * falling_binomial(l - k, l)
-                / (beta - l)
-            )
-            if c == 0:
-                continue
-            terms.append(c / _GammaProduct.binomial(alpha + beta - k - l, alpha - k))
-        for l in range(m2):
-            c = Fraction(comb(m - l - 2, m1 - 1)) * falling_binomial(l - k, l) / (alpha - l)
-            if c == 0:
-                continue
-            terms.append(c / _GammaProduct.binomial(alpha + beta - k - l, beta - k))
-        if not _gamma_sum_is_zero(terms):
-            return False
-    return True

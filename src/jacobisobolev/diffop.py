@@ -24,6 +24,9 @@ an operator, is recovered from its images of x^k, k up to its order bound:
 with a_j = c_j / (den j!) the image of x^k is sum_j C(k, j) c_j x^(k-j) / den,
 a triangular system whose solution c_j is again a list of ints. None of this
 assumes that the operators lie in the algebra.
+
+The degree law of the Casorati polynomial P, which no command runs, is
+checked in `certify`.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import _linalg
+from .construct import sobolev_poly
 from .exactmath import (
     NEG_INFINITY,
     ONE,
@@ -54,6 +58,8 @@ from .exactmath import (
     theta_poly,
     to_theta_basis,
 )
+from .jacobi import JacobiContext, classical_operator
+from .rank import predicted_order
 
 
 class AssumptionFailed(ValueError):
@@ -284,8 +290,6 @@ def _omega(cfg, sys) -> RationalFunction:
     """
     held = sys.omega
     if "det" not in held:
-        from .jacobi import JacobiContext
-
         ctx = JacobiContext(Fraction(cfg.alpha), Fraction(cfg.beta))
         m, m1 = cfg.m, cfg.m1
         held["E"] = [
@@ -306,9 +310,6 @@ def default_s(cfg, sys) -> RationalFunction:
 
 def build_bundle(cfg, sys, custom_s: Optional[RationalFunction] = None) -> OperatorBundle:
     """Run the operator pipeline; verify the three assumptions exactly."""
-    from .jacobi import JacobiContext, classical_operator
-    from .rank import predicted_order as rank_predicted_order
-
     a, b = Fraction(cfg.alpha), Fraction(cfg.beta)
     s = a + b
     m, m1 = cfg.m, cfg.m1
@@ -398,7 +399,7 @@ def build_bundle(cfg, sys, custom_s: Optional[RationalFunction] = None) -> Opera
         lam=lam,
         PS=ps,
         D=op,
-        predicted_order=rank_predicted_order(cfg),
+        predicted_order=predicted_order(cfg),
     )
 
 
@@ -410,8 +411,6 @@ def verify_eigen(bundle: OperatorBundle, cfg, sys, n_max: int) -> List[Fraction]
     every n. P_S reproduces the same sequence through the exact identity
     P_S(theta_n) = lambda(n) + lambda(n+m) + constant (checked at build time).
     """
-    from .construct import sobolev_poly
-
     qn = sobolev_poly(sys, cfg, 0)
     image = bundle.D.apply(qn)
     c = image.coeff(0) / qn.coeff(0) - bundle.lam(0)
@@ -430,55 +429,3 @@ def verify_eigen(bundle: OperatorBundle, cfg, sys, n_max: int) -> List[Fraction]
 
 def operator_order(bundle: OperatorBundle) -> int:
     return int(bundle.D.order)
-
-
-def p_from_y_tuple(alpha, beta, m1: int, m2: int, ys: Sequence[Poly]) -> Tuple[Poly, int, Fraction]:
-    """The normalized Casorati determinant for an arbitrary Y-tuple.
-
-    Returns (P, d, r) where P is `construct.lambda_poly` of the system with
-    z_l = Y_l(theta_x), d = 2 sum(deg Y) - 2(C(m1,2) + C(m2,2)) is the
-    generic degree, and r is the generic leading coefficient: the product of
-    the Y leading coefficients times the two Vandermonde determinants of the
-    degree tuples.
-    """
-    from .construct import ZSystem, build_p, build_q, lambda_poly, rho_table
-
-    a, b = Fraction(alpha), Fraction(beta)
-    m = m1 + m2
-    if len(ys) != m:
-        raise ValueError("need one Y polynomial per row")
-    theta = theta_poly(a, b)
-    system = ZSystem(
-        z=tuple(y(theta) for y in ys),
-        Y=tuple(ys),
-        p=build_p(alpha, beta, m1, m2),
-        q=build_q(alpha, beta, m),
-        rho=rho_table(a, b, m1, m),
-    )
-    return (lambda_poly(system),) + _degree_law(m1, ys)
-
-
-def _degree_law(m1: int, ys: Sequence[Poly]) -> Tuple[int, Fraction]:
-    """The generic degree d and leading coefficient r of P (see `p_from_y_tuple`)."""
-    degs = [int(y.degree) for y in ys]
-    d = 2 * sum(degs) - 2 * (math.comb(m1, 2) + math.comb(len(ys) - m1, 2))
-    lead = Fraction(1)
-    for y in ys:
-        lead *= y.lead
-    for block in (degs[:m1], degs[m1:]):
-        for i in range(len(block)):
-            for j in range(i + 1, len(block)):
-                lead *= block[j] - block[i]
-    return d, lead
-
-
-def degree_of_P_check(cfg, sys) -> bool:
-    """Degree law for the system's P: exact when the generic lead is nonzero
-    (the block degrees are distinct)."""
-    from .construct import lambda_poly
-
-    p = lambda_poly(sys)
-    d, lead = _degree_law(cfg.m1, sys.Y)
-    if lead == 0:
-        return p.degree <= d
-    return p.degree == d and p.lead == lead

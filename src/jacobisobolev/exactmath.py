@@ -56,7 +56,10 @@ def rat(value: Union[int, str, Fraction]) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    return Fraction(str(value))
+    try:
+        return Fraction(str(value))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def rat_rows(rows) -> List[List[Fraction]]:

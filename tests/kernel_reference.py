@@ -5,8 +5,9 @@ polynomials on integers over a common denominator, and applies, composes
 and evaluates differential operators through their images of x^k on
 integers. It builds Lambda's polynomial, each n < m Casorati quotient and
 each q_n once per configuration, and takes the M_h minors from Omega's entry
-matrix. These are the plain algorithms it replaced; the differential tests
-require exact equality with them.
+matrix. Its cross-checks evaluate R_l(n) as a Sobolev form and sum the
+combinatorial identities as rationals. These are the plain algorithms it
+replaced; the differential tests require exact equality with them.
 """
 
 import functools
@@ -14,11 +15,12 @@ import math
 from fractions import Fraction
 
 from jacobisobolev import _linalg
-from jacobisobolev.construct import build_p, build_q
+from jacobisobolev.construct import build_p, build_q, build_z
 from jacobisobolev.diffop import DiffOp, xi
 from jacobisobolev.exactmath import (
     ONE,
     ZERO,
+    IdentityCheckFailed,
     Poly,
     RationalFunction,
     X,
@@ -26,7 +28,7 @@ from jacobisobolev.exactmath import (
     pochhammer,
     theta_poly,
 )
-from jacobisobolev.jacobi import JacobiContext, jacobi_poly
+from jacobisobolev.jacobi import JacobiContext, integrate_against_weight, jacobi_poly
 
 
 def reference_mul(p: Poly, q: Poly) -> Poly:
@@ -278,3 +280,160 @@ def reference_p_from_y_tuple(alpha, beta, m1: int, m2: int, ys) -> tuple:
             for j in range(i + 1, len(block)):
                 lead *= block[j] - block[i]
     return result, d, lead
+
+
+def reference_rl_cross_check(cfg, l: int, n: int) -> tuple:
+    """(integral route, prefactor * z_l(n)), the route summed by hand: the
+    weighted integral of b_l J_n plus the endpoint jets of J_n against the
+    mass matrix times the jets of b_l, written out as closed forms."""
+    if not 1 <= l <= cfg.m:
+        raise ValueError("l out of range")
+    a, b, m1, m2 = cfg.alpha, cfg.beta, cfg.m1, cfg.m2
+    ctx = JacobiContext(Fraction(a), Fraction(b))
+    pn = jacobi_poly(ctx, n)
+    if l <= m1:
+        w1 = integrate_against_weight((X + 1) ** (l - 1) * (1 - X) ** m2 * pn, a - m2, b - m1)
+        extra = Fraction(0)
+        for i in range(m1):
+            inner = Fraction(0)
+            for j in range(l, min(l + m2, m1) + 1):
+                inner += (
+                    math.factorial(j - 1)
+                    * math.comb(m2, j - l)
+                    * cfg.M[i][j - 1]
+                    / ((-1) ** m2 * Fraction(-2) ** (j - l - m2))
+                )
+            if inner:
+                extra += inner * pn.derivative(i)(-1)
+        integral_route = w1 + extra
+        prefactor = Fraction(
+            math.factorial(b) * math.factorial(n + a),
+            math.factorial(a + b) * math.factorial(n + b),
+        )
+    else:
+        w2 = integrate_against_weight(
+            (X + 1) ** m1 * (1 - X) ** (l - m1 - 1) * pn, a - m2, b - m1
+        )
+        extra = Fraction(0)
+        for i in range(m2):
+            inner = Fraction(0)
+            for j in range(l - m1, min(l, m2) + 1):
+                inner += (
+                    math.factorial(j - 1)
+                    * math.comb(m1, l - j)
+                    * cfg.N[i][j - 1]
+                    / ((-1) ** (l - m1 - 1) * Fraction(2) ** (j - l))
+                )
+            if inner:
+                extra += inner * pn.derivative(i)(1)
+        integral_route = w2 + extra
+        prefactor = (-1) ** n * Fraction(math.factorial(b), math.factorial(a + b))
+    return integral_route, prefactor * build_z(cfg).z[l - 1](n)
+
+
+class GammaProduct:
+    """A rational multiple of a product of Gamma values at non-integer points.
+
+    Each Gamma(x) is normalized to Gamma(r) with r = x mod 1 in (0, 1) times
+    a rational Pochhammer factor, so products with matching residues can be
+    compared and summed exactly.
+    """
+
+    __slots__ = ("coeff", "powers")
+
+    def __init__(self, coeff: Fraction, powers=None):
+        self.coeff = Fraction(coeff)
+        self.powers = {r: e for r, e in (powers or {}).items() if e != 0}
+
+    @classmethod
+    def gamma(cls, x: Fraction) -> "GammaProduct":
+        x = Fraction(x)
+        if x.denominator == 1:
+            raise ValueError("integer Gamma argument: use factorials instead")
+        r = x - math.floor(x)
+        steps = math.floor(x)
+        if steps >= 0:
+            coeff = pochhammer(r, steps)
+        else:
+            coeff = 1 / pochhammer(x, -steps)
+        return cls(coeff, {r: 1})
+
+    @classmethod
+    def binomial(cls, top: Fraction, bottom: Fraction) -> "GammaProduct":
+        return cls.gamma(top + 1) / (cls.gamma(bottom + 1) * cls.gamma(top - bottom + 1))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return GammaProduct(self.coeff * other, self.powers)
+        powers = dict(self.powers)
+        for r, e in other.powers.items():
+            powers[r] = powers.get(r, 0) + e
+        return GammaProduct(self.coeff * other.coeff, powers)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        inv = GammaProduct(1 / other.coeff, {r: -e for r, e in other.powers.items()})
+        return self * inv
+
+    def __rtruediv__(self, other):
+        return GammaProduct(Fraction(other)) / self
+
+
+def _gamma_sum_is_zero(terms) -> bool:
+    live = [t for t in terms if t.coeff != 0]
+    if not live:
+        return True
+    powers = live[0].powers
+    if any(t.powers != powers for t in live[1:]):
+        raise IdentityCheckFailed("verify_comb_identities", "the Gamma products of one sum are comparable")
+    return sum(t.coeff for t in live) == 0
+
+
+def reference_verify_comb_identities(alpha, beta, m1: int, m2: int) -> bool:
+    """Both families of combinatorial identities, each term a `GammaProduct`."""
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    if 1 in (alpha.denominator, beta.denominator, (alpha + beta).denominator):
+        raise ValueError("alpha, beta and alpha+beta must be non-integers")
+    m = m1 + m2
+
+    def comb(nn: int, kk: int) -> int:
+        return math.comb(nn, kk) if 0 <= kk <= nn else 0
+
+    # first family
+    for h in range(0, m1 - 1):
+        for k in range(1, m1 - h):
+            terms = []
+            for l in range(m1):
+                c = (
+                    Fraction((-1) ** l)
+                    * comb(h, m1 - l)
+                    * falling_binomial(l - k, l)
+                    / (Fraction(2) ** l * (beta - l))
+                )
+                if c == 0:
+                    continue
+                terms.append(c / GammaProduct.binomial(alpha + beta - k - l, alpha - k))
+            if not _gamma_sum_is_zero(terms):
+                return False
+    # second family
+    for k in range(1, m):
+        terms = []
+        for l in range(m1):
+            c = (
+                Fraction((-1) ** k)
+                * comb(m - l - 2, m2 - 1)
+                * falling_binomial(l - k, l)
+                / (beta - l)
+            )
+            if c == 0:
+                continue
+            terms.append(c / GammaProduct.binomial(alpha + beta - k - l, alpha - k))
+        for l in range(m2):
+            c = Fraction(comb(m - l - 2, m1 - 1)) * falling_binomial(l - k, l) / (alpha - l)
+            if c == 0:
+                continue
+            terms.append(c / GammaProduct.binomial(alpha + beta - k - l, beta - k))
+        if not _gamma_sum_is_zero(terms):
+            return False
+    return True

@@ -9,19 +9,9 @@ import random
 import time
 from fractions import Fraction
 
-from jacobisobolev.construct import (
-    build_z,
-    casorati_lambda,
-    rl_cross_check,
-    sobolev_poly,
-    verify_comb_identities,
-)
-from jacobisobolev.diffop import (
-    build_bundle,
-    operator_order,
-    p_from_y_tuple,
-    verify_eigen,
-)
+from jacobisobolev.certify import p_from_y_tuple, rl_cross_check, verify_comb_identities
+from jacobisobolev.construct import build_z, casorati_lambda, sobolev_poly
+from jacobisobolev.diffop import build_bundle, operator_order, verify_eigen
 from jacobisobolev.exactmath import (
     Poly,
     RationalFunction,

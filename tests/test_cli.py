@@ -23,7 +23,7 @@ import jacobisobolev
 from jacobisobolev import _linalg, construct
 from jacobisobolev.cli import main
 from jacobisobolev.diffop import DiffOp
-from jacobisobolev.exactmath import ONE, IdentityCheckFailed, Poly, RationalFunction, X, pochhammer
+from jacobisobolev.exactmath import ONE, Poly, RationalFunction, X, pochhammer
 from jacobisobolev.sobolev import SobolevConfig
 
 EXAMPLE_CONFIG = {
@@ -146,6 +146,30 @@ class TestInputValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith(prefix)
+
+    # a "p/0" rational used to escape as a ZeroDivisionError traceback
+    @pytest.mark.parametrize(
+        "config, custom, rank_args",
+        [
+            (dict(EXAMPLE_CONFIG, M=[["1/0"]]), None, None),
+            (dict(EXAMPLE_CONFIG, xi=["1/0"]), None, None),
+            (EXAMPLE_CONFIG, {"num": ["1/0"], "den": ["1"]}, None),
+            (None, None, ["--gamma", "1/0", "--matrix", "[[1]]"]),
+            (None, None, ["--gamma", "3", "--matrix", '[["1/0"]]']),
+        ],
+        ids=["M", "xi", "S-num", "rank-gamma", "rank-matrix"],
+    )
+    def test_zero_denominator_rejected(self, tmp_path, capsys, config, custom, rank_args):
+        if rank_args is not None:
+            argv = ["rank", *rank_args]
+        else:
+            argv = ["verify", "--config", write_json(tmp_path / "c.json", config), "--nmax", "3"]
+            if custom is not None:
+                argv += ["--custom-s", write_json(tmp_path / "s.json", custom)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "zero denominator" in captured.err
 
     @pytest.mark.parametrize("matrix", ['["12","34"]', '"12"', '[[1,2],"34"]', '[{"1":0},{"2":0}]'])
     def test_rank_string_rows_rejected(self, capsys, matrix):
@@ -326,13 +350,6 @@ class TestIdentityChecks:
         code = main(["construct", "--config", config_path, "--nmax", "3"])
         self.assert_one_line_exit_3(code, capsys, "sobolev_poly")
 
-    def test_incomparable_gamma_products_raise(self):
-        # verify_comb_identities is library-only; its check raises, not asserts
-        half, third = Fraction(1, 2), Fraction(1, 3)
-        terms = [construct._GammaProduct.gamma(half), construct._GammaProduct.gamma(third)]
-        with pytest.raises(IdentityCheckFailed, match="verify_comb_identities"):
-            construct._gamma_sum_is_zero(terms)
-
 
 class TestOperator:
     def test_golden_report(self, tmp_path, capsys):
@@ -373,7 +390,7 @@ class TestOptimizedInterpreter:
             assert hashlib.sha256(done.stdout).hexdigest() == want
 
 
-RATIONALS = st.sampled_from(["1", "-1", "0", "2", "-2", "1/2", "-3/2"])
+RATIONALS = st.sampled_from(["1", "-1", "0", "2", "-2", "1/2", "-3/2", "1/0", "-3/0"])
 COEFFS = st.lists(RATIONALS, max_size=3)
 
 

@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from jacobisobolev import construct
+from jacobisobolev import certify, construct
+from jacobisobolev.certify import rl_cross_check, verify_comb_identities
 from jacobisobolev.construct import (
     DegenerateConfigError,
     ZSystem,
@@ -14,15 +16,19 @@ from jacobisobolev.construct import (
     build_q,
     build_z,
     casorati_lambda,
-    rl_cross_check,
     sobolev_poly,
-    verify_comb_identities,
 )
 from jacobisobolev.exactmath import Poly, X, theta_substitute
 from jacobisobolev.sobolev import SobolevConfig, bilinear, gram_orthogonal_oracle
 
 from conftest import STANDARD_SHAPES, random_configs
-from kernel_reference import reference_casorati_lambda, reference_sobolev_poly
+from kernel_reference import (
+    GammaProduct,
+    reference_casorati_lambda,
+    reference_rl_cross_check,
+    reference_sobolev_poly,
+    reference_verify_comb_identities,
+)
 
 
 def scalar_multiple(p: Poly, q: Poly) -> bool:
@@ -239,6 +245,24 @@ class TestRlCrossCheck:
         lhs, rhs = rl_cross_check(cfg, cfg.m, 0)
         assert lhs == rhs
 
+    def test_matches_jet_sum_reference(self):
+        rng = random.Random(5)
+        for m1 in range(5):
+            for m2 in range(5):
+                if m1 + m2 == 0:
+                    continue
+                cfg = SobolevConfig(
+                    alpha=m2 + rng.randint(0, 2),
+                    beta=m1 + rng.randint(0, 2),
+                    m1=m1,
+                    m2=m2,
+                    M=[[rng.randint(-2, 2) for _ in range(m1)] for _ in range(m1)],
+                    N=[[rng.randint(-2, 2) for _ in range(m2)] for _ in range(m2)],
+                )
+                for l in range(1, cfg.m + 1):
+                    for n in range(cfg.m + 3):
+                        assert rl_cross_check(cfg, l, n) == reference_rl_cross_check(cfg, l, n)
+
 
 class TestCombIdentities:
     def test_one_sided_left(self):
@@ -249,3 +273,32 @@ class TestCombIdentities:
 
     def test_vacuous_case(self):
         assert verify_comb_identities(Fraction(5, 3), Fraction(7, 2), 1, 0)
+
+    def test_matches_gamma_product_reference(self):
+        rng = random.Random(6)
+        for m1 in range(5):
+            for m2 in range(5):
+                for alpha, beta in non_integer_pairs(rng, 2):
+                    want = reference_verify_comb_identities(alpha, beta, m1, m2)
+                    assert verify_comb_identities(alpha, beta, m1, m2) is want is True
+
+    def test_terms_match_gamma_products(self):
+        # 1 / C(a+b-k-l, a-k) over Gamma(a+1) Gamma(b+1) / Gamma(a+b+1) is rational
+        for a, b in non_integer_pairs(random.Random(7), 6):
+            common = GammaProduct.gamma(a + 1) * GammaProduct.gamma(b + 1) / GammaProduct.gamma(a + b + 1)
+            for k in range(8):
+                for l in range(8):
+                    want = 1 / GammaProduct.binomial(a + b - k - l, a - k) / common
+                    assert not want.powers
+                    assert certify._inverse_binomial(a, b, k, l) == want.coeff
+
+
+def non_integer_pairs(rng, count):
+    """count pairs (alpha, beta) with alpha, beta and alpha + beta non-integers."""
+    pairs = []
+    while len(pairs) < count:
+        alpha = Fraction(rng.randint(1, 40), rng.choice([2, 3, 4, 5, 7]))
+        beta = Fraction(rng.randint(1, 40), rng.choice([2, 3, 4, 5, 7]))
+        if 1 not in (alpha.denominator, beta.denominator, (alpha + beta).denominator):
+            pairs.append((alpha, beta))
+    return pairs

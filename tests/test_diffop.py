@@ -18,6 +18,7 @@ from kernel_reference import (
 )
 
 from jacobisobolev import _linalg
+from jacobisobolev.certify import degree_of_P_check, p_from_y_tuple
 from jacobisobolev.construct import build_z, sobolev_poly
 from jacobisobolev.diffop import (
     AssumptionFailed,
@@ -28,10 +29,8 @@ from jacobisobolev.diffop import (
     compose,
     d_operators,
     default_s,
-    degree_of_P_check,
     op_poly,
     operator_order,
-    p_from_y_tuple,
     verify_eigen,
     xi,
 )
