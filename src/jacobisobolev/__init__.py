@@ -20,7 +20,6 @@ from .diffop import (
     default_s,
     operator_order,
     verify_eigen,
-    xi,
 )
 from .exactmath import NEG_INFINITY, Poly, RationalFunction, rat, rat_str
 from .jacobi import JacobiContext, endpoint_jet, integrate_against_weight, jacobi_poly
@@ -69,7 +68,6 @@ __all__ = [
     "verify_comb_identities",
     "verify_eigen",
     "weighted_rank",
-    "xi",
 ]
 
 __version__ = "1.0.0"

@@ -17,15 +17,24 @@ def det(matrix: Sequence[Sequence]) -> object:
     entries only need +, - and *. Intended for small matrices (size <= ~6).
     """
     n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("determinant of a non-square matrix")
-    # minors[mask] = det of rows 0..k-1 restricted to the columns in mask
-    minors = {0: Fraction(1)}
-    for k in range(n):
-        row = matrix[k]
+    if any(len(row) != n for row in matrix):
+        raise ValueError("determinant of a non-square matrix")
+    return _subset_minors(matrix, n)[(1 << n) - 1]
+
+
+def maximal_minors(rows: Sequence[Sequence]) -> list:
+    """The k+1 minors of a k x (k+1) matrix, the j-th without column j, from one pass."""
+    n = len(rows) + 1
+    if any(len(row) != n for row in rows):
+        raise ValueError("maximal minors of a matrix that is not k x (k+1)")
+    minors = _subset_minors(rows, n)
+    return [minors[((1 << n) - 1) ^ (1 << j)] for j in range(n)]
+
+
+def _subset_minors(rows: Sequence[Sequence], n: int) -> dict:
+    """{mask: det of the rows restricted to the columns in mask}, for each len(rows) of the n columns."""
+    minors = {0: Fraction(1)}  # after row k, the dets of rows 0..k restricted to k+1 columns
+    for k, row in enumerate(rows):
         new = {}
         for mask, value in minors.items():
             # expanding along row k: cofactor sign is (-1)^(k + column position)
@@ -37,12 +46,9 @@ def det(matrix: Sequence[Sequence]) -> object:
                     continue
                 term = sign * value * row[j]
                 key = mask | bit
-                if key in new:
-                    new[key] = new[key] + term
-                else:
-                    new[key] = term
+                new[key] = new[key] + term if key in new else term
         minors = new
-    return minors[(1 << n) - 1]
+    return minors
 
 
 def _reduce(rows: Sequence[Sequence[Fraction]], ncols: int) -> Tuple[List[List[Fraction]], List[int]]:

@@ -6,14 +6,16 @@ normalizing polynomials p and q, the rho weights, the Casorati determinant
 Lambda(n) that certifies existence of the orthogonal polynomial q_n, and
 q_n itself as an explicit combination of m+1 consecutive Jacobi polynomials.
 
-Lambda(n) = P(n) for one polynomial P per configuration: the determinant
-over x divided by p(x) q(x), exactness checked. P is also q_n's j = 0 minor.
-Its other minors are plain rationals for n >= m; for n < m they may be 0/0
-at integer points, so they are reduced against p(x) q(x) symbolically first.
+Lambda(n) = P(n) for one polynomial P per configuration: the determinant of
+the polynomial Casorati matrix C (`casorati_matrix`) divided by p(x) q(x),
+exactness checked. P is also q_n's j = 0 minor. Its other minors are plain
+rationals for n >= m; for n < m they may be 0/0 at integer points, so they
+are reduced against p(x) q(x) symbolically first. C also gives `diffop`
+Omega and the M_h minors: all three come from one Casorati matrix.
 
 The `ZSystem` of a configuration holds every value derived from it, each
 built once on first use: P, the n < m minor quotients (which do not depend
-on n), q_n, and Omega with its entry matrix and M_h minors (see `diffop`).
+on n), q_n, and Omega with the M_h cofactors of C (see `diffop`).
 
 This module holds only what the CLI commands run; the cross-checks of the
 paper's identities (the R_l integral route, the combinatorial families and the
@@ -63,7 +65,7 @@ class ZSystem:
     rho: Tuple[Tuple[RationalFunction, ...], ...]  # rho[h-1][j], j = 0..m
     quotients: Dict[int, Union[Poly, RationalFunction]] = _memo()  # minor j / (p q); 0: P
     q_polys: Dict[int, Poly] = _memo()  # q_n
-    omega: Dict[str, object] = _memo()  # "E": Omega's entries, "det": Omega, "minors": M_h minors
+    omega: Dict[str, object] = _memo()  # both from Lambda's C: "det" Omega, "minors" the M_h cofactors
 
 
 def _u_polys(alpha: Fraction, beta: Fraction, lam: Fraction, j: int) -> Tuple[Poly, Poly]:
@@ -203,13 +205,18 @@ def build_z(cfg: SobolevConfig) -> ZSystem:
     return system
 
 
+def casorati_matrix(sys: ZSystem) -> List[List[Poly]]:
+    """C[h-1][j-1] = rho^h_{x,j} z_h(x-j), h, j = 1..m: Lambda's matrix, and Omega's with
+    its first m1 rows cleared of their denominators (see `diffop`)."""
+    m = len(sys.z)
+    return [[sys.rho[h][j].as_poly() * sys.z[h].shift(-j) for j in range(1, m + 1)] for h in range(m)]
+
+
 def lambda_poly(sys: ZSystem) -> Poly:
-    """P = det(rho^h_{x,j} z_h(x-j))_{j=1..m} / (p q), exactly; held as `quotients[0]`."""
+    """P = det C / (p q), exactly; held as `quotients[0]`."""
     held = sys.quotients.get(0)
     if held is None:
-        m = len(sys.z)
-        matrix = [[sys.rho[h][j].as_poly() * sys.z[h].shift(-j) for j in range(1, m + 1)] for h in range(m)]
-        held, rem = divmod(_linalg.det(matrix), sys.p * sys.q)
+        held, rem = divmod(_linalg.det(casorati_matrix(sys)), sys.p * sys.q)
         if not rem.is_zero:
             raise IdentityCheckFailed("casorati_lambda", "p q divides the Casorati determinant")
         sys.quotients[0] = held

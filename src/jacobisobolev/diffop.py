@@ -17,6 +17,11 @@ polynomial in theta). The final operator is
 
 with D_cl the classical second-order operator.
 
+Omega and the M_h come from Lambda's polynomial Casorati matrix C
+(`construct.casorati_matrix`): Omega's entry matrix E is C with its first m1
+rows divided by n2 = (x+beta-m+1)_{m-1}, so Omega = P p q / n2^m1 and each
+minor of E is a minor of C over a power of n2: no det runs on rational functions.
+
 Operators are applied, composed and evaluated at polynomials by one integer
 kernel: the coefficients are scaled to int lists over one common denominator
 and d^j x^t = t!/(t-j)! x^(t-j). A product of operators, and a polynomial in
@@ -37,7 +42,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import _linalg
-from .construct import sobolev_poly
+from .construct import casorati_matrix, lambda_poly, sobolev_poly
 from .exactmath import (
     NEG_INFINITY,
     ONE,
@@ -48,7 +53,6 @@ from .exactmath import (
     NotSkewError,
     Poly,
     RationalFunction,
-    _as_rf,
     _scaled_ints,
     anti_difference,
     divide_skew_by_sigma,
@@ -249,24 +253,6 @@ def d_operators(ctx, m1: int, m2: int) -> List[DiffOp]:
     return [d1] * m1 + [d2] * m2
 
 
-def xi(ctx, m1: int, h: int, j: int) -> RationalFunction:
-    """The telescoped epsilon-product xi^h_{x,j} as a rational function of x.
-
-    For h <= m1 it is (-1)^j (x-j+alpha+1)_j / (x-j+beta+1)_j, extended to
-    negative j by xi_{x,j} = 1 / xi_{x-j,-j}; for h > m1 it is 1.
-    """
-    if h > m1 or j == 0:
-        return RationalFunction(ONE)
-    a, b = ctx.alpha, ctx.beta
-    if j > 0:
-        return RationalFunction(
-            (-1) ** j * pochhammer(X + (a - j + 1), j), pochhammer(X + (b - j + 1), j)
-        )
-    return RationalFunction(
-        (-1) ** (-j) * pochhammer(X + (b + 1), -j), pochhammer(X + (a + 1), -j)
-    )
-
-
 @dataclass(frozen=True)
 class OperatorBundle:
     """Everything produced by one run of the operator pipeline."""
@@ -282,30 +268,27 @@ class OperatorBundle:
     predicted_order: int
 
 
-def _omega(cfg, sys) -> RationalFunction:
-    """Omega = det E, E[l][r] = xi^l_{x-r, m-r} z_l(x-r) for l, r = 1..m.
+def _row_clearing(cfg) -> Poly:
+    """n2^m1 with n2 = (x+beta-m+1)_{m-1}. For h <= m1, rho^h_{x,j} = xi^h_{x-j,m-j} n2(x),
+    where xi^h_{x,j} = (-1)^j (x-j+alpha+1)_j / (x-j+beta+1)_j; for h > m1 both are 1."""
+    n2 = pochhammer(X + (Fraction(cfg.beta) - cfg.m + 1), cfg.m - 1)
+    return n2**cfg.m1
 
-    E and Omega are built once and held on the system; `build_bundle` takes
-    the M_h minors from the same E and holds them there too.
-    """
-    held = sys.omega
-    if "det" not in held:
-        ctx = JacobiContext(Fraction(cfg.alpha), Fraction(cfg.beta))
-        m, m1 = cfg.m, cfg.m1
-        held["E"] = [
-            [xi(ctx, m1, l, m - r).shift(-r) * RationalFunction(sys.z[l - 1].shift(-r)) for r in range(1, m + 1)]
-            for l in range(1, m + 1)
-        ]
-        held["det"] = _linalg.det(held["E"])
-    return held["det"]
+
+def _omega(cfg, sys) -> RationalFunction:
+    """Omega = det E, E[l][r] = xi^l_{x-r, m-r} z_l(x-r), l, r = 1..m; that is
+    det C / n2^m1 = P p q / n2^m1, built once and held on the system."""
+    held = sys.omega.get("det")
+    if held is None:
+        held = sys.omega["det"] = RationalFunction(lambda_poly(sys) * sys.p * sys.q, _row_clearing(cfg))
+    return held
 
 
 def default_s(cfg, sys) -> RationalFunction:
     """sigma_{x-(m-1)/2} Xi(x) ((x+beta-m+1)_{m-1})^m1 / (p(x) q(x))."""
-    a, b, m, m1 = Fraction(cfg.alpha), Fraction(cfg.beta), cfg.m, cfg.m1
+    a, b, m = Fraction(cfg.alpha), Fraction(cfg.beta), cfg.m
     sigma = Poly([a + b - m, 2])  # 2x + a + b - m
-    n2 = pochhammer(X + (b - m + 1), m - 1)
-    return RationalFunction(sigma * cfg.xi * n2**m1, sys.p * sys.q)
+    return RationalFunction(sigma * cfg.xi * _row_clearing(cfg), sys.p * sys.q)
 
 
 def build_bundle(cfg, sys, custom_s: Optional[RationalFunction] = None) -> OperatorBundle:
@@ -328,19 +311,20 @@ def build_bundle(cfg, sys, custom_s: Optional[RationalFunction] = None) -> Opera
     # check 2: M_h = sigma^h_{x+1} * MhTilde_h(theta_x)
     mh_list: List[Poly] = []
     mh_tilde: List[Poly] = []
+    # M_h = sum_j (-1)^(h+j) xi^h_{x,m-j} S(x+j) E_hj(x+j) with E_hj = C_hj / n2^(m1-[h<=m1]) the
+    # (h, j) minors and xi^h_{x,m-j} = rho^h_{x+j,j} / n2(x+j) for h <= m1: the (h, j) term is
+    # [S / n2^m1 * (-1)^(h+j) rho^h_j C_hj](x+j). These polynomial cofactors do not depend on S.
     if "minors" not in sys.omega:
-        # the (h, j) minor has entries xi^l_{x+j-r, m-r} z_l(x+j-r) = E[l][r](x+j), so it is
-        # E's (h, j) minor shifted by j (a shift commutes with det); it does not depend on S
-        E, rest = sys.omega["E"], [[i for i in range(m) if i != k] for k in range(m)]
+        C = casorati_matrix(sys)
+        minors = [_linalg.maximal_minors(C[:h] + C[h + 1 :]) for h in range(m)]
         sys.omega["minors"] = [
-            [_as_rf(_linalg.det([[E[l][r] for r in rest[j]] for l in rest[h]])).shift(j + 1) for j in range(m)]
+            [((-1) ** (h + j) * sys.rho[h][j + 1].as_poly() * minors[h][j]).shift(j + 1) for j in range(m)]
             for h in range(m)
         ]
-    minors = sys.omega["minors"]
-    for h in range(1, m + 1):
-        total = RationalFunction(ZERO)
-        for j in range(1, m + 1):
-            total = total + (-1) ** (h + j) * xi(ctx, m1, h, m - j) * S.shift(j) * minors[h - 1][j - 1]
+    cleared = RationalFunction(S.num, S.den * _row_clearing(cfg))  # S / n2^m1
+    s_shifted = [cleared.shift(j) for j in range(1, m + 1)]
+    for h, cofactors in enumerate(sys.omega["minors"], 1):
+        total = sum((s_j * cofactor for s_j, cofactor in zip(s_shifted, cofactors)), RationalFunction(ZERO))
         if not total.is_polynomial:
             raise AssumptionFailed("sigma_factorization", f"M_{h} is not a polynomial")
         mh = total.as_poly()

@@ -51,7 +51,11 @@ class IdentityCheckFailed(RuntimeError):
 
 
 def rat(value: Union[int, str, Fraction]) -> Fraction:
-    """Parse a rational from an int, a Fraction or a canonical "p/q" string."""
+    """Parse a rational from an int, a Fraction or a canonical "p/q" string.
+
+    A bool is rejected: JSON true would otherwise be read as 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"a rational must be an integer, a fraction or a string, got {value!r}")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):

@@ -1,15 +1,18 @@
 """Shared helpers: deterministic random configurations and cached pipelines."""
 
+import math
 import random
 from fractions import Fraction
 
 from jacobisobolev import (
     Poly,
+    RationalFunction,
     SobolevConfig,
     build_bundle,
     build_z,
     casorati_lambda,
 )
+from jacobisobolev.exactmath import X, pochhammer
 
 # Shapes (alpha, beta, m1, m2) exercised throughout the suite.
 STANDARD_SHAPES = [(2, 1, 1, 1), (2, 2, 1, 1), (3, 2, 2, 1), (3, 3, 2, 2)]
@@ -56,6 +59,26 @@ def degree_law_cases():
                 lead = Fraction(rng.choice([-2, -1, 1, 2, 3]))
                 ys.append(Poly(coeffs + [lead]))
         yield m1, m2, ys
+
+
+def two_jet_config(a, m0=Fraction(2), m1_mass=Fraction(1)):
+    """Criterion 7's two-jet configuration at alpha = beta = a."""
+    return SobolevConfig(
+        alpha=a, beta=a, m1=2, m2=2,
+        M=[[m0, m1_mass], [0, 0]],
+        N=[[m0, -m1_mass], [0, 0]],
+    )
+
+
+def two_jet_lowered_s(cfg, omega):
+    """Criterion 7's order-lowering S = sigma R / Omega for a `two_jet_config`."""
+    a, m0, m1_mass = cfg.alpha, cfg.M[0][0], cfg.M[0][1]
+    r = (
+        Poly.constant(Fraction(16 ** (a - 1)) * math.factorial(a - 1) * math.factorial(a - 2))
+        + 2 * Fraction(4 ** (a - 1)) * m0 * pochhammer(X - 1, a - 1) * pochhammer(X + a - 1, a - 1)
+        - Fraction(4 ** (a - 1)) * m1_mass * Fraction(1, a) * pochhammer(X - 2, a) * pochhammer(X + a - 1, a)
+    )
+    return RationalFunction(Poly([2 * a - 4, 2]) * r) / omega
 
 
 def cached_bundle(cfg, custom_s=None):

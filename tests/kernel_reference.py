@@ -4,10 +4,12 @@ The package multiplies, takes gcds, shifts, evaluates and expands Jacobi
 polynomials on integers over a common denominator, and applies, composes
 and evaluates differential operators through their images of x^k on
 integers. It builds Lambda's polynomial, each n < m Casorati quotient and
-each q_n once per configuration, and takes the M_h minors from Omega's entry
-matrix. Its cross-checks evaluate R_l(n) as a Sobolev form and sum the
-combinatorial identities as rationals. These are the plain algorithms it
-replaced; the differential tests require exact equality with them.
+each q_n once per configuration, and takes Omega and the M_h minors from
+Lambda's polynomial Casorati matrix. Its cross-checks evaluate R_l(n) as a
+Sobolev form and sum the combinatorial identities as rationals. These are the
+plain algorithms it replaced (Omega and the M_h from the xi-weighted entries,
+one rational determinant each); the differential tests require exact equality
+with them.
 """
 
 import functools
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 from jacobisobolev import _linalg
 from jacobisobolev.construct import build_p, build_q, build_z
-from jacobisobolev.diffop import DiffOp, xi
+from jacobisobolev.diffop import DiffOp
 from jacobisobolev.exactmath import (
     ONE,
     ZERO,
@@ -207,6 +209,24 @@ def reference_sobolev_poly(sys, cfg, n: int) -> Poly:
         if values[j] != 0:
             result = result + values[j] * jacobi_poly(ctx, n - j)
     return result
+
+
+def xi(ctx, m1: int, h: int, j: int) -> RationalFunction:
+    """The telescoped epsilon-product xi^h_{x,j} as a rational function of x.
+
+    For h <= m1 it is (-1)^j (x-j+alpha+1)_j / (x-j+beta+1)_j, extended to
+    negative j by xi_{x,j} = 1 / xi_{x-j,-j}; for h > m1 it is 1.
+    """
+    if h > m1 or j == 0:
+        return RationalFunction(ONE)
+    a, b = ctx.alpha, ctx.beta
+    if j > 0:
+        return RationalFunction(
+            (-1) ** j * pochhammer(X + (a - j + 1), j), pochhammer(X + (b - j + 1), j)
+        )
+    return RationalFunction(
+        (-1) ** (-j) * pochhammer(X + (b + 1), -j), pochhammer(X + (a + 1), -j)
+    )
 
 
 def reference_omega_entries(cfg, sys) -> list:

@@ -29,6 +29,8 @@ from conftest import (
     degree_law_cases,
     random_configs,
     record_criterion,
+    two_jet_config,
+    two_jet_lowered_s,
 )
 
 
@@ -169,20 +171,9 @@ def test_criterion_07_two_jet_lowered_order():
     def body():
         m0, m1_mass = Fraction(2), Fraction(1)
         for a in (2, 3):
-            cfg = SobolevConfig(
-                alpha=a, beta=a, m1=2, m2=2,
-                M=[[m0, m1_mass], [0, 0]],
-                N=[[m0, -m1_mass], [0, 0]],
-            )
+            cfg = two_jet_config(a, m0, m1_mass)
             sys_z = build_z(cfg)
-            base = cached_bundle(cfg)
-            r = (
-                Poly.constant(Fraction(16 ** (a - 1)) * math.factorial(a - 1) * math.factorial(a - 2))
-                + 2 * Fraction(4 ** (a - 1)) * m0 * pochhammer(X - 1, a - 1) * pochhammer(X + a - 1, a - 1)
-                - Fraction(4 ** (a - 1)) * m1_mass * Fraction(1, a) * pochhammer(X - 2, a) * pochhammer(X + a - 1, a)
-            )
-            custom_s = RationalFunction(Poly([2 * a - 4, 2]) * r) / base.Omega
-            custom = build_bundle(cfg, sys_z, custom_s)
+            custom = build_bundle(cfg, sys_z, two_jet_lowered_s(cfg, cached_bundle(cfg).Omega))
             assert operator_order(custom) == 2 * a + 2
             assert custom.PS.degree == a + 1
             theta = theta_substitute(X, a, a)

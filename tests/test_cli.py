@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from kernel_reference import reference_omega_entries
 
 import jacobisobolev
-from jacobisobolev import _linalg, construct
+from jacobisobolev import _linalg, cli, construct, diffop
 from jacobisobolev.cli import main
 from jacobisobolev.diffop import DiffOp
 from jacobisobolev.exactmath import ONE, Poly, RationalFunction, X, pochhammer
@@ -171,6 +171,31 @@ class TestInputValidation:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "zero denominator" in captured.err
 
+    # JSON true and false used to be read as the rationals 1 and 0
+    @pytest.mark.parametrize(
+        "config, custom, rank_matrix",
+        [
+            (dict(EXAMPLE_CONFIG, M=[[True]]), None, None),
+            (dict(EXAMPLE_CONFIG, N=[[False]]), None, None),
+            (dict(EXAMPLE_CONFIG, xi=[True]), None, None),
+            (EXAMPLE_CONFIG, {"num": [True], "den": ["1"]}, None),
+            (EXAMPLE_CONFIG, {"num": ["1"], "den": [True]}, None),
+            (None, None, "[[true,false],[0,1]]"),
+        ],
+        ids=["M", "N", "xi", "S-num", "S-den", "rank-matrix"],
+    )
+    def test_boolean_rational_rejected(self, tmp_path, capsys, config, custom, rank_matrix):
+        if rank_matrix is not None:
+            argv = ["rank", "--gamma", "3", "--matrix", rank_matrix]
+        else:
+            argv = ["verify", "--config", write_json(tmp_path / "c.json", config), "--nmax", "3"]
+            if custom is not None:
+                argv += ["--custom-s", write_json(tmp_path / "s.json", custom)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "a rational must be" in captured.err
+
     @pytest.mark.parametrize("matrix", ['["12","34"]', '"12"', '[[1,2],"34"]', '[{"1":0},{"2":0}]'])
     def test_rank_string_rows_rejected(self, capsys, matrix):
         assert main(["rank", "--gamma", "3", "--matrix", matrix]) == 1
@@ -248,24 +273,33 @@ class TestVerify:
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         assert digest == GOLDEN_VERIFY_SHA256
 
-    def test_auto_omega_takes_det_e_once(self, tmp_path, capsys, monkeypatch):
-        # _load_custom_s and build_bundle share the system's Omega
+    def test_auto_omega_takes_no_det_of_e(self, tmp_path, capsys, monkeypatch):
+        # _load_custom_s and build_bundle share the system's Omega, and Omega
+        # comes from the polynomial Casorati matrix, not from a det of E
         monkeypatch.setattr(construct, "_ZSYS_CACHE", {})
         cfg = SobolevConfig.from_json(GOLDEN_VERIFY_CONFIG)
         entries = reference_omega_entries(cfg, construct.build_z(cfg))
-        real_det = _linalg.det
-        dets_of_e = []
+        real_det, real_omega = _linalg.det, diffop._omega
+        dets_of_e, omegas = [], []
 
         def det(rows):
             if len(rows) == len(entries) and rows == entries:
                 dets_of_e.append(rows)
             return real_det(rows)
 
+        def omega(cfg, system):
+            omegas.append(real_omega(cfg, system))
+            return omegas[-1]
+
         monkeypatch.setattr(_linalg, "det", det)
+        monkeypatch.setattr(diffop, "_omega", omega)
+        monkeypatch.setattr(cli, "_omega", omega)
         path = write_json(tmp_path / "c.json", GOLDEN_VERIFY_CONFIG)
         s_path = write_json(tmp_path / "s.json", GOLDEN_VERIFY_S)
         assert main(["verify", "--config", path, "--nmax", "8", "--custom-s", s_path]) == 0
-        assert len(dets_of_e) == 1
+        assert not dets_of_e
+        assert len(omegas) == 2 and omegas[0] is omegas[1]
+        assert omegas[0] == real_det(entries)
 
     def test_invalid_custom_s_exits_3(self, config_path, tmp_path):
         s_path = write_json(tmp_path / "s.json", {"num": ["1", "1"], "den": ["0", "1", "1"]})

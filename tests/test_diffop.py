@@ -15,6 +15,7 @@ from kernel_reference import (
     reference_omega_entries,
     reference_op_poly,
     reference_p_from_y_tuple,
+    xi,
 )
 
 from jacobisobolev import _linalg
@@ -32,7 +33,6 @@ from jacobisobolev.diffop import (
     op_poly,
     operator_order,
     verify_eigen,
-    xi,
 )
 from jacobisobolev.exactmath import (
     ONE,
@@ -47,7 +47,14 @@ from jacobisobolev.jacobi import JacobiContext, classical_operator, jacobi_poly
 from jacobisobolev.rank import predicted_order
 from jacobisobolev.sobolev import SobolevConfig
 
-from conftest import STANDARD_SHAPES, cached_bundle, degree_law_cases, random_configs
+from conftest import (
+    STANDARD_SHAPES,
+    cached_bundle,
+    degree_law_cases,
+    random_configs,
+    two_jet_config,
+    two_jet_lowered_s,
+)
 
 small_rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
 # large numerators over large, mutually unrelated denominators, so the common
@@ -282,9 +289,23 @@ class TestBundleDefaultS:
         assert involute(bundle.SOmega, gamma - 1) == -bundle.SOmega.shift(cfg.m)
 
 
+def rational_dets(monkeypatch) -> list:
+    """Record every determinant taken over RationalFunction entries from now on."""
+    real_det = _linalg.det
+    taken = []
+
+    def det(rows):
+        if rows and isinstance(rows[0][0], RationalFunction):
+            taken.append(rows)
+        return real_det(rows)
+
+    monkeypatch.setattr(_linalg, "det", det)
+    return taken
+
+
 class TestOmegaAndMinors:
-    # beside the STANDARD_SHAPES, one shape with no first block and one with no second
-    @pytest.mark.parametrize("shape", STANDARD_SHAPES + [(3, 1, 0, 3), (1, 3, 3, 0)])
+    # beside the STANDARD_SHAPES, one shape with no first block, one with no second and one m = 4
+    @pytest.mark.parametrize("shape", STANDARD_SHAPES + [(3, 1, 0, 3), (1, 3, 3, 0), (4, 3, 2, 2)])
     def test_bundle_matches_rebuilt_minors(self, shape):
         cfg = random_configs(shape, count=1)[0]
         sys_z = build_z(cfg)
@@ -298,32 +319,45 @@ class TestOmegaAndMinors:
         custom = build_bundle(cfg, sys_z, lowered_order_s(cfg, cached_bundle(cfg)))
         assert [RationalFunction(mh) for mh in custom.Mh] == reference_mh(cfg, sys_z, custom.S)
 
+    def test_two_jet_custom_s_matches_rebuilt_minors(self):
+        # criterion 7's lowered-order S at m = 4
+        cfg = two_jet_config(2)
+        sys_z = build_z(cfg)
+        custom = build_bundle(cfg, sys_z, two_jet_lowered_s(cfg, cached_bundle(cfg).Omega))
+        assert custom.Omega == _linalg.det(reference_omega_entries(cfg, sys_z))
+        assert [RationalFunction(mh) for mh in custom.Mh] == reference_mh(cfg, sys_z, custom.S)
+
     def test_second_bundle_reuses_held_minors(self, monkeypatch):
-        # the M_h minors of E do not depend on S
+        # the M_h cofactors of the Casorati matrix do not depend on S
         cfg = scalar_example_config(1)
         sys_z = build_z(cfg)
         first = build_bundle(cfg, sys_z)
-        real_det = _linalg.det
-        rf_dets = []
-
-        def det(rows):
-            if rows and isinstance(rows[0][0], RationalFunction):
-                rf_dets.append(rows)
-            return real_det(rows)
-
-        monkeypatch.setattr(_linalg, "det", det)
+        rf_dets = rational_dets(monkeypatch)
         custom = build_bundle(cfg, sys_z, lowered_order_s(cfg, first))
         assert not rf_dets
         for bundle in (first, custom):
             assert [RationalFunction(mh) for mh in bundle.Mh] == reference_mh(cfg, sys_z, bundle.S)
 
-    def test_omega_is_held_on_the_system(self):
+    # (3, 2, 2, 1) is covered by the held-Omega test below; here m = 4 and every row cleared
+    @pytest.mark.parametrize("shape", [(4, 3, 2, 2), (1, 3, 3, 0)])
+    def test_cold_bundle_takes_no_rational_determinant(self, shape, monkeypatch):
+        # Omega and the M_h minors come from the polynomial Casorati matrix
+        cfg = random_configs(shape, count=1)[0]
+        cold = dataclasses.replace(build_z(cfg))
+        rf_dets = rational_dets(monkeypatch)
+        _omega(cfg, cold)
+        build_bundle(cfg, cold)
+        assert not rf_dets
+
+    def test_omega_is_held_on_the_system(self, monkeypatch):
         cfg = random_configs((3, 2, 2, 1), count=1)[0]
-        sys_z = build_z(cfg)
-        omega = _omega(cfg, sys_z)
-        assert _omega(cfg, sys_z) is omega
-        assert sys_z.omega["E"] == reference_omega_entries(cfg, sys_z)
-        assert build_bundle(cfg, sys_z).Omega is omega
+        cold = dataclasses.replace(build_z(cfg))
+        rf_dets = rational_dets(monkeypatch)
+        omega = _omega(cfg, cold)
+        assert _omega(cfg, cold) is omega
+        assert build_bundle(cfg, cold).Omega is omega
+        assert not rf_dets
+        assert omega == _linalg.det(reference_omega_entries(cfg, cold))
 
 
 class TestEigenProperty:

@@ -14,6 +14,7 @@ from kernel_reference import (
     reference_shift,
 )
 
+from jacobisobolev import _linalg
 from jacobisobolev.exactmath import (
     NEG_INFINITY,
     ONE,
@@ -52,6 +53,10 @@ negative_lead_polys = nonzero_polys.map(lambda p: -p if p.lead > 0 else p)
 kernel_operands = st.one_of(small_polys, wide_polys, constant_polys, negative_lead_polys)
 nonzero_constants = st.one_of(rationals, wide_rationals).filter(bool).map(Poly.constant)
 monic_polys = nonzero_polys.map(Poly.monic)
+# k x (k+1) polynomial matrices, k = 0..4
+wide_matrices = st.integers(0, 4).flatmap(
+    lambda k: st.lists(st.lists(small_polys, min_size=k + 1, max_size=k + 1), min_size=k, max_size=k)
+)
 
 
 class TestPoly:
@@ -146,6 +151,26 @@ class TestPoly:
         p = Poly([Fraction(1, 3), 0, -2])
         assert Poly.from_json(p.to_json()) == p
         assert rat(rat_str(Fraction(-4, 6))) == Fraction(-2, 3)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rat_rejects_bool(self, value):
+        # a bool is an int, and JSON true would otherwise parse as 1
+        with pytest.raises(TypeError, match="a rational must be"):
+            rat(value)
+        with pytest.raises(TypeError):
+            Poly.from_json([value])
+
+
+class TestMaximalMinors:
+    @settings(max_examples=60, deadline=None)
+    @given(wide_matrices)
+    def test_matches_det_without_each_column(self, rows):
+        expected = [_linalg.det([row[:j] + row[j + 1 :] for row in rows]) for j in range(len(rows) + 1)]
+        assert _linalg.maximal_minors(rows) == expected
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError):
+            _linalg.maximal_minors([[1, 2], [3, 4]])
 
 
 class TestRationalFunction:
