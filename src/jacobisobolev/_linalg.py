@@ -37,16 +37,20 @@ def _subset_minors(rows: Sequence[Sequence], n: int) -> dict:
     for k, row in enumerate(rows):
         new = {}
         for mask, value in minors.items():
-            # expanding along row k: cofactor sign is (-1)^(k + column position)
-            sign = (-1) ** k
+            # expanding along row k: cofactor sign is (-1)^(k + column position),
+            # folded into an add or a subtract
+            plus = k % 2 == 0
             for j in range(n):
                 bit = 1 << j
                 if mask & bit:
-                    sign = -sign
+                    plus = not plus
                     continue
-                term = sign * value * row[j]
+                term = value * row[j]
                 key = mask | bit
-                new[key] = new[key] + term if key in new else term
+                if key in new:
+                    new[key] = new[key] + term if plus else new[key] - term
+                else:
+                    new[key] = term if plus else -term
         minors = new
     return minors
 

@@ -53,12 +53,10 @@ from .exactmath import (
     NotSkewError,
     Poly,
     RationalFunction,
-    _scaled_ints,
     anti_difference,
     divide_skew_by_sigma,
     involute,
     pochhammer,
-    rat_str,
     theta_poly,
     to_theta_basis,
 )
@@ -117,8 +115,7 @@ class DiffOp:
 
     def apply(self, p: Poly) -> Poly:
         rows, den = _scaled_rows(self)
-        nums, dp = _scaled_ints(p.coeffs)
-        return Poly._from_ints(_apply_rows(rows, nums), den * dp)
+        return Poly._from_ints(_apply_rows(rows, p.nums), den * p.den)
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -149,14 +146,14 @@ class DiffOp:
     def to_json(self) -> dict:
         return {
             "order": None if not self.coeffs else len(self.coeffs) - 1,
-            "coeffs": [[rat_str(c) for c in p.coeffs] for p in self.coeffs],
+            "coeffs": [p.to_json() for p in self.coeffs],
         }
 
 
 def _scaled_rows(op: DiffOp):
     """The coefficients of op as int lists over one common denominator."""
-    den = math.lcm(*[c.denominator for p in op.coeffs for c in p.coeffs])
-    rows = [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in op.coeffs]
+    den = math.lcm(*[p.den for p in op.coeffs])
+    rows = [[c * (den // p.den) for c in p.nums] for p in op.coeffs]
     return rows, den
 
 
@@ -226,7 +223,7 @@ def op_poly(p: Poly, d: DiffOp) -> DiffOp:
     if p.is_zero:
         return DiffOp()
     rows, dd = _scaled_rows(d)
-    cs, dp = _scaled_ints(p.coeffs)
+    cs, dp = p.nums, p.den
     n = (len(cs) - 1) * max(len(rows) - 1, 0)
     images = []
     for k in range(n + 1):

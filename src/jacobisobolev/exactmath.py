@@ -1,12 +1,10 @@
 """Exact scalar, polynomial and rational-function arithmetic.
 
-A ``Poly`` is a trimmed tuple of ``fractions.Fraction`` coefficients
-(arbitrary precision, always reduced, denominator positive), so every
-operation in this package is exact: there is no floating point anywhere.
-The inner loops of polynomial multiplication, gcd, Taylor shift and scalar
-evaluation run on Python ints: the operands are scaled to integer numerators
-over a common denominator, and the result is turned back into reduced
-fractions once per output coefficient.
+A ``Poly`` is a trimmed tuple of int numerators over one positive int
+denominator with no common factor, the layout of FLINT's ``fmpq_poly``, so
+every operation in this package is exact: there is no floating point
+anywhere. Each polynomial operation runs on Python ints and reduces its
+result once; the ``Fraction`` coefficients are built only when asked for.
 
 Beyond the basic rings this module provides the structural transforms the
 rest of the package is built on: Pochhammer products, gamma-function ratios
@@ -88,44 +86,68 @@ def rat_str(value: Scalar) -> str:
 class Poly:
     """Dense univariate polynomial over the rationals.
 
-    Coefficients are stored in ascending power order with trailing zeros
-    trimmed; instances are immutable and hashable.
+    Stored as a tuple ``nums`` of int numerators, ascending powers, trailing
+    zeros trimmed, over one int denominator ``den > 0`` with
+    gcd(den, *nums) = 1. The form is canonical, so equality and hashing
+    compare ``(nums, den)``. ``coeffs``, the tuple of reduced ``Fraction``
+    coefficients, is built on first use. Instances are immutable and hashable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # over the lcm of reduced denominators the numerators share no factor with it
+        den = math.lcm(*[c.denominator for c in cs])
+        object.__setattr__(self, "nums", tuple([c.numerator * (den // c.denominator) for c in cs]))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Poly is immutable")
 
     @classmethod
-    def _trusted(cls, coeffs: tuple) -> "Poly":
-        """Wrap reduced Fractions with a nonzero last entry, skipping coercion."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", coeffs)
-        return p
-
-    @classmethod
-    def _from_ints(cls, nums: list, den: int) -> "Poly":
-        """The polynomial sum nums[i] x^i / den, for ints nums and den > 0."""
+    def _from_ints(cls, nums: Sequence[int], den: int) -> "Poly":
+        """The polynomial sum nums[i] x^i / den, for ints nums and den != 0:
+        trimmed, reduced and with a positive denominator."""
         end = len(nums)
         while end and not nums[end - 1]:
             end -= 1
-        return cls._trusted(tuple([Fraction(c, den) for c in nums[:end]]))
+        if end < len(nums):
+            nums = nums[:end]
+        if not nums:
+            return ZERO
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        return _wrap(tuple(nums), den)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as reduced Fractions, ascending powers."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            den = self.den
+            cs = tuple([Fraction(c, den) for c in self.nums])
+            object.__setattr__(self, "_coeffs", cs)
+            return cs
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def constant(cls, c: Scalar) -> "Poly":
-        return cls([c])
+        u, v = _num_den(c)
+        return _wrap((u,), v) if u else ZERO
 
     @classmethod
     def monomial(cls, power: int, c: Scalar = 1) -> "Poly":
+        if power < 0:
+            raise ValueError("negative power of x")
         return cls([0] * power + [c])
 
     @classmethod
@@ -138,22 +160,22 @@ class Poly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self):
         """Degree as an int; NEG_INFINITY for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
+        return len(self.nums) - 1 if self.nums else NEG_INFINITY
 
     @property
     def lead(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def coeff(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
+        if 0 <= power < len(self.nums):
+            return Fraction(self.nums[power], self.den)
         return Fraction(0)
 
     # -- ring operations ----------------------------------------------------
@@ -162,47 +184,63 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other
+        return _sum(self.nums, self.den, other.nums, other.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return _wrap(tuple([-c for c in self.nums]), self.den)
 
     def __sub__(self, other) -> "Poly":
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        if not other.nums:
+            return self
+        return _sum(self.nums, self.den, [-c for c in other.nums], other.den)
 
     def __rsub__(self, other) -> "Poly":
-        return _as_poly(other) + (-self)
+        other = _as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _sum(other.nums, other.den, [-c for c in self.nums], self.den)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
+            u, v = _num_den(other)
+            return self._scaled(u, v)
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        na, da, nb, db = self.nums, self.den, other.nums, other.den
+        if not (na and nb):
             return ZERO
-        na, da = _scaled_ints(self.coeffs)
-        nb, db = _scaled_ints(other.coeffs)
-        out = [0] * (len(na) + len(nb) - 1)
-        for i, a in enumerate(na):
-            if a:
-                for j, b in enumerate(nb, i):
-                    out[j] += a * b
-        den = da * db
+        # cancel each denominator against the other operand's content first; by
+        # Gauss's lemma the product is then reduced as it stands
+        g = math.gcd(da, *nb)
+        if g != 1:
+            da //= g
+            nb = [c // g for c in nb]
+        g = math.gcd(db, *na)
+        if g != 1:
+            db //= g
+            na = [c // g for c in na]
         # the leading product is nonzero, so the result needs no trimming
-        return Poly._trusted(tuple([Fraction(c, den) for c in out]))
+        return _wrap(tuple(_convolve(na, nb)), da * db)
 
     __rmul__ = __mul__
+
+    def _scaled(self, u: int, v: int) -> "Poly":
+        """self * u / v for coprime ints u and v > 0."""
+        if not (u and self.nums):
+            return ZERO
+        g = math.gcd(u, self.den)
+        h = math.gcd(v, *self.nums)
+        u //= g
+        return _wrap(tuple([c // h * u for c in self.nums]), self.den // g * (v // h))
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -217,25 +255,50 @@ class Poly:
         return result
 
     def __divmod__(self, other: "Poly"):
+        """Quotient and remainder by integer pseudo-division.
+
+        Each step cancels the leading term with the smallest integer
+        multipliers and keeps their product s, so that s * self.nums =
+        quot * other.nums + rem over the integers.
+        """
         other = _as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(other.coeffs) - 1
-        lead = other.coeffs[-1]
-        if len(rem) <= dq:
+        b = other.nums
+        dq = len(b) - 1
+        if len(self.nums) <= dq:
             return ZERO, self
-        quot = [Fraction(0)] * (len(rem) - dq)
+        rem = list(self.nums)
+        lead, tail = b[-1], b[:-1]
+        quot = []  # highest power first
+        scale = 1
         for i in range(len(rem) - 1, dq - 1, -1):
-            c = rem[i] / lead
-            if c == 0:
+            c = rem.pop()
+            if not c:
+                quot.append(0)
                 continue
-            quot[i - dq] = c
-            for j, b in enumerate(other.coeffs):
-                rem[i - dq + j] -= c * b
-        return Poly(quot), Poly(rem)
+            g = math.gcd(c, lead)
+            s, t = lead // g, c // g
+            if s != 1:
+                rem = [s * v for v in rem]
+                quot = [s * v for v in quot]
+                scale *= s
+            quot.append(t)
+            for j, v in enumerate(tail, i - dq):
+                rem[j] -= t * v
+        quot.reverse()
+        # self = nums / den and other = b / db give q = quot db / (den s), r = rem / (den s)
+        den = self.den * scale
+        if other.den != 1:
+            quot = [other.den * v for v in quot]
+        return Poly._from_ints(quot, den), Poly._from_ints(rem, den)
 
     def __mod__(self, other: "Poly") -> "Poly":
+        other = _as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
         return divmod(self, other)[1]
 
     def div_exact(self, other: "Poly") -> "Poly":
@@ -247,84 +310,96 @@ class Poly:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly([c / Fraction(other) for c in self.coeffs])
+            u, v = _num_den(other)
+            if not u:
+                raise ZeroDivisionError("polynomial division by zero")
+            return self._scaled(-v, -u) if u < 0 else self._scaled(v, u)
         return NotImplemented
 
     # -- analysis -----------------------------------------------------------
 
     def __call__(self, point):
         """Evaluate by Horner's rule; accepts a scalar or a Poly (composition)."""
+        nums = self.nums
         if isinstance(point, Poly):
-            acc: Union[Poly, Fraction] = ZERO
-            for c in reversed(self.coeffs):
-                acc = acc * point + Poly.constant(c)
-            return acc if isinstance(acc, Poly) else Poly.constant(acc)
+            # for point = P / dp: sum n_i P^i dp^(d-i) / (den dp^d), by Horner on int lists
+            if len(nums) < 2 or not point.nums:
+                return Poly.constant(self.coeff(0))
+            pn, dp = point.nums, point.den
+            acc, scale = [nums[-1]], 1
+            for n in reversed(nums[:-1]):
+                scale *= dp
+                acc = _convolve(acc, pn)
+                acc[0] += n * scale
+            return Poly._from_ints(acc, self.den * scale)
         u, v = _num_den(point)
-        if not self.coeffs:
+        if not nums:
             return Fraction(0)
-        nums, den = _scaled_ints(self.coeffs)
         # for point = u/v: sum n_i u^i v^(d-i) / (den v^d), by Horner on ints
         acc, scale = nums[-1], 1
         for n in reversed(nums[:-1]):
             scale *= v
             acc = acc * u + n * scale
-        return Fraction(acc, den * scale)
+        return Fraction(acc, self.den * scale)
 
     def derivative(self, times: int = 1) -> "Poly":
-        p = self
-        for _ in range(times):
-            p = Poly([i * c for i, c in enumerate(p.coeffs)][1:])
-        return p
+        if times <= 0:
+            return self
+        nums = self.nums
+        return Poly._from_ints([nums[i] * math.perm(i, times) for i in range(times, len(nums))], self.den)
 
     def shift(self, c: Scalar) -> "Poly":
         """Substitute x -> x + c.
 
         For c = u/v, the numerators n_i become n_i v^(d-i), which makes the
         polynomial one in y = v x; that one is shifted by the integer u in
-        place, and the coefficient of x^k comes back over den v^(d-k).
+        place, and the coefficient of x^k comes back over den v^(d-k), that
+        is as a[k] v^k over den v^d.
         """
         u, v = _num_den(c)
-        if not u or len(self.coeffs) < 2:
+        if not u or len(self.nums) < 2:
             return self
-        a, den = _scaled_ints(self.coeffs)
+        a = list(self.nums)
         d = len(a) - 1
         scale = 1
-        for i in range(d - 1, -1, -1):
-            scale *= v
-            a[i] *= scale
+        if v != 1:
+            for i in range(d - 1, -1, -1):
+                scale *= v
+                a[i] *= scale
         # Taylor shift by u: d passes of synthetic division by x - u
         for i in range(d):
             for j in range(d - 1, i - 1, -1):
                 a[j] += u * a[j + 1]
-        out = []
-        scale *= den
-        for n in a:
-            out.append(Fraction(n, scale))
-            scale //= v
-        return Poly._trusted(tuple(out))
+        if v == 1:
+            # an integer shift is invertible over the integers: the content is kept
+            return _wrap(tuple(a), self.den)
+        power = 1
+        for k in range(1, d + 1):
+            power *= v
+            a[k] *= power
+        return Poly._from_ints(a, self.den * scale)
 
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
-        return self / self.lead
+        return Poly._from_ints(self.nums, self.nums[-1])
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic gcd by a primitive remainder sequence over the integers.
 
         The gcd of zero and b is b made monic; the gcd of two zeros is zero.
         """
-        if len(self.coeffs) == 1 or len(other.coeffs) == 1:
+        if len(self.nums) == 1 or len(other.nums) == 1:
             return ONE  # a nonzero constant divides everything
-        a = _primitive_ints(_scaled_ints(self.coeffs)[0])
-        b = _primitive_ints(_scaled_ints(other.coeffs)[0])
+        a = _primitive_ints(self.nums)
+        b = _primitive_ints(other.nums)
         if len(a) < len(b):
             a, b = b, a
         while b:
             a, b = b, _primitive_ints(_pseudo_rem(a, b))
         if not a:
             return ZERO
-        lead = a[-1]
-        return Poly._trusted(tuple([Fraction(c, lead) for c in a]))
+        return Poly._from_ints(a, a[-1])
 
     # -- protocol -----------------------------------------------------------
 
@@ -332,10 +407,10 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -363,9 +438,21 @@ class Poly:
         return cls.from_strings(items)
 
 
-ZERO = Poly()
-ONE = Poly([1])
-X = Poly([0, 1])
+_new_object = object.__new__
+_set_slot = object.__setattr__
+
+
+def _wrap(nums: tuple, den: int) -> Poly:
+    """The Poly nums / den, for nums and den already in canonical form."""
+    p = _new_object(Poly)
+    _set_slot(p, "nums", nums)
+    _set_slot(p, "den", den)
+    return p
+
+
+ZERO = _wrap((), 1)
+ONE = _wrap((1,), 1)
+X = _wrap((0, 1), 1)
 
 
 def _as_poly(value) -> Poly:
@@ -376,23 +463,43 @@ def _as_poly(value) -> Poly:
     return NotImplemented
 
 
-def _scaled_ints(coeffs: Sequence[Fraction]):
-    """Integer numerators over the lcm of the denominators, and that lcm."""
-    den = math.lcm(*[c.denominator for c in coeffs])
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 def _num_den(value):
     """Numerator and positive denominator of an int or rational scalar."""
-    if isinstance(value, int):
+    if type(value) is int:
         return value, 1
     value = Fraction(value)
     return value.numerator, value.denominator
 
 
-def _primitive_ints(ints: list) -> list:
+def _sum(a, da: int, b, db: int) -> Poly:
+    """a / da + b / db for int sequences a and b."""
+    if da != db:
+        g = math.gcd(da, db)
+        sa, sb = db // g, da // g
+        if sa != 1:
+            a = [sa * c for c in a]
+        if sb != 1:
+            b = [sb * c for c in b]
+        da *= sa
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return Poly._from_ints(out, da)
+
+
+def _convolve(a, b) -> list:
+    """The product of two nonempty int coefficient sequences."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _primitive_ints(ints):
     """The integer list divided by its content (the gcd of its entries)."""
     g = math.gcd(*ints)
     return ints if g <= 1 else [c // g for c in ints]
@@ -473,7 +580,8 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        # a negation keeps the quotient reduced and the denominator monic
+        return _wrap_rf(-self.num, self.den)
 
     def __sub__(self, other) -> "RationalFunction":
         other = _as_rf(other)
@@ -482,7 +590,10 @@ class RationalFunction:
         return self + (-other)
 
     def __rsub__(self, other) -> "RationalFunction":
-        return _as_rf(other) + (-self)
+        other = _as_rf(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other) -> "RationalFunction":
         other = _as_rf(other)
@@ -520,10 +631,7 @@ class RationalFunction:
 
     def shift(self, c: Scalar) -> "RationalFunction":
         # a shift keeps the quotient reduced and the denominator monic
-        rf = object.__new__(RationalFunction)
-        object.__setattr__(rf, "num", self.num.shift(c))
-        object.__setattr__(rf, "den", self.den.shift(c))
-        return rf
+        return _wrap_rf(self.num.shift(c), self.den.shift(c))
 
     def __eq__(self, other) -> bool:
         other = _as_rf(other)
@@ -538,6 +646,14 @@ class RationalFunction:
         if self.is_polynomial:
             return f"RF({self.num!r})"
         return f"RF({self.num!r} / {self.den!r})"
+
+
+def _wrap_rf(num: Poly, den: Poly) -> RationalFunction:
+    """The RationalFunction num / den, for a reduced pair with a monic den."""
+    rf = _new_object(RationalFunction)
+    _set_slot(rf, "num", num)
+    _set_slot(rf, "den", den)
+    return rf
 
 
 def _as_rf(value):
@@ -635,8 +751,8 @@ def to_theta_basis(f: Poly, alpha, beta) -> Poly:
     base = Poly([half * half, 1])  # theta + ((s+1)/2)^2, as a poly in theta
     g = ZERO
     power = ONE
-    for k in range(0, len(fy.coeffs), 2):
-        if k + 1 < len(fy.coeffs) and fy.coeffs[k + 1] != 0:
+    for k in range(0, len(fy.nums), 2):
+        if k + 1 < len(fy.nums) and fy.nums[k + 1]:
             raise NotInvariantError("odd coefficient survived the shift")
         g = g + fy.coeff(k) * power
         power = power * base

@@ -79,7 +79,7 @@ def jacobi_poly(ctx: JacobiContext, n: int) -> Poly:
             for i, c in enumerate(prod):
                 total[i] += scale * c
     num, den = front.numerator, front.denominator * lcm
-    result = Poly([Fraction(num * c, den) for c in total])
+    result = Poly._from_ints([num * c for c in total], den)
     if result.degree != n:
         raise IdentityCheckFailed("jacobi_poly", f"deg J_{n} = {n}")
     _POLY_CACHE[key] = result
@@ -111,19 +111,18 @@ def weight_moment(a: int, b: int, k: int) -> Fraction:
         return cached
     integrand = (1 - X) ** a * (1 + X) ** b * X**k
     total = Fraction(0)
-    for j, c in enumerate(integrand.coeffs):
-        if j % 2 == 0 and c != 0:
-            total += 2 * c / (j + 1)
+    for j in range(0, len(integrand.nums), 2):
+        if integrand.nums[j]:
+            total += Fraction(2 * integrand.nums[j], j + 1)
+    total /= integrand.den
     _MOMENT_CACHE[key] = total
     return total
 
 
 def integrate_against_weight(p: Poly, a: int, b: int) -> Fraction:
     """Exact integral of p(x) (1-x)^a (1+x)^b over (-1, 1)."""
-    return sum(
-        (c * weight_moment(a, b, k) for k, c in enumerate(p.coeffs) if c != 0),
-        Fraction(0),
-    )
+    total = sum((c * weight_moment(a, b, k) for k, c in enumerate(p.nums) if c), Fraction(0))
+    return total / p.den
 
 
 def endpoint_jet(ctx: JacobiContext, n: int, point: int, order: int) -> Fraction:

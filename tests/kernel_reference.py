@@ -1,7 +1,10 @@
 """Straightforward Fraction versions of the exact kernel's inner loops.
 
-The package multiplies, takes gcds, shifts, evaluates and expands Jacobi
-polynomials on integers over a common denominator, and applies, composes
+The package stores a polynomial as int numerators over one denominator and
+adds, multiplies, divides, takes gcds, shifts, evaluates, substitutes and
+expands Jacobi polynomials on those integers; the ``reference_*`` polynomial
+operations here work on the tuple of Fraction coefficients instead, one
+Fraction operation per coefficient. It applies, composes
 and evaluates differential operators through their images of x^k on
 integers. It builds Lambda's polynomial, each n < m Casorati quotient and
 each q_n once per configuration, and takes Omega and the M_h minors from
@@ -13,6 +16,7 @@ with them.
 """
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -33,6 +37,41 @@ from jacobisobolev.exactmath import (
 from jacobisobolev.jacobi import JacobiContext, integrate_against_weight, jacobi_poly
 
 
+def _fractions(p: Poly) -> list:
+    return list(p.coeffs)
+
+
+def reference_add(p: Poly, q: Poly) -> Poly:
+    """Coefficient-wise Fraction sum."""
+    a, b = _fractions(p), _fractions(q)
+    if len(a) < len(b):
+        a, b = b, a
+    for i, c in enumerate(b):
+        a[i] += c
+    return Poly(a)
+
+
+def reference_neg(p: Poly) -> Poly:
+    return Poly([-c for c in p.coeffs])
+
+
+def reference_sub(p: Poly, q: Poly) -> Poly:
+    return reference_add(p, reference_neg(q))
+
+
+def reference_scale(p: Poly, c) -> Poly:
+    """p * c for a scalar c, one Fraction product per coefficient."""
+    return Poly([a * c for a in p.coeffs])
+
+
+def reference_scalar_div(p: Poly, c) -> Poly:
+    """p / c for a nonzero scalar c, one Fraction quotient per coefficient."""
+    c = Fraction(c)
+    if c == 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    return Poly([a / c for a in p.coeffs])
+
+
 def reference_mul(p: Poly, q: Poly) -> Poly:
     """Schoolbook product, two Fraction operations per coefficient pair."""
     if p.is_zero or q.is_zero:
@@ -44,6 +83,47 @@ def reference_mul(p: Poly, q: Poly) -> Poly:
         for j, b in enumerate(q.coeffs):
             out[i + j] += a * b
     return Poly(out)
+
+
+def reference_divmod(p: Poly, q: Poly):
+    """Long division over the rationals, one Fraction quotient per step."""
+    if q.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = _fractions(p)
+    b = q.coeffs
+    dq = len(b) - 1
+    if len(rem) <= dq:
+        return ZERO, p
+    quot = [Fraction(0)] * (len(rem) - dq)
+    for i in range(len(rem) - 1, dq - 1, -1):
+        c = rem[i] / b[-1]
+        if c == 0:
+            continue
+        quot[i - dq] = c
+        for j, v in enumerate(b):
+            rem[i - dq + j] -= c * v
+    return Poly(quot), Poly(rem)
+
+
+def reference_derivative(p: Poly, times: int = 1) -> Poly:
+    cs = _fractions(p)
+    for _ in range(times):
+        cs = [i * c for i, c in enumerate(cs)][1:]
+    return Poly(cs)
+
+
+def reference_monic(p: Poly) -> Poly:
+    if p.is_zero:
+        return p
+    return reference_scalar_div(p, p.coeffs[-1])
+
+
+def reference_substitute(p: Poly, q: Poly) -> Poly:
+    """p(q) by Horner's rule on Fraction polynomials."""
+    acc = ZERO
+    for c in reversed(p.coeffs):
+        acc = reference_add(reference_mul(acc, q), Poly([c]))
+    return acc
 
 
 def _primitive(p: Poly) -> Poly:
@@ -66,8 +146,8 @@ def reference_gcd(p: Poly, q: Poly) -> Poly:
     """Monic gcd by Euclid over the rationals, with primitive normalization."""
     a, b = _primitive(p), _primitive(q)
     while not b.is_zero:
-        a, b = b, _primitive(a % b)
-    return a.monic()
+        a, b = b, _primitive(reference_divmod(a, b)[1])
+    return reference_monic(a)
 
 
 def reference_rational_parts(num: Poly, den: Poly):
@@ -79,9 +159,9 @@ def reference_rational_parts(num: Poly, den: Poly):
         den = ONE
     else:
         g = reference_gcd(num, den)
-        num, den = num.div_exact(g), den.div_exact(g)
-    lead = den.lead
-    return num / lead, den / lead
+        num, den = reference_divmod(num, g)[0], reference_divmod(den, g)[0]
+    lead = den.coeffs[-1]
+    return reference_scalar_div(num, lead), reference_scalar_div(den, lead)
 
 
 @functools.lru_cache(maxsize=None)
@@ -96,6 +176,23 @@ def _reference_pow(p: Poly, k: int) -> Poly:
     return result
 
 
+def reference_det(matrix):
+    """Determinant by the Leibniz permutation sum, each sign a scalar product."""
+    n = len(matrix)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = Fraction(sign)
+        for i, j in enumerate(perm):
+            term = term * matrix[i][j]
+        total = total + term
+    return total
+
+
 def reference_jacobi_poly(alpha, beta, n: int) -> Poly:
     """J_n from the sum of C(n+a, j) C(n+b, n-j) (x-1)^(n-j) (x+1)^j, by powers."""
     if n < 0:
@@ -108,17 +205,13 @@ def reference_jacobi_poly(alpha, beta, n: int) -> Poly:
         if c == 0:
             continue
         term = reference_mul(_reference_pow(X - 1, n - j), _reference_pow(X + 1, j))
-        total = total + c * term
-    return front * total
+        total = reference_add(total, reference_scale(term, c))
+    return reference_scale(total, front)
 
 
 def reference_shift(p: Poly, c) -> Poly:
-    """p(x + c) by Horner's rule on Poly products."""
-    step = Poly([Fraction(c), 1])
-    acc = ZERO
-    for coeff in reversed(p.coeffs):
-        acc = acc * step + coeff
-    return acc
+    """p(x + c) by Horner's rule on Fraction polynomials."""
+    return reference_substitute(p, Poly([Fraction(c), 1]))
 
 
 def reference_eval(p: Poly, point) -> Fraction:

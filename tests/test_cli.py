@@ -42,6 +42,8 @@ GOLDEN_OPERATOR_CONFIG = {
     "alpha": 3, "beta": 3, "m1": 2, "m2": 1, "M": [["-1", "1"], ["0", "-1"]], "N": [["-1"]],
 }
 GOLDEN_OPERATOR_SHA256 = "1dd3be8b66c0133f926e894cce7dc1154190926c29a0ea9dcca437784c3aa8da"
+# construct --nmax 32 on the same config, recorded from the Fraction-tuple kernel
+GOLDEN_CONSTRUCT_SHA256 = "a7fa935be586995d068eff41a31bc02616051b74047b42730882cfb0811dde37"
 
 # equal scalar masses at alpha = beta = 2, with S = sigma R / Omega of criterion 6
 GOLDEN_VERIFY_CONFIG = {"alpha": 2, "beta": 2, "m1": 1, "m2": 1, "M": [["1"]], "N": [["1"]]}
@@ -80,6 +82,12 @@ class TestConstruct:
             got = Poly.from_json(entry["coeffs"])
             want = jacobi_poly(ctx, entry["n"])
             assert got * want.lead == want * got.lead  # equal up to scalar
+
+    def test_golden_report(self, tmp_path, capsys):
+        path = write_json(tmp_path / "c.json", GOLDEN_OPERATOR_CONFIG)
+        assert main(["construct", "--config", path, "--nmax", "32"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == GOLDEN_CONSTRUCT_SHA256
 
     def test_degenerate_config_exits_2(self, tmp_path, capsys):
         cfg = {"alpha": 2, "beta": 1, "m1": 1, "m2": 1, "M": [["-1"]], "N": [["-1"]]}
@@ -413,6 +421,7 @@ class TestOptimizedInterpreter:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         runs = [
             (["operator", "--config", config, "--nmax", "8"], GOLDEN_OPERATOR_SHA256),
+            (["construct", "--config", config, "--nmax", "32"], GOLDEN_CONSTRUCT_SHA256),
             (["verify", "--config", verify_config, "--nmax", "8", "--custom-s", s_path], GOLDEN_VERIFY_SHA256),
         ]
         for argv, want in runs:

@@ -1,5 +1,7 @@
 """Exact scalar/polynomial/rational-function arithmetic and transforms."""
 
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,11 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernel_reference import (
+    reference_add,
+    reference_derivative,
+    reference_det,
+    reference_divmod,
     reference_eval,
     reference_gcd,
+    reference_monic,
     reference_mul,
+    reference_neg,
     reference_rational_parts,
+    reference_scalar_div,
+    reference_scale,
     reference_shift,
+    reference_sub,
+    reference_substitute,
 )
 
 from jacobisobolev import _linalg
@@ -53,10 +65,26 @@ negative_lead_polys = nonzero_polys.map(lambda p: -p if p.lead > 0 else p)
 kernel_operands = st.one_of(small_polys, wide_polys, constant_polys, negative_lead_polys)
 nonzero_constants = st.one_of(rationals, wide_rationals).filter(bool).map(Poly.constant)
 monic_polys = nonzero_polys.map(Poly.monic)
+scalars = st.one_of(st.integers(-50, 50), rationals, wide_rationals)
+# non-monic divisors, with a negative lead among them
+divisors = st.one_of(nonzero_polys, negative_lead_polys, nonzero_constants, small_polys.filter(bool))
 # k x (k+1) polynomial matrices, k = 0..4
 wide_matrices = st.integers(0, 4).flatmap(
     lambda k: st.lists(st.lists(small_polys, min_size=k + 1, max_size=k + 1), min_size=k, max_size=k)
 )
+
+
+def assert_canonical(p):
+    """nums trimmed, den > 0, gcd(den, *nums) = 1, and the Fraction view agrees."""
+    assert isinstance(p, Poly)
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int for c in p.nums)
+    assert not p.nums or p.nums[-1] != 0
+    assert math.gcd(p.den, *p.nums) == 1
+    assert p.coeffs == tuple(Fraction(c, p.den) for c in p.nums)
+    again = Poly(p.coeffs)  # the same polynomial by the Fraction route
+    assert (again.nums, again.den) == (p.nums, p.den) and hash(again) == hash(p)
+    return p
 
 
 class TestPoly:
@@ -91,12 +119,13 @@ class TestPoly:
     @given(kernel_operands, kernel_operands)
     @settings(max_examples=200, deadline=None)
     def test_mul_matches_schoolbook(self, p, q):
-        assert p * q == reference_mul(p, q)
+        assert assert_canonical(p * q) == reference_mul(p, q)
 
     @given(kernel_operands, kernel_operands)
     @settings(max_examples=200, deadline=None)
     def test_gcd_matches_euclid(self, p, q):
-        assert p.gcd(q) == reference_gcd(p, q)
+        assert assert_canonical(p.gcd(q)) == reference_gcd(p, q)
+        assert assert_canonical(p.monic()) == reference_monic(p)
 
     @given(nonzero_polys, kernel_operands, kernel_operands)
     @settings(max_examples=100, deadline=None)
@@ -133,7 +162,7 @@ class TestPoly:
     @given(kernel_operands, st.one_of(rationals, wide_rationals, st.integers(-50, 50)))
     @settings(max_examples=200, deadline=None)
     def test_shift_and_evaluation_match_horner(self, p, c):
-        assert p.shift(c) == reference_shift(p, c)
+        assert assert_canonical(p.shift(c)) == reference_shift(p, c)
         value = p(c)
         assert isinstance(value, Fraction)
         assert value == reference_eval(p, c)
@@ -159,6 +188,129 @@ class TestPoly:
             rat(value)
         with pytest.raises(TypeError):
             Poly.from_json([value])
+
+
+class TestIntegerLayout:
+    """Each operation on int numerators over one denominator against the
+    Fraction-coefficient reference, compared with ==, and in canonical form."""
+
+    @given(kernel_operands, kernel_operands)
+    @settings(max_examples=200, deadline=None)
+    def test_add_sub_neg(self, p, q):
+        assert assert_canonical(p + q) == reference_add(p, q)
+        assert assert_canonical(p - q) == reference_sub(p, q)
+        assert assert_canonical(-p) == reference_neg(p)
+        assert assert_canonical(p - p) == ZERO
+
+    @given(kernel_operands, scalars)
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_mul_div_add(self, p, c):
+        assert assert_canonical(p * c) == assert_canonical(c * p) == reference_scale(p, c)
+        assert assert_canonical(p + c) == assert_canonical(c + p) == reference_add(p, Poly([c]))
+        assert assert_canonical(p - c) == reference_sub(p, Poly([c]))
+        assert assert_canonical(c - p) == reference_sub(Poly([c]), p)
+        if c:
+            assert assert_canonical(p / c) == reference_scalar_div(p, c)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                p / c
+
+    @given(kernel_operands, divisors)
+    @settings(max_examples=300, deadline=None)
+    def test_divmod(self, p, d):
+        q, r = divmod(p, d)
+        assert (assert_canonical(q), assert_canonical(r)) == reference_divmod(p, d)
+        assert p % d == r
+        assert q * d + r == p
+
+    @pytest.mark.parametrize(
+        "d", [Poly([1, -2]), Poly([3, 0, -5]), Poly([Fraction(1, 7), Fraction(-3, 10**12)]), Poly([-4])]
+    )
+    def test_divmod_by_negative_lead_pinned(self, d):
+        p = Poly([Fraction(5, 3), -1, 0, 7, Fraction(10**30, 10**12 - 1)])
+        q, r = divmod(p, d)
+        assert (assert_canonical(q), assert_canonical(r)) == reference_divmod(p, d)
+
+    @given(st.one_of(small_polys, constant_polys), st.one_of(small_polys, constant_polys, negative_lead_polys))
+    @settings(max_examples=100, deadline=None)
+    def test_substitute(self, p, q):
+        assert assert_canonical(p(q)) == reference_substitute(p, q)
+
+    @given(kernel_operands, st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_derivative(self, p, times):
+        assert assert_canonical(p.derivative(times)) == reference_derivative(p, times)
+
+    @given(kernel_operands, kernel_operands, st.one_of(rationals, wide_rationals).filter(bool))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_hash_across_routes(self, p, q, c):
+        d = q or ONE
+        routes = [
+            Poly(p.coeffs),
+            Poly.from_json(p.to_json()),
+            (p + q) - q,
+            (p * c) / c,
+            p.shift(c).shift(-c),
+            divmod(p * d, d)[0],
+        ]
+        for other in routes:
+            assert other == p and hash(other) == hash(p)
+
+    def test_coefficient_views(self):
+        p = Poly([Fraction(1, 6), 0, Fraction(-3, 4)])
+        assert (p.nums, p.den) == ((2, 0, -9), 12)
+        assert p.coeffs == (Fraction(1, 6), Fraction(0), Fraction(-3, 4))
+        assert p.lead == Fraction(-3, 4) and p.coeff(0) == Fraction(1, 6) and p.coeff(5) == 0
+        assert (ZERO.nums, ZERO.den) == ((), 1) and ZERO.coeffs == ()
+
+
+class TestOperandProtocol:
+    """An unsupported operand gives Python's own TypeError, not an internal error."""
+
+    @pytest.mark.parametrize(
+        "op, symbol, left, right",
+        [
+            (divmod, "divmod()", "Poly", "float"),
+            (lambda a, b: a % b, "%", "Poly", "float"),
+            (lambda a, b: a - b, "-", "Poly", "float"),
+            (lambda a, b: b - a, "-", "float", "Poly"),
+        ],
+    )
+    def test_float_operand_rejected(self, op, symbol, left, right):
+        message = rf"unsupported operand type\(s\) for {re.escape(symbol)}: '{left}' and '{right}'"
+        with pytest.raises(TypeError, match=message):
+            op(X + 1, 1.5)
+
+    def test_float_minus_rational_function_rejected(self):
+        message = r"unsupported operand type\(s\) for -: 'float' and 'RationalFunction'"
+        with pytest.raises(TypeError, match=message):
+            1.5 - RationalFunction(ONE, X + 1)
+
+    def test_negative_monomial_power_rejected(self):
+        with pytest.raises(ValueError):
+            Poly.monomial(-1)
+        assert Poly.monomial(0, 3) == Poly([3]) and Poly.monomial(2) == X * X
+
+
+square_polys = st.integers(0, 4).flatmap(
+    lambda k: st.lists(st.lists(small_polys, min_size=k, max_size=k), min_size=k, max_size=k)
+)
+square_rationals = st.integers(0, 4).flatmap(
+    lambda k: st.lists(st.lists(wide_rationals, min_size=k, max_size=k), min_size=k, max_size=k)
+)
+
+
+class TestDeterminant:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(square_polys, square_rationals))
+    def test_matches_leibniz(self, matrix):
+        assert _linalg.det(matrix) == reference_det(matrix)
+
+    def test_rational_function_entries(self):
+        f = RationalFunction(X + 1, X - 2)
+        g = RationalFunction(ONE, X + 3)
+        matrix = [[f, g, ONE], [g * g, f, X], [X, f * g, g]]
+        assert _linalg.det(matrix) == reference_det(matrix)
 
 
 class TestMaximalMinors:
