@@ -26,7 +26,7 @@ from .construct import DegenerateConfigError, build_z, casorati_lambda, sobolev_
 from .diffop import AssumptionFailed, EigenMismatch, _omega, build_bundle, operator_order, verify_eigen
 from .exactmath import IdentityCheckFailed, Poly, RationalFunction, rat, rat_rows, rat_str
 from .rank import predicted_order, weighted_rank
-from .sobolev import SobolevConfig, bilinear
+from .sobolev import SobolevConfig, bilinear, bilinear_monomials
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -92,9 +92,9 @@ def _first_degenerate(system, cfg: SobolevConfig, n_max: int) -> Optional[int]:
 def _orthogonality_failure(cfg: SobolevConfig, qs) -> Optional[dict]:
     """The first failed check: B(q_n, x^j) != 0 for j < n, or B(q_n, q_n) = 0 (j None)."""
     for n, qn in enumerate(qs):
-        for j in range(n):
-            if bilinear(cfg, qn, Poly.monomial(j)) != 0:
-                return {"n": n, "j": j}
+        j = next((j for j, value in enumerate(bilinear_monomials(cfg, qn, n)) if value), None)
+        if j is not None:
+            return {"n": n, "j": j}
         if bilinear(cfg, qn, qn) == 0:
             return {"n": n, "j": None}
     return None
@@ -205,8 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "rank":
             code, payload = cmd_rank(args.gamma, args.matrix)

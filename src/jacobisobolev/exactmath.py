@@ -96,7 +96,7 @@ class Poly:
     __slots__ = ("nums", "den", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else _exact(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         # over the lcm of reduced denominators the numerators share no factor with it
@@ -431,7 +431,13 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
     def to_json(self) -> list:
-        return [rat_str(c) for c in self.coeffs]
+        """The coefficients as `rat_str` strings, each reduced by one gcd."""
+        den = self.den
+        out = []
+        for c in self.nums:
+            g = math.gcd(c, den)
+            out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+        return out
 
     @classmethod
     def from_json(cls, items: Sequence[Union[str, int]]) -> "Poly":
@@ -463,11 +469,19 @@ def _as_poly(value) -> Poly:
     return NotImplemented
 
 
+def _exact(value) -> Fraction:
+    """value as a Fraction; a float is refused, not read as its binary value."""
+    if isinstance(value, float):
+        raise TypeError(f"a coefficient must be an int or a Fraction, got the float {value!r}")
+    return Fraction(value)
+
+
 def _num_den(value):
     """Numerator and positive denominator of an int or rational scalar."""
     if type(value) is int:
         return value, 1
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = _exact(value)
     return value.numerator, value.denominator
 
 

@@ -5,9 +5,15 @@ The normalization used throughout is
     J_n(x) = (-1)^n (a+b+1)_n / (2^n (b+1)_n)
              * sum_j C(n+a, j) C(n+b, n-j) (x-1)^(n-j) (x+1)^j
 
-with parameters a = alpha, b = beta. These are eigenfunctions of the
+with parameters a = alpha, b = beta: J_n is (-1)^n (s+1)_n / (b+1)_n times
+the classical P_n^(a,b), where s = a+b. These are eigenfunctions of the
 second-order operator (x^2-1) d^2/dx^2 + ((a+b+2)x + a - b) d/dx with
-eigenvalue theta_n = n (n + a + b + 1).
+eigenvalue theta_n = n (n + a + b + 1). Szego's recurrence for P_n
+(Orthogonal Polynomials, 1939, eq. (4.5.1)) gives J_0 = 1,
+J_1 = -(s+1)/(2(b+1)) ((s+2)x + a-b) and, for k >= 2, j = k-1 and e = 2j+s,
+
+    J_k = -[((e+1)(e+2)e x + (e+1)(a^2-b^2)) J_j + 2(j+a)(e+2)(j+s) J_{j-1}]
+          / (2(j+1)(j+b+1)e).
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import X, ZERO, IdentityCheckFailed, Poly, falling_binomial, pochhammer
+from .exactmath import ONE, X, ZERO, IdentityCheckFailed, Poly, falling_binomial
 
 
 @dataclass(frozen=True)
@@ -46,44 +52,34 @@ _POLY_CACHE: dict = {}
 
 
 def jacobi_poly(ctx: JacobiContext, n: int) -> Poly:
-    """Degree-n Jacobi polynomial; the zero polynomial for n < 0."""
+    """Degree-n Jacobi polynomial; the zero polynomial for n < 0.
+
+    A cache miss extends the family for (alpha, beta) from the highest degree
+    held, one degree at a time, by Szego's recurrence (4.5.1) stated above,
+    whose divisors are nonzero for every JacobiContext.
+    """
     if n < 0:
         return ZERO
-    key = (ctx.alpha, ctx.beta, n)
-    cached = _POLY_CACHE.get(key)
+    a, b = ctx.alpha, ctx.beta
+    cached = _POLY_CACHE.get((a, b, n))
     if cached is not None:
         return cached
-    a, b = ctx.alpha, ctx.beta
-    front = (-1) ** n * pochhammer(a + b + 1, n) / (Fraction(2) ** n * pochhammer(b + 1, n))
-    # weights[j] = C(n+a, j) C(n+b, n-j), each binomial by its ratio recurrence
-    upper = [Fraction(1)]
-    for j in range(n):
-        upper.append(upper[-1] * (n + a - j) / (j + 1))
-    lower = [Fraction(1)] * (n + 1)
-    for j in range(n, 0, -1):
-        lower[j - 1] = lower[j] * (b + j) / (n - j + 1)
-    weights = [u * v for u, v in zip(upper, lower)]
-    lcm = math.lcm(*[w.denominator for w in weights])
-    # total = lcm * sum_j weights[j] (x-1)^(n-j) (x+1)^j over the integers;
-    # the product moves from j to j+1 by dividing by x-1, multiplying by x+1
-    prod = [math.comb(n, i) * (-1) ** (n - i) for i in range(n + 1)]
-    total = [0] * (n + 1)
-    for j, w in enumerate(weights):
-        if j:
-            quot = prod[1:]
-            for i in range(n - 2, -1, -1):
-                quot[i] += quot[i + 1]
-            prod = [quot[0]] + [quot[i - 1] + quot[i] for i in range(1, n)] + [quot[-1]]
-        if w:
-            scale = w.numerator * (lcm // w.denominator)
-            for i, c in enumerate(prod):
-                total[i] += scale * c
-    num, den = front.numerator, front.denominator * lcm
-    result = Poly._from_ints([num * c for c in total], den)
-    if result.degree != n:
-        raise IdentityCheckFailed("jacobi_poly", f"deg J_{n} = {n}")
-    _POLY_CACHE[key] = result
-    return result
+    # the family is built from degree 0 up, so every degree below the top is held
+    top = next((d for d in range(n - 1, -1, -1) if (a, b, d) in _POLY_CACHE), -1)
+    prev, cur = [_POLY_CACHE.get((a, b, d), ZERO) for d in (top - 1, top)]
+    s = a + b
+    for k in range(top + 1, n + 1):
+        if k < 2:
+            nxt = ONE if k == 0 else Poly([a - b, s + 2]) * (-(s + 1) / (2 * (b + 1)))
+        else:
+            j, e = k - 1, 2 * k - 2 + s
+            step = Poly([(e + 1) * (a * a - b * b), (e + 1) * (e + 2) * e]) * cur
+            nxt = (step + prev * (2 * (j + a) * (e + 2) * (j + s))) / (-2 * (j + 1) * (j + b + 1) * e)
+        if nxt.degree != k:
+            raise IdentityCheckFailed("jacobi_poly", f"deg J_{k} = {k}")
+        _POLY_CACHE[(a, b, k)] = nxt
+        prev, cur = cur, nxt
+    return cur
 
 
 def classical_operator(ctx: JacobiContext):

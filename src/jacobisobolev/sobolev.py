@@ -17,13 +17,14 @@ independent ground truth for the Casorati construction in `construct`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import _linalg
 from .exactmath import ONE, Poly, involute, rat_rows, rat_str
-from .jacobi import integrate_against_weight
+from .jacobi import integrate_against_weight, weight_moment
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 
@@ -128,6 +129,30 @@ def bilinear(cfg: SobolevConfig, p: Poly, q: Poly) -> Fraction:
         tq = jet(q, 1, cfg.m2)
         total += sum(tp[i] * cfg.N[i][j] * tq[j] for i in range(cfg.m2) for j in range(cfg.m2))
     return total
+
+
+def bilinear_monomials(cfg: SobolevConfig, p: Poly, n: int) -> List[Fraction]:
+    """[B(p, x^j) for j < n], with p's endpoint jets and the weight moments
+    taken once for every j.
+
+    The integral of p x^j is a sum of p's numerators against the moments, all
+    over one lcm denominator; the jet of x^j at +-1 is
+    (j! / (j-l)! (+-1)^(j-l))_l.
+    """
+    nums, den = p.nums, p.den
+    moments = [weight_moment(cfg.alpha - cfg.m2, cfg.beta - cfg.m1, k) for k in range(len(nums) + n - 1)]
+    scale = math.lcm(*[mu.denominator for mu in moments])
+    ints = [mu.numerator * (scale // mu.denominator) for mu in moments]
+    values = [Fraction(sum([c * ints[k + j] for k, c in enumerate(nums)]), den * scale) for j in range(n)]
+    for point, size, masses in ((-1, cfg.m1, cfg.M), (1, cfg.m2, cfg.N)):
+        if not size:
+            continue
+        # the row vector T(p, point, size) . masses
+        tp = [sum([nums[i] * math.perm(i, l) * point ** (i - l) for i in range(l, len(nums))]) for l in range(size)]
+        row = [sum(tp[l] * masses[l][c] for l in range(size)) / den for c in range(size)]
+        for j in range(n):
+            values[j] += sum(row[c] * math.perm(j, c) * point ** (j - c) for c in range(min(size, j + 1)))
+    return values
 
 
 def gram_orthogonal_oracle(cfg: SobolevConfig, n: int) -> Optional[Poly]:

@@ -1,18 +1,20 @@
 """Straightforward Fraction versions of the exact kernel's inner loops.
 
 The package stores a polynomial as int numerators over one denominator and
-adds, multiplies, divides, takes gcds, shifts, evaluates, substitutes and
-expands Jacobi polynomials on those integers; the ``reference_*`` polynomial
-operations here work on the tuple of Fraction coefficients instead, one
-Fraction operation per coefficient. It applies, composes
+adds, multiplies, divides, takes gcds, shifts, evaluates and substitutes on
+those integers; the ``reference_*`` polynomial operations here work on the
+tuple of Fraction coefficients instead, one Fraction operation per
+coefficient. It builds each Jacobi family by its three-term recurrence; the
+reference expands the explicit sum by powers. It applies, composes
 and evaluates differential operators through their images of x^k on
 integers. It builds Lambda's polynomial, each n < m Casorati quotient and
 each q_n once per configuration, and takes Omega and the M_h minors from
-Lambda's polynomial Casorati matrix. Its cross-checks evaluate R_l(n) as a
+Lambda's polynomial Casorati matrix. It checks orthogonality against every
+x^j from one set of jets and moments. Its cross-checks evaluate R_l(n) as a
 Sobolev form and sum the combinatorial identities as rationals. These are the
 plain algorithms it replaced (Omega and the M_h from the xi-weighted entries,
-one rational determinant each); the differential tests require exact equality
-with them.
+one rational determinant each; one Sobolev form per x^j); the differential
+tests require exact equality with them.
 """
 
 import functools
@@ -35,6 +37,7 @@ from jacobisobolev.exactmath import (
     theta_poly,
 )
 from jacobisobolev.jacobi import JacobiContext, integrate_against_weight, jacobi_poly
+from jacobisobolev.sobolev import bilinear
 
 
 def _fractions(p: Poly) -> list:
@@ -320,6 +323,18 @@ def xi(ctx, m1: int, h: int, j: int) -> RationalFunction:
     return RationalFunction(
         (-1) ** (-j) * pochhammer(X + (b + 1), -j), pochhammer(X + (a + 1), -j)
     )
+
+
+def reference_orthogonality_failure(cfg, qs):
+    """The verify report's first failed check, by one `bilinear(cfg, q_n, x^j)`
+    per j < n: {"n", "j"}, with j None for B(q_n, q_n) = 0, or None."""
+    for n, qn in enumerate(qs):
+        for j in range(n):
+            if bilinear(cfg, qn, Poly.monomial(j)) != 0:
+                return {"n": n, "j": j}
+        if bilinear(cfg, qn, qn) == 0:
+            return {"n": n, "j": None}
+    return None
 
 
 def reference_omega_entries(cfg, sys) -> list:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_reference import reference_omega_entries
+from kernel_reference import reference_omega_entries, reference_orthogonality_failure
 
 import jacobisobolev
 from jacobisobolev import _linalg, cli, construct, diffop
@@ -93,6 +93,34 @@ class TestConstruct:
         cfg = {"alpha": 2, "beta": 1, "m1": 1, "m2": 1, "M": [["-1"]], "N": [["-1"]]}
         path = write_json(tmp_path / "c.json", cfg)
         assert main(["construct", "--config", path, "--nmax", "5"]) == 2
+
+
+class TestOrthogonalityFailure:
+    """The verify report's first failure against one bilinear form per x^j."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            EXAMPLE_CONFIG,
+            GOLDEN_OPERATOR_CONFIG,
+            {"alpha": 3, "beta": 0, "m1": 0, "m2": 2, "M": [], "N": [["1", "-1"], ["2", "1/3"]]},
+        ],
+    )
+    def test_perturbed_q_n_matches_per_monomial_loop(self, config):
+        cfg = SobolevConfig.from_json(config)
+        system = construct.build_z(cfg)
+        qs = [construct.sobolev_poly(system, cfg, n) for n in range(9)]
+        assert cli._orthogonality_failure(cfg, qs) is None
+        failures = []
+        for n in range(1, 9):
+            for j in range(n + 1):
+                perturbed = list(qs)
+                perturbed[n] = qs[n] + Poly.monomial(j, Fraction((-1) ** j, n + j + 1))
+                want = reference_orthogonality_failure(cfg, perturbed)
+                assert cli._orthogonality_failure(cfg, perturbed) == want
+                failures.append(want)
+        # a perturbation orthogonal to every lower x^i, by parity, reports none
+        assert sum(f is not None for f in failures) > len(failures) // 2
 
 
 class TestInputValidation:

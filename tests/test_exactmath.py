@@ -241,6 +241,11 @@ class TestIntegerLayout:
     def test_derivative(self, p, times):
         assert assert_canonical(p.derivative(times)) == reference_derivative(p, times)
 
+    @given(kernel_operands)
+    @settings(max_examples=100, deadline=None)
+    def test_to_json_matches_rat_str(self, p):
+        assert p.to_json() == [rat_str(c) for c in p.coeffs]
+
     @given(kernel_operands, kernel_operands, st.one_of(rationals, wide_rationals).filter(bool))
     @settings(max_examples=100, deadline=None)
     def test_equal_hash_across_routes(self, p, q, c):
@@ -280,6 +285,21 @@ class TestOperandProtocol:
         message = rf"unsupported operand type\(s\) for {re.escape(symbol)}: '{left}' and '{right}'"
         with pytest.raises(TypeError, match=message):
             op(X + 1, 1.5)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Poly([0.1]),
+            lambda: Poly([1, 0.5]),
+            lambda: Poly.constant(0.5),
+            lambda: (X + 1)(0.5),
+            lambda: (X * X).shift(0.5),
+        ],
+    )
+    def test_float_coefficient_or_point_rejected(self, make):
+        # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
+        with pytest.raises(TypeError, match="float"):
+            make()
 
     def test_float_minus_rational_function_rejected(self):
         message = r"unsupported operand type\(s\) for -: 'float' and 'RationalFunction'"

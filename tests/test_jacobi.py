@@ -1,10 +1,11 @@
 """Classical Jacobi family: polynomials, weight moments, jets, operator."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 
-from kernel_reference import reference_jacobi_poly
+import kernel_reference
 
 from jacobisobolev import jacobi
 from jacobisobolev.exactmath import Poly, X
@@ -22,6 +23,10 @@ def ctx(a, b):
     return JacobiContext(Fraction(a), Fraction(b))
 
 
+# the expansion by powers is the slow part of these tests; each value is built once
+reference_jacobi_poly = functools.cache(kernel_reference.reference_jacobi_poly)
+
+
 class TestJacobiPoly:
     def test_degree_zero_is_one(self):
         assert jacobi_poly(ctx(2, 1), 0) == Poly([1])
@@ -36,14 +41,34 @@ class TestJacobiPoly:
             assert jacobi_poly(ctx(a, b), 1) == expected
 
     @pytest.mark.parametrize(
-        "a, b", [(0, 0), (3, 2), (Fraction(1, 2), Fraction(-1, 3))]
+        "a, b", [(0, 0), (3, 2), (Fraction(1, 2), Fraction(-1, 3)), (7, 0)]
     )
     def test_matches_power_expansion(self, a, b, monkeypatch):
-        # an empty cache makes every degree a fresh expansion
+        # from an empty cache each call extends the family by one degree
         monkeypatch.setattr(jacobi, "_POLY_CACHE", {})
         c = ctx(a, b)
         for n in range(41):
             assert jacobi_poly(c, n) == reference_jacobi_poly(a, b, n)
+
+    @pytest.mark.parametrize("a, b", [(0, 0), (7, 0), (Fraction(5, 3), Fraction(-7, 4))])
+    def test_top_degree_first_fills_the_family(self, a, b, monkeypatch):
+        # one call builds every lower degree by the recurrence and caches it
+        cache = {}
+        monkeypatch.setattr(jacobi, "_POLY_CACHE", cache)
+        c = ctx(a, b)
+        top = jacobi_poly(c, 40)
+        assert sorted(key[2] for key in cache) == list(range(41))
+        assert top == reference_jacobi_poly(a, b, 40)
+        for n in range(41):
+            assert jacobi_poly(c, n) == reference_jacobi_poly(a, b, n)
+
+    def test_interleaved_families_share_one_cache(self, monkeypatch):
+        monkeypatch.setattr(jacobi, "_POLY_CACHE", {})
+        first, second = (2, 0), (Fraction(1, 2), Fraction(3, 2))
+        for n in [3, 1, 9, 0, 12, 20, 5, 24]:
+            for a, b in (first, second):
+                assert jacobi_poly(ctx(a, b), n) == reference_jacobi_poly(a, b, n)
+            first, second = second, first
 
     def test_degree_is_exact(self):
         for n in range(9):

@@ -11,6 +11,7 @@ from jacobisobolev.jacobi import JacobiContext, jacobi_poly
 from jacobisobolev.sobolev import (
     SobolevConfig,
     bilinear,
+    bilinear_monomials,
     gram_orthogonal_oracle,
     jet,
 )
@@ -91,6 +92,22 @@ class TestBilinear:
         cfg = SobolevConfig(alpha=2, beta=1, m1=1, m2=1, M=[[1]], N=[[-1]])
         assert bilinear(cfg, p + c * r, q) == bilinear(cfg, p, q) + c * bilinear(cfg, r, q)
         assert bilinear(cfg, p, q + c * r) == bilinear(cfg, p, q) + c * bilinear(cfg, p, r)
+
+
+MASS_CONFIGS = [
+    SobolevConfig(alpha=2, beta=1, m1=1, m2=1, M=[[1]], N=[[-1]]),
+    SobolevConfig(alpha=2, beta=2, m1=2, m2=1, M=[[1, 2], [0, Fraction(-3, 2)]], N=[[Fraction(1, 2)]]),
+    SobolevConfig(alpha=3, beta=0, m1=0, m2=2, N=[[1, -1], [2, Fraction(1, 3)]]),
+    SobolevConfig(alpha=0, beta=4, m1=3, m2=0, M=[[0, 1, 0], [2, 0, -1], [0, 0, 5]]),
+]
+
+
+class TestBilinearMonomials:
+    @given(st.sampled_from(MASS_CONFIGS), small_polys, st.integers(0, 7))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_one_form_per_monomial(self, cfg, p, n):
+        want = [bilinear(cfg, p, Poly.monomial(j)) for j in range(n)]
+        assert bilinear_monomials(cfg, p, n) == want
 
 
 class TestGramOracle:
