@@ -7,7 +7,15 @@ assembles a finite-order differential operator having them as eigenfunctions,
 and predicts that operator's order from a weighted matrix rank.
 """
 
-from .certify import degree_of_P_check, rl_cross_check, verify_comb_identities
+from .certify import (
+    degree_of_P_check,
+    endpoint_jet,
+    gram_orthogonal_oracle,
+    integrate_against_weight,
+    jet,
+    rl_cross_check,
+    verify_comb_identities,
+)
 from .construct import DegenerateConfigError, ZSystem, build_z, casorati_lambda, sobolev_poly
 from .diffop import (
     AssumptionFailed,
@@ -22,15 +30,9 @@ from .diffop import (
     verify_eigen,
 )
 from .exactmath import NEG_INFINITY, Poly, RationalFunction, rat, rat_str
-from .jacobi import JacobiContext, endpoint_jet, integrate_against_weight, jacobi_poly
+from .jacobi import JacobiContext, jacobi_poly
 from .rank import WeightedRankTrace, predicted_order, weighted_rank
-from .sobolev import (
-    ParameterOutOfRangeError,
-    SobolevConfig,
-    bilinear,
-    gram_orthogonal_oracle,
-    jet,
-)
+from .sobolev import ParameterOutOfRangeError, SobolevConfig, bilinear
 
 __all__ = [
     "AssumptionFailed",

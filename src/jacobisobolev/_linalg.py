@@ -7,7 +7,7 @@ heuristics are needed because the arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 def det(matrix: Sequence[Sequence]) -> object:
@@ -91,12 +91,3 @@ def in_span(vectors: Sequence[Sequence[Fraction]], candidate: Sequence[Fraction]
         return True
     base = list(vectors)
     return rank(base) == rank(base + [list(candidate)])
-
-
-def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
-    """Solve a square rational system exactly; None if the matrix is singular."""
-    n = len(matrix)
-    work, pivots = _reduce([list(row) + [rhs[i]] for i, row in enumerate(matrix)], n)
-    if len(pivots) < n:
-        return None
-    return [row[n] for row in work]

@@ -14,18 +14,23 @@ shares no code with the construction it certifies.
   so every sum is a sum of rationals.
 - `p_from_y_tuple` and `degree_of_P_check`: the degree and leading
   coefficient of the normalized Casorati determinant P.
+- `gram_orthogonal_oracle`: q_n solved from the moment system of B, the
+  ground truth for the existence and the shape of `construct`'s q_n.
+- `jet`, `integrate_against_weight` and `endpoint_jet`: the two parts of B
+  term by term, and the closed form of the jets of J_n at -1 and +1.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
+from . import _linalg
 from .construct import ZSystem, build_p, build_q, build_z, lambda_poly, rho_table
 from .exactmath import X, Poly, falling_binomial, pochhammer, theta_poly
-from .jacobi import JacobiContext, jacobi_poly
-from .sobolev import SobolevConfig, bilinear
+from .jacobi import JacobiContext, jacobi_poly, weight_moment
+from .sobolev import SobolevConfig, bilinear, bilinear_monomials
 
 
 def rl_cross_check(cfg: SobolevConfig, l: int, n: int) -> Tuple[Fraction, Fraction]:
@@ -142,3 +147,63 @@ def degree_of_P_check(cfg: SobolevConfig, sys: ZSystem) -> bool:
     if lead == 0:
         return p.degree <= d
     return p.degree == d and p.lead == lead
+
+
+def gram_orthogonal_oracle(cfg: SobolevConfig, n: int) -> Optional[Poly]:
+    """Monic degree-n left-orthogonal polynomial from the moment system.
+
+    Solves B(q_n, x^i) = 0 for i < n with q_n monic, by exact Gauss-Jordan
+    elimination. Returns None when the system is singular or the resulting
+    norm B(q_n, q_n) vanishes: in either case the orthogonal polynomial does
+    not exist.
+    """
+    columns = [bilinear_monomials(cfg, Poly.monomial(j), n) for j in range(n + 1)]
+    rows = [[columns[j][i] for j in range(n)] + [-columns[n][i]] for i in range(n)]
+    work, pivots = _linalg._reduce(rows, n)
+    if len(pivots) < n:
+        return None
+    q = Poly([row[n] for row in work] + [1])
+    return None if bilinear(cfg, q, q) == 0 else q
+
+
+def jet(p: Poly, point, k: int) -> Tuple[Fraction, ...]:
+    """The vector (p, p', ..., p^(k-1)) evaluated at the point."""
+    values = []
+    q = p
+    for _ in range(k):
+        values.append(q(point))
+        q = q.derivative()
+    return tuple(values)
+
+
+def integrate_against_weight(p: Poly, a: int, b: int) -> Fraction:
+    """Exact integral of p(x) (1-x)^a (1+x)^b over (-1, 1)."""
+    total = sum((c * weight_moment(a, b, k) for k, c in enumerate(p.nums) if c), Fraction(0))
+    return total / p.den
+
+
+def endpoint_jet(ctx: JacobiContext, n: int, point: int, order: int) -> Fraction:
+    """Closed form for the order-th derivative of J_n at -1 or +1.
+
+    Requires alpha and beta to be nonnegative integers (the only case the
+    package exercises); must agree with differentiating jacobi_poly directly.
+    """
+    if point not in (-1, 1):
+        raise ValueError("endpoint must be -1 or +1")
+    if order < 0:
+        raise ValueError("derivative order must be nonnegative")
+    if n < 0:
+        return Fraction(0)
+    a, b = ctx.alpha, ctx.beta
+    if a.denominator != 1 or b.denominator != 1 or a < 0 or b < 0:
+        raise ValueError("closed-form jets require nonnegative integer parameters")
+    i = order
+    common = (
+        Fraction(math.factorial(i), 2**i)
+        / falling_binomial(a + b, int(b))
+        * falling_binomial(n + a + b, int(a))
+        * falling_binomial(n + a + b + i, i)
+    )
+    if point == -1:
+        return (-1) ** i * common * falling_binomial(n + b, n - i)
+    return (-1) ** n * common * falling_binomial(n + a, n - i)

@@ -59,6 +59,9 @@ def _load_custom_s(path: Optional[str], cfg: SobolevConfig, sys_z) -> Optional[R
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        unknown = sorted(set(data) - {"num", "den"})
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}")
         num = Poly.from_json(data["num"])
         den = data["den"]
     except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
@@ -77,11 +80,14 @@ def _load_custom_s(path: Optional[str], cfg: SobolevConfig, sys_z) -> Optional[R
 
 def _emit(payload: dict, out: Optional[str]) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from exc
 
 
 def _first_degenerate(system, cfg: SobolevConfig, n_max: int) -> Optional[int]:
@@ -224,6 +230,7 @@ def main(argv=None) -> int:
                 custom_s = _load_custom_s(args.custom_s, cfg, system)
                 command = cmd_verify if args.command == "verify" else cmd_operator
                 code, payload = command(cfg, system, args.nmax, custom_s)
+        _emit(payload, args.out)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -233,7 +240,6 @@ def main(argv=None) -> int:
     except IdentityCheckFailed as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    _emit(payload, args.out)
     return code
 
 

@@ -6,6 +6,11 @@ normalizing polynomials p and q, the rho weights, the Casorati determinant
 Lambda(n) that certifies existence of the orthogonal polynomial q_n, and
 q_n itself as an explicit combination of m+1 consecutive Jacobi polynomials.
 
+The z_l come in two blocks, l <= m1 for the jets at -1 and l > m1 for those
+at +1. One routine, `_endpoint_block`, builds the -1 block; the +1 block is
+the -1 block of the problem mirrored by x -> -x, which swaps alpha and beta,
+m1 and m2, and sends N to ((-1)^(i+k) N[i][k]).
+
 Lambda(n) = P(n) for one polynomial P per configuration: the determinant of
 the polynomial Casorati matrix C (`casorati_matrix`) divided by p(x) q(x),
 exactness checked. P is also q_n's j = 0 minor. Its other minors are plain
@@ -129,6 +134,33 @@ def rho_table(a: Fraction, b: Fraction, m1: int, m: int) -> Tuple[Tuple[Rational
 _ZSYS_CACHE: Dict[SobolevConfig, ZSystem] = {}
 
 
+def _endpoint_block(alpha: int, beta: int, m1: int, m2: int, masses) -> Tuple[List[Poly], List[Poly]]:
+    """z_l and Y_l, l = 1..m1: the rows of the m1 jets at -1 against the mass matrix;
+    called on the mirrored problem, the rows of the jets at +1."""
+    a, b = Fraction(alpha), Fraction(beta)
+    zs: List[Poly] = []
+    ys: List[Poly] = []
+    for l in range(1, m1 + 1):
+        front = Fraction(2) ** (alpha + beta - m1 + l) * math.factorial(beta - m1 + l - 1)
+        front /= math.factorial(m1 - l)
+        u_x, u_t = _u_polys(a, b, a, m1 - l)
+        z = front * u_x
+        y = front * u_t
+        for i in range(m1):
+            inner = Fraction(0)
+            for j in range(l, min(l + m2, m1) + 1):
+                inner += math.comb(m2, j - l) * math.factorial(j - 1) * masses[i][j - 1] / Fraction(-2) ** (i + j - l)
+            if inner == 0:
+                continue
+            w = Fraction(2) ** m2 * inner / math.factorial(beta + i)
+            u_x, u_t = _u_polys(a, b, Fraction(0), beta + i)
+            z = z + w * u_x
+            y = y + w * u_t
+        zs.append(z)
+        ys.append(y)
+    return zs, ys
+
+
 def build_z(cfg: SobolevConfig) -> ZSystem:
     """Assemble z_l, Y_l, p, q and the rho table for a configuration."""
     cached = _ZSYS_CACHE.get(cfg)
@@ -136,60 +168,10 @@ def build_z(cfg: SobolevConfig) -> ZSystem:
         return cached
     a, b = Fraction(cfg.alpha), Fraction(cfg.beta)
     m1, m2, m = cfg.m1, cfg.m2, cfg.m
-    zs: List[Poly] = []
-    ys: List[Poly] = []
-    for l in range(1, m1 + 1):
-        front = (
-            Fraction(2) ** (cfg.alpha + cfg.beta - m1 + l)
-            * math.factorial(cfg.beta - m1 + l - 1)
-            / math.factorial(m1 - l)
-        )
-        u_x, u_t = _u_polys(a, b, a, m1 - l)
-        z = front * u_x
-        y = front * u_t
-        for i in range(m1):
-            inner = Fraction(0)
-            for j in range(l, min(l + m2, m1) + 1):
-                inner += (
-                    math.factorial(j - 1)
-                    * math.comb(m2, j - l)
-                    * cfg.M[i][j - 1]
-                    / Fraction(-2) ** (i + j - l)
-                )
-            if inner == 0:
-                continue
-            w = Fraction(2) ** m2 * inner / math.factorial(cfg.beta + i)
-            u_x, u_t = _u_polys(a, b, Fraction(0), cfg.beta + i)
-            z = z + w * u_x
-            y = y + w * u_t
-        zs.append(z)
-        ys.append(y)
-    for l in range(m1 + 1, m + 1):
-        front = (
-            Fraction(2) ** (cfg.alpha + cfg.beta - m + l)
-            * math.factorial(cfg.alpha - m + l - 1)
-            / math.factorial(m - l)
-        )
-        u_x, u_t = _u_polys(a, b, a, m - l)
-        z = front * u_x
-        y = front * u_t
-        for i in range(m2):
-            inner = Fraction(0)
-            for j in range(l - m1, min(l, m2) + 1):
-                inner += (
-                    math.factorial(j - 1)
-                    * math.comb(m1, l - j)
-                    * cfg.N[i][j - 1]
-                    / ((-1) ** (l - m1 - 1) * Fraction(2) ** (i + j - l))
-                )
-            if inner == 0:
-                continue
-            w = inner / math.factorial(cfg.alpha + i)
-            u_x, u_t = _u_polys(a, b, a - b, cfg.alpha + i)
-            z = z + w * u_x
-            y = y + w * u_t
-        zs.append(z)
-        ys.append(y)
+    mirrored = [[(-1) ** (i + k) * c for k, c in enumerate(row)] for i, row in enumerate(cfg.N)]
+    zs, ys = _endpoint_block(cfg.alpha, cfg.beta, m1, m2, cfg.M)
+    z_plus, y_plus = _endpoint_block(cfg.beta, cfg.alpha, m2, m1, mirrored)
+    zs, ys = zs + z_plus, ys + y_plus
     theta = theta_poly(a, b)
     for z, y in zip(zs, ys):
         if y(theta) != z:

@@ -150,12 +150,6 @@ class Poly:
             raise ValueError("negative power of x")
         return cls([0] * power + [c])
 
-    @classmethod
-    def from_strings(cls, items: Sequence[Union[str, int]]) -> "Poly":
-        if isinstance(items, (str, dict)):
-            raise TypeError(f"coefficients must be a list, got {items!r}")
-        return cls([rat(s) for s in items])
-
     # -- basic queries ------------------------------------------------------
 
     @property
@@ -441,7 +435,9 @@ class Poly:
 
     @classmethod
     def from_json(cls, items: Sequence[Union[str, int]]) -> "Poly":
-        return cls.from_strings(items)
+        if isinstance(items, (str, dict)):
+            raise TypeError(f"coefficients must be a list, got {items!r}")
+        return cls([rat(s) for s in items])
 
 
 _new_object = object.__new__
@@ -640,9 +636,6 @@ class RationalFunction:
             raise ZeroDivisionError(f"pole at {point}")
         return self.num(point) / d
 
-    def substitute(self, g: Poly) -> "RationalFunction":
-        return RationalFunction(self.num(g), self.den(g))
-
     def shift(self, c: Scalar) -> "RationalFunction":
         # a shift keeps the quotient reduced and the denominator monic
         return _wrap_rf(self.num.shift(c), self.den.shift(c))
@@ -733,22 +726,14 @@ def anti_difference(f: Poly) -> Poly:
     return g
 
 
-def involute(f, shift):
+def involute(f: Poly, shift) -> Poly:
     """Substitute x -> -(x + shift + 1); an exact involution."""
-    g = Poly([-(Fraction(shift) + 1), -1])
-    if isinstance(f, RationalFunction):
-        return f.substitute(g)
-    return _as_poly(f)(g)
+    return f(Poly([-(Fraction(shift) + 1), -1]))
 
 
 def theta_poly(alpha, beta) -> Poly:
     """theta_x = x (x + alpha + beta + 1)."""
     return Poly([0, Fraction(alpha) + Fraction(beta) + 1, 1])
-
-
-def theta_substitute(g: Poly, alpha, beta) -> Poly:
-    """Evaluate a polynomial in theta back to a polynomial in x."""
-    return g(theta_poly(alpha, beta))
 
 
 def to_theta_basis(f: Poly, alpha, beta) -> Poly:

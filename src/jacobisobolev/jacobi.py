@@ -1,4 +1,4 @@
-"""Classical Jacobi polynomials, weight moments and endpoint derivative jets.
+"""Classical Jacobi polynomials and weight moments.
 
 The normalization used throughout is
 
@@ -18,11 +18,10 @@ J_1 = -(s+1)/(2(b+1)) ((s+2)x + a-b) and, for k >= 2, j = k-1 and e = 2j+s,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import ONE, X, ZERO, IdentityCheckFailed, Poly, falling_binomial
+from .exactmath import ONE, X, ZERO, IdentityCheckFailed, Poly
 
 
 @dataclass(frozen=True)
@@ -113,36 +112,3 @@ def weight_moment(a: int, b: int, k: int) -> Fraction:
     total /= integrand.den
     _MOMENT_CACHE[key] = total
     return total
-
-
-def integrate_against_weight(p: Poly, a: int, b: int) -> Fraction:
-    """Exact integral of p(x) (1-x)^a (1+x)^b over (-1, 1)."""
-    total = sum((c * weight_moment(a, b, k) for k, c in enumerate(p.nums) if c), Fraction(0))
-    return total / p.den
-
-
-def endpoint_jet(ctx: JacobiContext, n: int, point: int, order: int) -> Fraction:
-    """Closed form for the order-th derivative of J_n at -1 or +1.
-
-    Requires alpha and beta to be nonnegative integers (the only case the
-    package exercises); must agree with differentiating jacobi_poly directly.
-    """
-    if point not in (-1, 1):
-        raise ValueError("endpoint must be -1 or +1")
-    if order < 0:
-        raise ValueError("derivative order must be nonnegative")
-    if n < 0:
-        return Fraction(0)
-    a, b = ctx.alpha, ctx.beta
-    if a.denominator != 1 or b.denominator != 1 or a < 0 or b < 0:
-        raise ValueError("closed-form jets require nonnegative integer parameters")
-    i = order
-    common = (
-        Fraction(math.factorial(i), 2**i)
-        / falling_binomial(a + b, int(b))
-        * falling_binomial(n + a + b, int(a))
-        * falling_binomial(n + a + b + i, i)
-    )
-    if point == -1:
-        return (-1) ** i * common * falling_binomial(n + b, n - i)
-    return (-1) ** n * common * falling_binomial(n + a, n - i)

@@ -1,4 +1,4 @@
-"""The discrete Jacobi-Sobolev bilinear form and its Gram-matrix oracle.
+"""The discrete Jacobi-Sobolev bilinear form.
 
 The bilinear form is
 
@@ -11,8 +11,9 @@ is generally non-symmetric, so orthogonality is one-sided ("left"): q_n is
 orthogonal when B(q_n, q) = 0 for every q of lower degree and
 B(q_n, q_n) != 0.
 
-The Gram oracle here solves the moment system directly and serves as the
-independent ground truth for the Casorati construction in `construct`.
+Both `bilinear` and `bilinear_monomials` take B(p, x^j) as ints over one
+denominator from `_form_ints`. The Gram-matrix oracle, the ground truth for
+the Casorati construction in `construct`, is in `certify`.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from . import _linalg
 from .exactmath import ONE, Poly, involute, rat_rows, rat_str
-from .jacobi import integrate_against_weight, weight_moment
+from .jacobi import weight_moment
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 
@@ -96,6 +96,9 @@ class SobolevConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "SobolevConfig":
+        unknown = sorted(set(data) - {"alpha", "beta", "m1", "m2", "M", "N", "xi"})
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}")
         return cls(
             alpha=data["alpha"],
             beta=data["beta"],
@@ -107,71 +110,37 @@ class SobolevConfig:
         )
 
 
-def jet(p: Poly, point, k: int) -> Tuple[Fraction, ...]:
-    """The vector (p, p', ..., p^(k-1)) evaluated at the point."""
-    values = []
-    q = p
-    for _ in range(k):
-        values.append(q(point))
-        q = q.derivative()
-    return tuple(values)
+def _form_ints(cfg: SobolevConfig, p: Poly, n: int) -> Tuple[List[int], int]:
+    """Ints v_j and one denominator d with B(p, x^j) = v_j / d for j < n.
 
-
-def bilinear(cfg: SobolevConfig, p: Poly, q: Poly) -> Fraction:
-    """Evaluate the Sobolev bilinear form exactly."""
-    total = integrate_against_weight(p * q, cfg.alpha - cfg.m2, cfg.beta - cfg.m1)
-    if cfg.m1:
-        tp = jet(p, -1, cfg.m1)
-        tq = jet(q, -1, cfg.m1)
-        total += sum(tp[i] * cfg.M[i][j] * tq[j] for i in range(cfg.m1) for j in range(cfg.m1))
-    if cfg.m2:
-        tp = jet(p, 1, cfg.m2)
-        tq = jet(q, 1, cfg.m2)
-        total += sum(tp[i] * cfg.N[i][j] * tq[j] for i in range(cfg.m2) for j in range(cfg.m2))
-    return total
-
-
-def bilinear_monomials(cfg: SobolevConfig, p: Poly, n: int) -> List[Fraction]:
-    """[B(p, x^j) for j < n], with p's endpoint jets and the weight moments
-    taken once for every j.
-
-    The integral of p x^j is a sum of p's numerators against the moments, all
-    over one lcm denominator; the jet of x^j at +-1 is
-    (j! / (j-l)! (+-1)^(j-l))_l.
+    The weight moments and the entries of M and N are scaled to ints over one
+    lcm. The integral of p x^j is then a sum of p's numerators against the
+    moments, and the jet of x^j at +-1 is (j! / (j-c)! (+-1)^(j-c))_c.
     """
-    nums, den = p.nums, p.den
+    nums = p.nums
     moments = [weight_moment(cfg.alpha - cfg.m2, cfg.beta - cfg.m1, k) for k in range(len(nums) + n - 1)]
-    scale = math.lcm(*[mu.denominator for mu in moments])
-    ints = [mu.numerator * (scale // mu.denominator) for mu in moments]
-    values = [Fraction(sum([c * ints[k + j] for k, c in enumerate(nums)]), den * scale) for j in range(n)]
+    scale = math.lcm(*[c.denominator for c in moments], *[c.denominator for row in cfg.M + cfg.N for c in row])
+    mu = [c.numerator * (scale // c.denominator) for c in moments]
+    values = [sum([c * mu[k + j] for k, c in enumerate(nums)]) for j in range(n)]
     for point, size, masses in ((-1, cfg.m1, cfg.M), (1, cfg.m2, cfg.N)):
         if not size:
             continue
-        # the row vector T(p, point, size) . masses
+        # the row vector T(p, point, size) . masses, times scale
         tp = [sum([nums[i] * math.perm(i, l) * point ** (i - l) for i in range(l, len(nums))]) for l in range(size)]
-        row = [sum(tp[l] * masses[l][c] for l in range(size)) / den for c in range(size)]
+        ints = [[c.numerator * (scale // c.denominator) for c in row] for row in masses]
+        row = [sum([tp[l] * ints[l][c] for l in range(size)]) for c in range(size)]
         for j in range(n):
-            values[j] += sum(row[c] * math.perm(j, c) * point ** (j - c) for c in range(min(size, j + 1)))
-    return values
+            values[j] += sum([row[c] * math.perm(j, c) * point ** (j - c) for c in range(min(size, j + 1))])
+    return values, p.den * scale
 
 
-def gram_orthogonal_oracle(cfg: SobolevConfig, n: int) -> Optional[Poly]:
-    """Monic degree-n left-orthogonal polynomial from the moment system.
+def bilinear(cfg: SobolevConfig, p: Poly, q: Poly) -> Fraction:
+    """Evaluate the Sobolev bilinear form exactly, as the sum of q_k B(p, x^k)."""
+    values, den = _form_ints(cfg, p, len(q.nums))
+    return Fraction(sum([c * v for c, v in zip(q.nums, values)]), den * q.den)
 
-    Solves B(q_n, x^j) = 0 for j < n with q_n monic. Returns None when the
-    system is singular or the resulting norm B(q_n, q_n) vanishes: in either
-    case the orthogonal polynomial does not exist.
-    """
-    monomials = [Poly.monomial(k) for k in range(n + 1)]
-    if n == 0:
-        q = ONE
-    else:
-        matrix = [[bilinear(cfg, monomials[j], monomials[i]) for j in range(n)] for i in range(n)]
-        rhs = [-bilinear(cfg, monomials[n], monomials[i]) for i in range(n)]
-        coeffs = _linalg.solve(matrix, rhs)
-        if coeffs is None:
-            return None
-        q = Poly(coeffs + [Fraction(1)])
-    if bilinear(cfg, q, q) == 0:
-        return None
-    return q
+
+def bilinear_monomials(cfg: SobolevConfig, p: Poly, n: int) -> List[Fraction]:
+    """[B(p, x^j) for j < n], from one pass over p's jets and the moments."""
+    values, den = _form_ints(cfg, p, n)
+    return [Fraction(v, den) for v in values]

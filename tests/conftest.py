@@ -4,6 +4,8 @@ import math
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from jacobisobolev import (
     Poly,
     RationalFunction,
@@ -43,6 +45,22 @@ def random_configs(shape, count=5, seed=0, guard=12):
             configs.append(cfg)
     _CONFIG_CACHE[key] = configs
     return configs
+
+
+@st.composite
+def mass_configs(draw, max_jets=3):
+    """A config with m1, m2 <= max_jets and masses that have denominators."""
+    m1 = draw(st.integers(0, max_jets))
+    m2 = draw(st.integers(0 if m1 else 1, max_jets))
+    masses = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+    return SobolevConfig(
+        alpha=m2 + draw(st.integers(0, 2)),
+        beta=m1 + draw(st.integers(0, 2)),
+        m1=m1,
+        m2=m2,
+        M=[[draw(masses) for _ in range(m1)] for _ in range(m1)],
+        N=[[draw(masses) for _ in range(m2)] for _ in range(m2)],
+    )
 
 
 def degree_law_cases():

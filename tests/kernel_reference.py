@@ -9,12 +9,15 @@ reference expands the explicit sum by powers. It applies, composes
 and evaluates differential operators through their images of x^k on
 integers. It builds Lambda's polynomial, each n < m Casorati quotient and
 each q_n once per configuration, and takes Omega and the M_h minors from
-Lambda's polynomial Casorati matrix. It checks orthogonality against every
-x^j from one set of jets and moments. Its cross-checks evaluate R_l(n) as a
-Sobolev form and sum the combinatorial identities as rationals. These are the
-plain algorithms it replaced (Omega and the M_h from the xi-weighted entries,
-one rational determinant each; one Sobolev form per x^j); the differential
-tests require exact equality with them.
+Lambda's polynomial Casorati matrix. It builds the z_l of the mass point +1
+as those of -1 for the mirrored problem, and takes the Sobolev form B(p, x^j)
+as ints over one lcm of the moment and mass denominators. Its cross-checks
+evaluate R_l(n) as a Sobolev form and sum the combinatorial identities as
+rationals. These are the plain algorithms it replaced (both blocks of z_l
+written out; B as the weighted integral of p q plus the jets against the
+masses; Omega and the M_h from the xi-weighted entries, one rational
+determinant each; one Sobolev form per x^j); the differential tests require
+exact equality with them.
 """
 
 import functools
@@ -23,6 +26,7 @@ import math
 from fractions import Fraction
 
 from jacobisobolev import _linalg
+from jacobisobolev.certify import integrate_against_weight, jet
 from jacobisobolev.construct import build_p, build_q, build_z
 from jacobisobolev.diffop import DiffOp
 from jacobisobolev.exactmath import (
@@ -36,8 +40,7 @@ from jacobisobolev.exactmath import (
     pochhammer,
     theta_poly,
 )
-from jacobisobolev.jacobi import JacobiContext, integrate_against_weight, jacobi_poly
-from jacobisobolev.sobolev import bilinear
+from jacobisobolev.jacobi import JacobiContext, jacobi_poly
 
 
 def _fractions(p: Poly) -> list:
@@ -325,14 +328,95 @@ def xi(ctx, m1: int, h: int, j: int) -> RationalFunction:
     )
 
 
+def _reference_u(alpha: Fraction, beta: Fraction, lam: Fraction, j: int):
+    """(x+a-lam+1)_j (x+b+lam-j+1)_j in x, and in theta as the product of
+    the factors (a-lam+i)(b+lam-i+1) + theta."""
+    u_x = pochhammer(X + (alpha - lam + 1), j) * pochhammer(X + (beta + lam - j + 1), j)
+    u_t = ONE
+    for i in range(1, j + 1):
+        u_t = u_t * Poly([(alpha - lam + i) * (beta + lam - i + 1), 1])
+    return u_x, u_t
+
+
+def reference_build_z(cfg) -> tuple:
+    """(z, Y): the sequence functions in x and in theta, with the rows of the
+    jets at -1 and at +1 each written out."""
+    a, b = Fraction(cfg.alpha), Fraction(cfg.beta)
+    m1, m2, m = cfg.m1, cfg.m2, cfg.m
+    zs, ys = [], []
+    for l in range(1, m1 + 1):
+        front = (
+            Fraction(2) ** (cfg.alpha + cfg.beta - m1 + l)
+            * math.factorial(cfg.beta - m1 + l - 1)
+            / math.factorial(m1 - l)
+        )
+        u_x, u_t = _reference_u(a, b, a, m1 - l)
+        z = front * u_x
+        y = front * u_t
+        for i in range(m1):
+            inner = Fraction(0)
+            for j in range(l, min(l + m2, m1) + 1):
+                inner += (
+                    math.factorial(j - 1)
+                    * math.comb(m2, j - l)
+                    * cfg.M[i][j - 1]
+                    / Fraction(-2) ** (i + j - l)
+                )
+            if inner == 0:
+                continue
+            w = Fraction(2) ** m2 * inner / math.factorial(cfg.beta + i)
+            u_x, u_t = _reference_u(a, b, Fraction(0), cfg.beta + i)
+            z = z + w * u_x
+            y = y + w * u_t
+        zs.append(z)
+        ys.append(y)
+    for l in range(m1 + 1, m + 1):
+        front = (
+            Fraction(2) ** (cfg.alpha + cfg.beta - m + l)
+            * math.factorial(cfg.alpha - m + l - 1)
+            / math.factorial(m - l)
+        )
+        u_x, u_t = _reference_u(a, b, a, m - l)
+        z = front * u_x
+        y = front * u_t
+        for i in range(m2):
+            inner = Fraction(0)
+            for j in range(l - m1, min(l, m2) + 1):
+                inner += (
+                    math.factorial(j - 1)
+                    * math.comb(m1, l - j)
+                    * cfg.N[i][j - 1]
+                    / ((-1) ** (l - m1 - 1) * Fraction(2) ** (i + j - l))
+                )
+            if inner == 0:
+                continue
+            w = inner / math.factorial(cfg.alpha + i)
+            u_x, u_t = _reference_u(a, b, a - b, cfg.alpha + i)
+            z = z + w * u_x
+            y = y + w * u_t
+        zs.append(z)
+        ys.append(y)
+    return tuple(zs), tuple(ys)
+
+
+def reference_bilinear(cfg, p: Poly, q: Poly) -> Fraction:
+    """B(p, q): the weighted integral of p q plus the jets of p and q at -1
+    and +1 against M and N."""
+    total = integrate_against_weight(p * q, cfg.alpha - cfg.m2, cfg.beta - cfg.m1)
+    for point, size, masses in ((-1, cfg.m1, cfg.M), (1, cfg.m2, cfg.N)):
+        tp, tq = jet(p, point, size), jet(q, point, size)
+        total += sum(tp[i] * masses[i][j] * tq[j] for i in range(size) for j in range(size))
+    return total
+
+
 def reference_orthogonality_failure(cfg, qs):
-    """The verify report's first failed check, by one `bilinear(cfg, q_n, x^j)`
-    per j < n: {"n", "j"}, with j None for B(q_n, q_n) = 0, or None."""
+    """The verify report's first failed check, by one `reference_bilinear(cfg,
+    q_n, x^j)` per j < n: {"n", "j"}, with j None for B(q_n, q_n) = 0, or None."""
     for n, qn in enumerate(qs):
         for j in range(n):
-            if bilinear(cfg, qn, Poly.monomial(j)) != 0:
+            if reference_bilinear(cfg, qn, Poly.monomial(j)) != 0:
                 return {"n": n, "j": j}
-        if bilinear(cfg, qn, qn) == 0:
+        if reference_bilinear(cfg, qn, qn) == 0:
             return {"n": n, "j": None}
     return None
 

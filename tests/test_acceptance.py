@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from jacobisobolev.certify import p_from_y_tuple, rl_cross_check, verify_comb_identities
+from jacobisobolev.certify import gram_orthogonal_oracle, p_from_y_tuple, rl_cross_check, verify_comb_identities
 from jacobisobolev.construct import build_z, casorati_lambda, sobolev_poly
 from jacobisobolev.diffop import build_bundle, operator_order, verify_eigen
 from jacobisobolev.exactmath import (
@@ -17,11 +17,11 @@ from jacobisobolev.exactmath import (
     RationalFunction,
     X,
     pochhammer,
-    theta_substitute,
+    theta_poly,
 )
 from jacobisobolev.jacobi import JacobiContext, classical_operator, jacobi_poly
 from jacobisobolev.rank import predicted_order
-from jacobisobolev.sobolev import SobolevConfig, bilinear, gram_orthogonal_oracle
+from jacobisobolev.sobolev import SobolevConfig, bilinear
 
 from conftest import (
     STANDARD_SHAPES,
@@ -112,7 +112,7 @@ def test_criterion_04_eigenfunction_property():
             assert len(values) == 9
             # the single additive constant is pinned at n = 0; the generator
             # polynomial reproduces consecutive eigenvalue sums exactly
-            ps_x = theta_substitute(bundle.PS, cfg.alpha, cfg.beta)
+            ps_x = bundle.PS(theta_poly(cfg.alpha, cfg.beta))
             defect = ps_x - bundle.lam - bundle.lam.shift(cfg.m)
             assert defect.degree <= 0
 
@@ -176,7 +176,7 @@ def test_criterion_07_two_jet_lowered_order():
             custom = build_bundle(cfg, sys_z, two_jet_lowered_s(cfg, cached_bundle(cfg).Omega))
             assert operator_order(custom) == 2 * a + 2
             assert custom.PS.degree == a + 1
-            theta = theta_substitute(X, a, a)
+            theta = theta_poly(a, a)
             sigma_next = Poly([2 * a + 1, 2])
             inner1 = (
                 -m1_mass * Fraction(1, math.factorial(a - 1))
@@ -193,10 +193,10 @@ def test_criterion_07_two_jet_lowered_order():
             assert custom.Mh[1] == custom.Mh[3] == sigma_next * inner2
             # the second-block reduced factors carry the opposite sign because
             # their sigma sequence is negated
-            assert theta_substitute(custom.MhTilde[0], a, a) == inner1
-            assert theta_substitute(custom.MhTilde[1], a, a) == inner2
-            assert theta_substitute(custom.MhTilde[2], a, a) == -inner1
-            assert theta_substitute(custom.MhTilde[3], a, a) == -inner2
+            assert custom.MhTilde[0](theta_poly(a, a)) == inner1
+            assert custom.MhTilde[1](theta_poly(a, a)) == inner2
+            assert custom.MhTilde[2](theta_poly(a, a)) == -inner1
+            assert custom.MhTilde[3](theta_poly(a, a)) == -inner2
             displayed_lam = (
                 Fraction(16 ** (a - 1)) * math.factorial(a - 1) * math.factorial(a - 2) * X * (X + 2 * a - 3)
                 + 2 * Fraction(4 ** (a - 1)) * m0 * Fraction(1, a) * pochhammer(X - 1, 2 * a)

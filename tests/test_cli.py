@@ -232,6 +232,40 @@ class TestInputValidation:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "a rational must be" in captured.err
 
+    # a misspelt key such as "Xi" used to be ignored, so the run went on with xi = 1
+    @pytest.mark.parametrize("command", ["construct", "verify", "operator"])
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, command):
+        path = write_json(tmp_path / "c.json", dict(EXAMPLE_CONFIG, Xi=["2", "1", "1"]))
+        assert main([command, "--config", path, "--nmax", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: bad config")
+        assert "'Xi'" in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "operator"])
+    def test_unknown_custom_s_key_rejected(self, tmp_path, capsys, command):
+        custom = {"num": ["1"], "den": ["1"], "denominator": ["2"]}
+        argv = [command, "--config", write_json(tmp_path / "c.json", EXAMPLE_CONFIG), "--nmax", "3"]
+        assert main(argv + ["--custom-s", write_json(tmp_path / "s.json", custom)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: bad custom S")
+        assert "'denominator'" in captured.err
+
+    # an unwritable --out used to escape as a FileNotFoundError or IsADirectoryError traceback
+    @pytest.mark.parametrize("target", ["missing-dir", "a-dir"])
+    @pytest.mark.parametrize("command", ["construct", "rank"])
+    def test_unwritable_out_exits_1(self, tmp_path, capsys, config_path, command, target):
+        out = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
+        if command == "rank":
+            argv = ["rank", "--gamma", "3", "--matrix", "[[1]]"]
+        else:
+            argv = ["construct", "--config", config_path, "--nmax", "2"]
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: cannot write {out}")
+
     @pytest.mark.parametrize("matrix", ['["12","34"]', '"12"', '[[1,2],"34"]', '[{"1":0},{"2":0}]'])
     def test_rank_string_rows_rejected(self, capsys, matrix):
         assert main(["rank", "--gamma", "3", "--matrix", matrix]) == 1

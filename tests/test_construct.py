@@ -6,9 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from jacobisobolev import certify, construct
-from jacobisobolev.certify import rl_cross_check, verify_comb_identities
+from jacobisobolev.certify import gram_orthogonal_oracle, rl_cross_check, verify_comb_identities
 from jacobisobolev.construct import (
     DegenerateConfigError,
     ZSystem,
@@ -18,12 +19,13 @@ from jacobisobolev.construct import (
     casorati_lambda,
     sobolev_poly,
 )
-from jacobisobolev.exactmath import Poly, X, theta_substitute
-from jacobisobolev.sobolev import SobolevConfig, bilinear, gram_orthogonal_oracle
+from jacobisobolev.exactmath import Poly, X, theta_poly
+from jacobisobolev.sobolev import SobolevConfig, bilinear
 
-from conftest import STANDARD_SHAPES, random_configs
+from conftest import STANDARD_SHAPES, mass_configs, random_configs
 from kernel_reference import (
     GammaProduct,
+    reference_build_z,
     reference_casorati_lambda,
     reference_rl_cross_check,
     reference_sobolev_poly,
@@ -37,7 +39,37 @@ def scalar_multiple(p: Poly, q: Poly) -> bool:
     return p * q.lead == q * p.lead
 
 
+def assert_z_matches_reference(cfg):
+    sys_z = build_z(cfg)
+    zs, ys = reference_build_z(cfg)
+    assert [(z.nums, z.den) for z in sys_z.z] == [(z.nums, z.den) for z in zs]
+    assert [(y.nums, y.den) for y in sys_z.Y] == [(y.nums, y.den) for y in ys]
+
+
 class TestBuildZ:
+    @given(mass_configs(max_jets=4))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_two_block_reference(self, cfg):
+        # the +1 block is the -1 block of the problem mirrored by x -> -x
+        assert_z_matches_reference(cfg)
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 0, 0, 3), (0, 4, 4, 0), (2, 3, 3, 2), (4, 2, 1, 3)], ids=["m1=0", "m2=0", "3+2", "1+3"]
+    )
+    def test_one_sided_and_mixed_shapes_match_reference(self, shape):
+        alpha, beta, m1, m2 = shape
+        rng = random.Random(repr(shape))
+
+        def mass():
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+
+        cfg = SobolevConfig(
+            alpha=alpha, beta=beta, m1=m1, m2=m2,
+            M=[[mass() for _ in range(m1)] for _ in range(m1)],
+            N=[[mass() for _ in range(m2)] for _ in range(m2)],
+        )
+        assert_z_matches_reference(cfg)
+
     def test_scalar_mass_closed_form(self):
         for m0 in (Fraction(1), Fraction(3, 2)):
             cfg = SobolevConfig(alpha=1, beta=1, m1=1, m2=1, M=[[m0]], N=[[m0]])
@@ -58,7 +90,7 @@ class TestBuildZ:
         for cfg in random_configs((3, 2, 2, 1), count=2):
             sys_z = build_z(cfg)
             for zl, yl in zip(sys_z.z, sys_z.Y):
-                assert theta_substitute(yl, cfg.alpha, cfg.beta) == zl
+                assert yl(theta_poly(cfg.alpha, cfg.beta)) == zl
 
     def test_full_mass_degrees(self):
         # anti-triangular mass matrices: every z degree is forced

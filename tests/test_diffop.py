@@ -41,7 +41,7 @@ from jacobisobolev.exactmath import (
     X,
     involute,
     pochhammer,
-    theta_substitute,
+    theta_poly,
 )
 from jacobisobolev.jacobi import JacobiContext, classical_operator, jacobi_poly
 from jacobisobolev.rank import predicted_order
@@ -263,10 +263,8 @@ class TestBundleDefaultS:
         sigma_next = Poly([a + b + 1, 2])
         for h in range(cfg.m):
             block_sigma = sigma_next if h < cfg.m1 else -sigma_next
-            assert bundle.Mh[h] == block_sigma * theta_substitute(
-                bundle.MhTilde[h], a, b
-            )
-        lhs = theta_substitute(bundle.PS, a, b)
+            assert bundle.Mh[h] == block_sigma * bundle.MhTilde[h](theta_poly(a, b))
+        lhs = bundle.PS(theta_poly(a, b))
         rhs = 2 * bundle.lam
         for h in range(cfg.m):
             rhs = rhs + sys_z.z[h] * bundle.Mh[h]
@@ -277,7 +275,7 @@ class TestBundleDefaultS:
         cfg = random_configs((2, 2, 1, 1), count=1)[0]
         bundle = cached_bundle(cfg)
         a, b = cfg.alpha, cfg.beta
-        ps_x = theta_substitute(bundle.PS, a, b)
+        ps_x = bundle.PS(theta_poly(a, b))
         assert ps_x - ps_x.shift(-1) == bundle.SOmega + bundle.SOmega.shift(cfg.m)
 
     def test_involution_symmetries(self):

@@ -9,14 +9,8 @@ import kernel_reference
 
 from jacobisobolev import jacobi
 from jacobisobolev.exactmath import Poly, X
-from jacobisobolev.jacobi import (
-    JacobiContext,
-    classical_operator,
-    endpoint_jet,
-    integrate_against_weight,
-    jacobi_poly,
-    weight_moment,
-)
+from jacobisobolev.certify import endpoint_jet, integrate_against_weight
+from jacobisobolev.jacobi import JacobiContext, classical_operator, jacobi_poly, weight_moment
 
 
 def ctx(a, b):

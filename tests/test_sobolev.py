@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobisobolev.exactmath import ONE, Poly, X
+from conftest import mass_configs
+from kernel_reference import reference_bilinear
+
+from jacobisobolev.certify import endpoint_jet, gram_orthogonal_oracle, jet
+from jacobisobolev.exactmath import ONE, ZERO, Poly, X
 from jacobisobolev.jacobi import JacobiContext, jacobi_poly
-from jacobisobolev.sobolev import (
-    SobolevConfig,
-    bilinear,
-    bilinear_monomials,
-    gram_orthogonal_oracle,
-    jet,
-)
+from jacobisobolev.sobolev import SobolevConfig, bilinear, bilinear_monomials
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 small_polys = st.lists(rationals, min_size=0, max_size=5).map(Poly)
@@ -63,8 +61,6 @@ class TestJet:
         assert jet(ONE, -1, 2) == (1, 0)
 
     def test_matches_endpoint_closed_form(self):
-        from jacobisobolev.jacobi import endpoint_jet
-
         ctx = JacobiContext(Fraction(2), Fraction(2))
         j2 = jacobi_poly(ctx, 2)
         assert jet(j2, -1, 2) == tuple(endpoint_jet(ctx, 2, -1, i) for i in range(2))
@@ -103,11 +99,31 @@ MASS_CONFIGS = [
 
 
 class TestBilinearMonomials:
-    @given(st.sampled_from(MASS_CONFIGS), small_polys, st.integers(0, 7))
-    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(st.sampled_from(MASS_CONFIGS), mass_configs()), small_polys, st.integers(0, 7))
+    @settings(max_examples=150, deadline=None)
     def test_matches_one_form_per_monomial(self, cfg, p, n):
-        want = [bilinear(cfg, p, Poly.monomial(j)) for j in range(n)]
-        assert bilinear_monomials(cfg, p, n) == want
+        values = bilinear_monomials(cfg, p, n)
+        assert all(type(v) is Fraction for v in values)
+        assert values == [reference_bilinear(cfg, p, Poly.monomial(j)) for j in range(n)]
+
+
+class TestAgainstReference:
+    """The integer kernel against the weighted integral plus the jets."""
+
+    @given(mass_configs(), small_polys, small_polys)
+    @settings(max_examples=150, deadline=None)
+    def test_bilinear(self, cfg, p, q):
+        value = bilinear(cfg, p, q)
+        assert type(value) is Fraction
+        assert value == reference_bilinear(cfg, p, q)
+
+    @pytest.mark.parametrize("cfg", MASS_CONFIGS)
+    def test_zero_slot_is_a_fraction_zero(self, cfg):
+        p = (X + Fraction(1, 3)) * (X - 2)
+        for value in (bilinear(cfg, p, ZERO), bilinear(cfg, ZERO, p), bilinear(cfg, ZERO, ZERO)):
+            assert type(value) is Fraction and value == 0
+        assert bilinear_monomials(cfg, ZERO, 3) == [0, 0, 0]
+        assert bilinear_monomials(cfg, p, 0) == []
 
 
 class TestGramOracle:
