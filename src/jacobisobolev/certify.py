@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from . import _linalg
-from .construct import ZSystem, build_p, build_q, build_z, lambda_poly, rho_table
+from .construct import ZSystem, build_clearing, build_p, build_q, build_z, rho_table
 from .exactmath import X, Poly, falling_binomial, pochhammer, theta_poly
 from .jacobi import JacobiContext, jacobi_poly, weight_moment
 from .sobolev import SobolevConfig, bilinear, bilinear_monomials
@@ -104,7 +104,7 @@ def verify_comb_identities(alpha: Fraction, beta: Fraction, m1: int, m2: int) ->
 def p_from_y_tuple(alpha, beta, m1: int, m2: int, ys: Sequence[Poly]) -> Tuple[Poly, int, Fraction]:
     """The normalized Casorati determinant for an arbitrary Y-tuple.
 
-    Returns (P, d, r) where P is `construct.lambda_poly` of the system with
+    Returns (P, d, r) where P is `construct.ZSystem.P` of the system with
     z_l = Y_l(theta_x), d = 2 sum(deg Y) - 2(C(m1,2) + C(m2,2)) is the
     generic degree, and r is the generic leading coefficient: the product of
     the Y leading coefficients times the two Vandermonde determinants of the
@@ -121,8 +121,9 @@ def p_from_y_tuple(alpha, beta, m1: int, m2: int, ys: Sequence[Poly]) -> Tuple[P
         p=build_p(alpha, beta, m1, m2),
         q=build_q(alpha, beta, m),
         rho=rho_table(a, b, m1, m),
+        clearing=build_clearing(beta, m1, m),
     )
-    return (lambda_poly(system),) + _degree_law(m1, ys)
+    return (system.P,) + _degree_law(m1, ys)
 
 
 def _degree_law(m1: int, ys: Sequence[Poly]) -> Tuple[int, Fraction]:
@@ -142,7 +143,7 @@ def _degree_law(m1: int, ys: Sequence[Poly]) -> Tuple[int, Fraction]:
 def degree_of_P_check(cfg: SobolevConfig, sys: ZSystem) -> bool:
     """Degree law for the system's P: exact when the generic lead is nonzero
     (the block degrees are distinct)."""
-    p = lambda_poly(sys)
+    p = sys.P
     d, lead = _degree_law(cfg.m1, sys.Y)
     if lead == 0:
         return p.degree <= d

@@ -12,15 +12,15 @@ the -1 block of the problem mirrored by x -> -x, which swaps alpha and beta,
 m1 and m2, and sends N to ((-1)^(i+k) N[i][k]).
 
 Lambda(n) = P(n) for one polynomial P per configuration: the determinant of
-the polynomial Casorati matrix C (`casorati_matrix`) divided by p(x) q(x),
-exactness checked. P is also q_n's j = 0 minor. Its other minors are plain
-rationals for n >= m; for n < m they may be 0/0 at integer points, so they
-are reduced against p(x) q(x) symbolically first. C also gives `diffop`
-Omega and the M_h minors: all three come from one Casorati matrix.
+the polynomial Casorati matrix C divided by p(x) q(x), exactness checked. P
+is also q_n's j = 0 minor. Its other minors are plain rationals for n >= m;
+for n < m they may be 0/0 at integer points, so they are reduced against
+p(x) q(x) symbolically first. C also gives `diffop` Omega and the M_h
+cofactors: all of them come from one Casorati matrix.
 
-The `ZSystem` of a configuration holds every value derived from it, each
-built once on first use: P, the n < m minor quotients (which do not depend
-on n), q_n, and Omega with the M_h cofactors of C (see `diffop`).
+The `ZSystem` of a configuration owns every value derived from it. C, P, the
+n < m minor quotients (which do not depend on n), Omega and the M_h cofactors
+are cached attributes, each built once on first use; q_n is held per degree.
 
 This module holds only what the CLI commands run; the cross-checks of the
 paper's identities (the R_l integral route, the combinatorial families and the
@@ -32,7 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Tuple, Union
+from functools import cached_property
+from typing import Dict, List, Tuple
 
 from . import _linalg
 from .exactmath import (
@@ -41,7 +42,6 @@ from .exactmath import (
     IdentityCheckFailed,
     Poly,
     RationalFunction,
-    gamma_ratio,
     pochhammer,
     theta_poly,
 )
@@ -53,24 +53,67 @@ class DegenerateConfigError(ValueError):
     """Lambda(k) vanished for some k in range: no orthogonal family exists."""
 
 
-def _memo():
-    return field(default_factory=dict, init=False, compare=False, repr=False)
-
-
 @dataclass(frozen=True)
 class ZSystem:
     """The sequence functions and normalizers of one configuration, and the
-    Casorati values built from them. The memo fields are filled on first use,
-    ignored by ==, hash and repr, and start empty after `dataclasses.replace`."""
+    Casorati values built from them. The cached attributes and the q_n memo
+    are filled on first use, ignored by ==, hash and repr, and start empty
+    after `dataclasses.replace`."""
 
     z: Tuple[Poly, ...]  # z_l as polynomials in x, l = 1..m
     Y: Tuple[Poly, ...]  # the same functions as polynomials in theta
     p: Poly
     q: Poly
     rho: Tuple[Tuple[RationalFunction, ...], ...]  # rho[h-1][j], j = 0..m
-    quotients: Dict[int, Union[Poly, RationalFunction]] = _memo()  # minor j / (p q); 0: P
-    q_polys: Dict[int, Poly] = _memo()  # q_n
-    omega: Dict[str, object] = _memo()  # both from Lambda's C: "det" Omega, "minors" the M_h cofactors
+    clearing: Poly  # n2^m1, see `build_clearing`
+    q_polys: Dict[int, Poly] = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    @cached_property
+    def C(self) -> Tuple[Tuple[Poly, ...], ...]:
+        """C[h-1][j-1] = rho^h_{x,j} z_h(x-j), h, j = 1..m: Lambda's polynomial Casorati matrix."""
+        m = len(self.z)
+        return tuple(tuple(self.rho[h][j].as_poly() * self.z[h].shift(-j) for j in range(1, m + 1)) for h in range(m))
+
+    @cached_property
+    def P(self) -> Poly:
+        """P = det C / (p q), exactly."""
+        quotient, rem = divmod(_linalg.det(self.C), self.p * self.q)
+        if not rem.is_zero:
+            raise IdentityCheckFailed("casorati_lambda", "p q divides the Casorati determinant")
+        return quotient
+
+    @cached_property
+    def quotients(self) -> Tuple[RationalFunction, ...]:
+        """quotients[j-1] = minor j / (p q), j = 1..m-1: q_n's minors for n < m, where
+        minor j leaves column j out of [rho^h_{x,r} z_h(x-r)], r = 0..m."""
+        m = len(self.z)
+        entries = [[self.rho[h][r] * RationalFunction(self.z[h].shift(-r)) for r in range(m + 1)] for h in range(m)]
+        pq = RationalFunction(self.p * self.q)
+        return tuple(
+            _linalg.det([[row[r] for r in range(m + 1) if r != j] for row in entries]) / pq for j in range(1, m)
+        )
+
+    @cached_property
+    def omega(self) -> RationalFunction:
+        """Omega = det E, E[l][r] = xi^l_{x-r, m-r} z_l(x-r), l, r = 1..m. E is C with its
+        first m1 rows divided by n2, so Omega = det C / n2^m1 = P p q / n2^m1."""
+        return RationalFunction(self.P * self.p * self.q, self.clearing)
+
+    @cached_property
+    def cofactors(self) -> Tuple[Tuple[Poly, ...], ...]:
+        """cofactors[h-1][j-1] = [(-1)^(h+j) rho^h_{x,j} C_hj](x+j), h, j = 1..m, with C_hj
+        the (h, j) minor of C: one maximal-minors pass per left-out row.
+
+        With E_hj = C_hj / n2^(m1-[h<=m1]) the minors of E, and xi^h_{x,m-j} =
+        rho^h_{x+j,j} / n2(x+j) for h <= m1, the M_h of `diffop.build_bundle` are
+        M_h = sum_j (-1)^(h+j) xi^h_{x,m-j} S(x+j) E_hj(x+j)
+            = sum_j (S / n2^m1)(x+j) cofactors[h-1][j-1]."""
+        C, m = self.C, len(self.z)
+        minors = [_linalg.maximal_minors(C[:h] + C[h + 1 :]) for h in range(m)]
+        return tuple(
+            tuple(((-1) ** (h + j) * self.rho[h][j + 1].as_poly() * minors[h][j]).shift(j + 1) for j in range(m))
+            for h in range(m)
+        )
 
 
 def _u_polys(alpha: Fraction, beta: Fraction, lam: Fraction, j: int) -> Tuple[Poly, Poly]:
@@ -125,10 +168,21 @@ def build_q(alpha, beta, m: int) -> Poly:
 
 
 def rho_table(a: Fraction, b: Fraction, m1: int, m: int) -> Tuple[Tuple[RationalFunction, ...], ...]:
-    """rho[h-1][j], j = 0..m: a Gamma ratio (a polynomial for j >= 1) if h <= m1, else 1."""
-    first = tuple((-1) ** (m - j) * gamma_ratio(a - j, b - 1, a - m, b - j) for j in range(m + 1))
+    """rho[h-1][j], j = 0..m: 1 if h > m1, else the Gamma ratio
+    (-1)^(m-j) Gamma(x+a-j+1) Gamma(x+b) / (Gamma(x+a-m+1) Gamma(x+b-j+1)), which telescopes
+    to (-1)^(m-j) (x+a-m+1)_{m-j} (x+b-j+1)_{j-1} for j >= 1 and (-1)^m (x+a-m+1)_m / (x+b)."""
+    first = (RationalFunction((-1) ** m * pochhammer(X + (a - m + 1), m), X + b),) + tuple(
+        RationalFunction((-1) ** (m - j) * pochhammer(X + (a - m + 1), m - j) * pochhammer(X + (b - j + 1), j - 1))
+        for j in range(1, m + 1)
+    )
     ones = (RationalFunction(ONE),) * (m + 1)
     return (first,) * m1 + (ones,) * (m - m1)
+
+
+def build_clearing(beta, m1: int, m: int) -> Poly:
+    """n2^m1 with n2 = (x+beta-m+1)_{m-1}. For h <= m1, rho^h_{x,j} = xi^h_{x-j,m-j} n2(x),
+    where xi^h_{x,j} = (-1)^j (x-j+alpha+1)_j / (x-j+beta+1)_j; for h > m1 both are 1."""
+    return pochhammer(X + (Fraction(beta) - m + 1), m - 1) ** m1
 
 
 _ZSYS_CACHE: Dict[SobolevConfig, ZSystem] = {}
@@ -182,27 +236,10 @@ def build_z(cfg: SobolevConfig) -> ZSystem:
         p=build_p(cfg.alpha, cfg.beta, m1, m2),
         q=build_q(cfg.alpha, cfg.beta, m),
         rho=rho_table(a, b, m1, m),
+        clearing=build_clearing(cfg.beta, m1, m),
     )
     _ZSYS_CACHE[cfg] = system
     return system
-
-
-def casorati_matrix(sys: ZSystem) -> List[List[Poly]]:
-    """C[h-1][j-1] = rho^h_{x,j} z_h(x-j), h, j = 1..m: Lambda's matrix, and Omega's with
-    its first m1 rows cleared of their denominators (see `diffop`)."""
-    m = len(sys.z)
-    return [[sys.rho[h][j].as_poly() * sys.z[h].shift(-j) for j in range(1, m + 1)] for h in range(m)]
-
-
-def lambda_poly(sys: ZSystem) -> Poly:
-    """P = det C / (p q), exactly; held as `quotients[0]`."""
-    held = sys.quotients.get(0)
-    if held is None:
-        held, rem = divmod(_linalg.det(casorati_matrix(sys)), sys.p * sys.q)
-        if not rem.is_zero:
-            raise IdentityCheckFailed("casorati_lambda", "p q divides the Casorati determinant")
-        sys.quotients[0] = held
-    return held
 
 
 def casorati_lambda(sys: ZSystem, cfg: SobolevConfig, n: int) -> Fraction:
@@ -213,7 +250,7 @@ def casorati_lambda(sys: ZSystem, cfg: SobolevConfig, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return lambda_poly(sys)(n)
+    return sys.P(n)
 
 
 def sobolev_poly(sys: ZSystem, cfg: SobolevConfig, n: int) -> Poly:
@@ -241,19 +278,9 @@ def sobolev_poly(sys: ZSystem, cfg: SobolevConfig, n: int) -> Poly:
             for j in range(1, m + 1)
         ]
     else:
-        entries = None
         for j in range(1, n + 1):  # a minor j > n would multiply the zero polynomial
-            ratio = sys.quotients.get(j)
-            if ratio is None:
-                if entries is None:
-                    entries = [
-                        [sys.rho[h][r] * RationalFunction(sys.z[h].shift(-r)) for r in range(m + 1)]
-                        for h in range(m)
-                    ]
-                minor = _linalg.det([[row[r] for r in range(m + 1) if r != j] for row in entries])
-                ratio = sys.quotients[j] = minor / RationalFunction(sys.p * sys.q)
             try:
-                values.append(ratio(n))
+                values.append(sys.quotients[j - 1](n))
             except ZeroDivisionError as exc:
                 what = f"the reduced minor {j} quotient is regular at n={n}"
                 raise IdentityCheckFailed("sobolev_poly", what) from exc

@@ -17,10 +17,11 @@ polynomial in theta). The final operator is
 
 with D_cl the classical second-order operator.
 
-Omega and the M_h come from Lambda's polynomial Casorati matrix C
-(`construct.casorati_matrix`): Omega's entry matrix E is C with its first m1
-rows divided by n2 = (x+beta-m+1)_{m-1}, so Omega = P p q / n2^m1 and each
-minor of E is a minor of C over a power of n2: no det runs on rational functions.
+Omega, the M_h cofactors and the row clearing n2^m1, n2 = (x+beta-m+1)_{m-1},
+are read from the configuration's `construct.ZSystem`, which builds them
+from Lambda's polynomial Casorati matrix C: Omega's entry matrix E is C with
+its first m1 rows divided by n2, so Omega = P p q / n2^m1 and each minor of E
+is a minor of C over a power of n2: no det runs on rational functions.
 
 Operators are applied, composed and evaluated at polynomials by one integer
 kernel: the coefficients are scaled to int lists over one common denominator
@@ -41,12 +42,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from . import _linalg
-from .construct import casorati_matrix, lambda_poly, sobolev_poly
+from .construct import sobolev_poly
 from .exactmath import (
     NEG_INFINITY,
     ONE,
-    X,
     ZERO,
     IdentityCheckFailed,
     NotInvariantError,
@@ -56,7 +55,6 @@ from .exactmath import (
     anti_difference,
     divide_skew_by_sigma,
     involute,
-    pochhammer,
     theta_poly,
     to_theta_basis,
 )
@@ -265,27 +263,16 @@ class OperatorBundle:
     predicted_order: int
 
 
-def _row_clearing(cfg) -> Poly:
-    """n2^m1 with n2 = (x+beta-m+1)_{m-1}. For h <= m1, rho^h_{x,j} = xi^h_{x-j,m-j} n2(x),
-    where xi^h_{x,j} = (-1)^j (x-j+alpha+1)_j / (x-j+beta+1)_j; for h > m1 both are 1."""
-    n2 = pochhammer(X + (Fraction(cfg.beta) - cfg.m + 1), cfg.m - 1)
-    return n2**cfg.m1
-
-
 def _omega(cfg, sys) -> RationalFunction:
-    """Omega = det E, E[l][r] = xi^l_{x-r, m-r} z_l(x-r), l, r = 1..m; that is
-    det C / n2^m1 = P p q / n2^m1, built once and held on the system."""
-    held = sys.omega.get("det")
-    if held is None:
-        held = sys.omega["det"] = RationalFunction(lambda_poly(sys) * sys.p * sys.q, _row_clearing(cfg))
-    return held
+    """Omega = det E = P p q / n2^m1, held on the system (see `construct.ZSystem.omega`)."""
+    return sys.omega
 
 
 def default_s(cfg, sys) -> RationalFunction:
     """sigma_{x-(m-1)/2} Xi(x) ((x+beta-m+1)_{m-1})^m1 / (p(x) q(x))."""
     a, b, m = Fraction(cfg.alpha), Fraction(cfg.beta), cfg.m
     sigma = Poly([a + b - m, 2])  # 2x + a + b - m
-    return RationalFunction(sigma * cfg.xi * _row_clearing(cfg), sys.p * sys.q)
+    return RationalFunction(sigma * cfg.xi * sys.clearing, sys.p * sys.q)
 
 
 def build_bundle(cfg, sys, custom_s: Optional[RationalFunction] = None) -> OperatorBundle:
@@ -308,19 +295,10 @@ def build_bundle(cfg, sys, custom_s: Optional[RationalFunction] = None) -> Opera
     # check 2: M_h = sigma^h_{x+1} * MhTilde_h(theta_x)
     mh_list: List[Poly] = []
     mh_tilde: List[Poly] = []
-    # M_h = sum_j (-1)^(h+j) xi^h_{x,m-j} S(x+j) E_hj(x+j) with E_hj = C_hj / n2^(m1-[h<=m1]) the
-    # (h, j) minors and xi^h_{x,m-j} = rho^h_{x+j,j} / n2(x+j) for h <= m1: the (h, j) term is
-    # [S / n2^m1 * (-1)^(h+j) rho^h_j C_hj](x+j). These polynomial cofactors do not depend on S.
-    if "minors" not in sys.omega:
-        C = casorati_matrix(sys)
-        minors = [_linalg.maximal_minors(C[:h] + C[h + 1 :]) for h in range(m)]
-        sys.omega["minors"] = [
-            [((-1) ** (h + j) * sys.rho[h][j + 1].as_poly() * minors[h][j]).shift(j + 1) for j in range(m)]
-            for h in range(m)
-        ]
-    cleared = RationalFunction(S.num, S.den * _row_clearing(cfg))  # S / n2^m1
+    # M_h = sum_j (S / n2^m1)(x+j) times the (h, j) cofactor of C, which does not depend on S
+    cleared = RationalFunction(S.num, S.den * sys.clearing)
     s_shifted = [cleared.shift(j) for j in range(1, m + 1)]
-    for h, cofactors in enumerate(sys.omega["minors"], 1):
+    for h, cofactors in enumerate(sys.cofactors, 1):
         total = sum((s_j * cofactor for s_j, cofactor in zip(s_shifted, cofactors)), RationalFunction(ZERO))
         if not total.is_polynomial:
             raise AssumptionFailed("sigma_factorization", f"M_{h} is not a polynomial")

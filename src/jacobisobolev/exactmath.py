@@ -7,11 +7,12 @@ anywhere. Each polynomial operation runs on Python ints and reduces its
 result once; the ``Fraction`` coefficients are built only when asked for.
 
 Beyond the basic rings this module provides the structural transforms the
-rest of the package is built on: Pochhammer products, gamma-function ratios
-with integer parameter differences (which collapse to rational functions),
-the discrete anti-difference, the reflection substitution
-``x -> -(x + shift + 1)`` and the change of basis into powers of
-``theta_x = x (x + s + 1)``.
+rest of the package is built on: Pochhammer products, the discrete
+anti-difference, the reflection substitution ``x -> -(x + shift + 1)`` and
+the change of basis into powers of ``theta_x = x (x + s + 1)``.
+
+A float is refused wherever a scalar enters (`_exact`), not read as its
+binary value.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def rat_rows(rows) -> List[List[Fraction]]:
 
 def rat_str(value: Scalar) -> str:
     """Canonical serialization: reduced "p/q" with q > 0, or plain "p"."""
-    f = Fraction(value)
+    f = _exact(value)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
@@ -468,7 +469,7 @@ def _as_poly(value) -> Poly:
 def _exact(value) -> Fraction:
     """value as a Fraction; a float is refused, not read as its binary value."""
     if isinstance(value, float):
-        raise TypeError(f"a coefficient must be an int or a Fraction, got the float {value!r}")
+        raise TypeError(f"an exact scalar must be an int or a Fraction, got the float {value!r}")
     return Fraction(value)
 
 
@@ -630,7 +631,7 @@ class RationalFunction:
         return _as_rf(other) / self
 
     def __call__(self, point) -> Fraction:
-        point = Fraction(point)
+        point = _exact(point)
         d = self.den(point)
         if d == 0:
             raise ZeroDivisionError(f"pole at {point}")
@@ -683,35 +684,11 @@ def pochhammer(base, count: int):
         for i in range(count):
             result = result * (base + i)
         return result
-    base = Fraction(base)
+    base = _exact(base)
     result = Fraction(1)
     for i in range(count):
         result *= base + i
     return result
-
-
-def gamma_ratio(a, b, c, d) -> RationalFunction:
-    """Gamma(x+a+1)Gamma(x+b+1) / (Gamma(x+c+1)Gamma(x+d+1)) as a function of x.
-
-    Requires the numerator and denominator parameters to pair up with integer
-    differences, so the ratio telescopes to a quotient of Pochhammer products.
-    """
-    a, b, c, d = (Fraction(v) for v in (a, b, c, d))
-    if (a - c).denominator == 1 and (b - d).denominator == 1:
-        pairs = [(a, c), (b, d)]
-    elif (a - d).denominator == 1 and (b - c).denominator == 1:
-        pairs = [(a, d), (b, c)]
-    else:
-        raise ValueError("gamma_ratio parameters admit no integer pairing")
-    num, den = ONE, ONE
-    for top, bot in pairs:
-        k = int(top - bot)
-        if k >= 0:
-            # Gamma(x+top+1)/Gamma(x+bot+1) = (x+bot+1)_k
-            num = num * pochhammer(X + (bot + 1), k)
-        else:
-            den = den * pochhammer(X + (top + 1), -k)
-    return RationalFunction(num, den)
 
 
 def anti_difference(f: Poly) -> Poly:
@@ -728,12 +705,12 @@ def anti_difference(f: Poly) -> Poly:
 
 def involute(f: Poly, shift) -> Poly:
     """Substitute x -> -(x + shift + 1); an exact involution."""
-    return f(Poly([-(Fraction(shift) + 1), -1]))
+    return f(Poly([-(_exact(shift) + 1), -1]))
 
 
 def theta_poly(alpha, beta) -> Poly:
     """theta_x = x (x + alpha + beta + 1)."""
-    return Poly([0, Fraction(alpha) + Fraction(beta) + 1, 1])
+    return Poly([0, _exact(alpha) + _exact(beta) + 1, 1])
 
 
 def to_theta_basis(f: Poly, alpha, beta) -> Poly:
@@ -742,7 +719,7 @@ def to_theta_basis(f: Poly, alpha, beta) -> Poly:
     Substituting x = y - (s+1)/2 with s = alpha + beta makes f even in y, and
     y^2 = theta + ((s+1)/2)^2 finishes the conversion.
     """
-    s = Fraction(alpha) + Fraction(beta)
+    s = _exact(alpha) + _exact(beta)
     if involute(f, s) != f:
         raise NotInvariantError("polynomial is not invariant under x -> -(x+s+1)")
     half = (s + 1) / 2
@@ -764,7 +741,7 @@ def divide_skew_by_sigma(f: Poly, alpha, beta) -> Poly:
     The linear factor is sigma_{x+1}; skew invariance of f guarantees exact
     divisibility and that the quotient is reflection invariant.
     """
-    s = Fraction(alpha) + Fraction(beta)
+    s = _exact(alpha) + _exact(beta)
     if involute(f, s) != -f:
         raise NotSkewError("polynomial is not skew invariant under x -> -(x+s+1)")
     if f.is_zero:
@@ -777,7 +754,7 @@ def falling_binomial(top, k: int) -> Fraction:
     """Generalized binomial C(top, k) for integer k >= 0 (0 for k < 0)."""
     if k < 0:
         return Fraction(0)
-    top = Fraction(top)
+    top = _exact(top)
     result = Fraction(1)
     for i in range(k):
         result *= top - i

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import ONE, X, ZERO, IdentityCheckFailed, Poly
+from .exactmath import ONE, X, ZERO, IdentityCheckFailed, Poly, _exact
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,8 @@ class JacobiContext:
     beta: Fraction
 
     def __post_init__(self):
-        alpha = Fraction(self.alpha)
-        beta = Fraction(self.beta)
+        alpha = _exact(self.alpha)
+        beta = _exact(self.beta)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         for value in (alpha, beta, alpha + beta):
@@ -41,10 +41,11 @@ class JacobiContext:
                 raise ValueError(f"parameter {value} is a forbidden negative integer")
 
     def theta(self, n) -> Fraction:
-        return Fraction(n) * (Fraction(n) + self.alpha + self.beta + 1)
+        n = _exact(n)
+        return n * (n + self.alpha + self.beta + 1)
 
     def sigma(self, n) -> Fraction:
-        return 2 * Fraction(n) + self.alpha + self.beta - 1
+        return 2 * _exact(n) + self.alpha + self.beta - 1
 
 
 _POLY_CACHE: dict = {}

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from . import _linalg
+from .exactmath import _exact
 
 
 @dataclass(frozen=True)
@@ -28,9 +29,9 @@ class WeightedRankTrace:
 
 def weighted_rank(gamma, matrix: Sequence[Sequence]) -> WeightedRankTrace:
     """Walk the definition of the gamma-weighted rank with exact span tests."""
-    gamma = Fraction(gamma)
+    gamma = _exact(gamma)
     m = len(matrix)
-    rows = [[Fraction(c) for c in row] for row in matrix]
+    rows = [[_exact(c) for c in row] for row in matrix]
     if any(len(row) != m for row in rows):
         raise ValueError("weighted rank is defined for square matrices")
     if m == 0:

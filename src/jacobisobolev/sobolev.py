@@ -63,12 +63,9 @@ class SobolevConfig:
             raise ValueError("alpha and beta must be nonnegative integers")
         object.__setattr__(self, "M", _freeze_matrix(self.M, self.m1, "M"))
         object.__setattr__(self, "N", _freeze_matrix(self.N, self.m2, "N"))
-        if self.matrix_nonzero(self.N) and self.alpha < self.m2:
-            raise ValueError("alpha >= m2 is required when N is nonzero")
-        if self.matrix_nonzero(self.M) and self.beta < self.m1:
-            raise ValueError("beta >= m1 is required when M is nonzero")
-        if self.alpha < self.m2 or self.beta < self.m1:
-            raise ParameterOutOfRangeError("weight exponents would be negative")
+        for name, exponent in (("alpha - m2", self.alpha - self.m2), ("beta - m1", self.beta - self.m1)):
+            if exponent < 0:
+                raise ParameterOutOfRangeError(f"the weight exponent {name} = {exponent} is negative")
         if self.xi.is_zero:
             raise ValueError("xi must be nonzero")
         shift = self.alpha + self.beta - self.m - 1
@@ -78,10 +75,6 @@ class SobolevConfig:
     @property
     def m(self) -> int:
         return self.m1 + self.m2
-
-    @staticmethod
-    def matrix_nonzero(matrix: Matrix) -> bool:
-        return any(c != 0 for row in matrix for c in row)
 
     def to_json(self) -> dict:
         return {

@@ -149,6 +149,23 @@ class TestInputValidation:
         assert main(["construct", "--config", path, "--nmax", "2"]) == 1
         assert field in capsys.readouterr().err
 
+    # one check names the negative weight exponent, whether or not the masses are zero
+    @pytest.mark.parametrize(
+        "shape, masses, exponent",
+        [
+            ((0, 2, 1, 1), {"M": [["1"]], "N": [["1"]]}, "alpha - m2 = -1"),
+            ((0, 2, 1, 1), {"M": [["1"]], "N": [["0"]]}, "alpha - m2 = -1"),
+            ((2, 1, 2, 0), {"M": [["1", "0"], ["0", "1"]]}, "beta - m1 = -1"),
+        ],
+    )
+    def test_negative_weight_exponent_exits_1(self, tmp_path, capsys, shape, masses, exponent):
+        cfg = dict(zip(("alpha", "beta", "m1", "m2"), shape), **masses)
+        assert main(["construct", "--config", write_json(tmp_path / "c.json", cfg), "--nmax", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: bad config")
+        assert f"the weight exponent {exponent} is negative" in captured.err
+
     @pytest.mark.parametrize("command", ["construct", "verify", "operator"])
     @pytest.mark.parametrize("xi", [[], ["0"]])
     def test_zero_xi_rejected(self, tmp_path, capsys, command, xi):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from jacobisobolev import certify, construct
+from jacobisobolev import _linalg, certify, construct, diffop
 from jacobisobolev.certify import gram_orthogonal_oracle, rl_cross_check, verify_comb_identities
 from jacobisobolev.construct import (
     DegenerateConfigError,
@@ -17,9 +17,10 @@ from jacobisobolev.construct import (
     build_q,
     build_z,
     casorati_lambda,
+    rho_table,
     sobolev_poly,
 )
-from jacobisobolev.exactmath import Poly, X, theta_poly
+from jacobisobolev.exactmath import Poly, RationalFunction, X, theta_poly
 from jacobisobolev.sobolev import SobolevConfig, bilinear
 
 from conftest import STANDARD_SHAPES, mass_configs, random_configs
@@ -114,6 +115,23 @@ class TestBuildZ:
                 q = build_q(Fraction(4), Fraction(4), m1 + m2)
                 assert not p.is_zero and not q.is_zero
 
+    def test_rho_table_is_the_gamma_ratio(self):
+        # rho^h_{x,j} = (-1)^(m-j) Gamma(x+a-j+1) Gamma(x+b) / (Gamma(x+a-m+1) Gamma(x+b-j+1))
+        # for h <= m1 and 1 otherwise, read at integers x where every Gamma is a factorial
+        f = math.factorial
+        for a in range(7):
+            for b in range(7):
+                for m1 in range(4):
+                    for m2 in range(0 if m1 else 1, 4):
+                        m = m1 + m2
+                        rho = rho_table(Fraction(a), Fraction(b), m1, m)
+                        assert len(rho) == m and all(row[j].is_polynomial for row in rho for j in range(1, m + 1))
+                        for x in range(m + 1, m + 4):
+                            for j in range(m + 1):
+                                ratio = Fraction(f(x + a - j) * f(x + b - 1), f(x + a - m) * f(x + b - j))
+                                for h in range(m):
+                                    assert rho[h][j](x) == ((-1) ** (m - j) * ratio if h < m1 else 1)
+
 
 class TestCasoratiLambda:
     def test_pure_weight_never_vanishes(self):
@@ -182,6 +200,9 @@ class TestSobolevPoly:
                 build(sys_z, cfg, -1)
 
 
+CACHED = ("C", "P", "quotients", "omega", "cofactors")  # the ZSystem values built on first use
+
+
 class TestPerConfigMemos:
     @pytest.fixture
     def cold_configs(self, monkeypatch):
@@ -206,8 +227,9 @@ class TestPerConfigMemos:
             for n in order:
                 assert casorati_lambda(sys_z, cfg, n) == want_lambda[n]
                 assert sobolev_poly(sys_z, cfg, n) == want_q[n]
-        assert set(sys_z.quotients) == set(range(cfg.m))
-        assert isinstance(sys_z.quotients[0], Poly)
+        assert len(sys_z.quotients) == cfg.m - 1
+        assert isinstance(sys_z.P, Poly)
+        assert all(isinstance(ratio, RationalFunction) for ratio in sys_z.quotients)
         assert set(sys_z.q_polys) == set(degrees)
         for n in range(2 * cfg.m + 5, 2 * cfg.m + 9):
             assert casorati_lambda(sys_z, cfg, n) == reference_casorati_lambda(sys_z, cfg, n)
@@ -217,13 +239,13 @@ class TestPerConfigMemos:
         sys_a, sys_b = build_z(cfg_a), build_z(cfg_b)
         for n in range(cfg_a.m + 1):
             sobolev_poly(sys_a, cfg_a, n)
-        assert not sys_b.quotients and not sys_b.q_polys
+        assert not set(CACHED) & set(vars(sys_b)) and not sys_b.q_polys
         for n in range(cfg_b.m + 1):
             assert sobolev_poly(sys_b, cfg_b, n) == reference_sobolev_poly(sys_b, cfg_b, n)
         assert sys_a.q_polys is not sys_b.q_polys
         assert sys_a.quotients is not sys_b.quotients
         assert sys_a.q_polys[cfg_a.m - 1] != sys_b.q_polys[cfg_b.m - 1]
-        assert sys_a.quotients[0] != sys_b.quotients[0]
+        assert sys_a.P != sys_b.P
 
     @pytest.mark.parametrize("how", ["direct", "replace"])
     def test_swapped_rows_get_their_own_values(self, how):
@@ -237,7 +259,7 @@ class TestPerConfigMemos:
         z = (sys_z.z[1], sys_z.z[0], sys_z.z[2])
         Y = (sys_z.Y[1], sys_z.Y[0], sys_z.Y[2])
         if how == "direct":
-            swapped = ZSystem(z=z, Y=Y, p=sys_z.p, q=sys_z.q, rho=sys_z.rho)
+            swapped = ZSystem(z=z, Y=Y, p=sys_z.p, q=sys_z.q, rho=sys_z.rho, clearing=sys_z.clearing)
         else:
             swapped = dataclasses.replace(sys_z, z=z, Y=Y)
         assert lambdas[1] == -57344
@@ -250,10 +272,48 @@ class TestPerConfigMemos:
         warm = build_z(cfg)
         for n in range(cfg.m + 1):
             sobolev_poly(warm, cfg, n)
-        cold = ZSystem(z=warm.z, Y=warm.Y, p=warm.p, q=warm.q, rho=warm.rho)
+        cold = ZSystem(z=warm.z, Y=warm.Y, p=warm.p, q=warm.q, rho=warm.rho, clearing=warm.clearing)
         assert warm.q_polys and not cold.q_polys
+        assert {"P", "quotients"} <= set(vars(warm)) and not set(CACHED) & set(vars(cold))
         assert warm == cold and hash(warm) == hash(cold)
         assert repr(warm) == repr(cold)
+
+    def test_one_casorati_matrix_across_lambda_omega_and_bundle(self, monkeypatch):
+        # P's det and the M_h minors read the rows of the one held C
+        cfg = SobolevConfig(alpha=3, beta=2, m1=2, m2=1, M=[[1, 0], [2, 1]], N=[[1]])
+        system = dataclasses.replace(build_z(cfg))
+        real_det, real_minors = _linalg.det, _linalg.maximal_minors
+        dets, minors = [], []
+
+        def det(rows):
+            if isinstance(rows[0][0], Poly):
+                dets.append(rows)
+            return real_det(rows)
+
+        def maximal_minors(rows):
+            minors.append(rows)
+            return real_minors(rows)
+
+        monkeypatch.setattr(_linalg, "det", det)
+        monkeypatch.setattr(_linalg, "maximal_minors", maximal_minors)
+        casorati_lambda(system, cfg, 0)
+        diffop._omega(cfg, system)
+        diffop.build_bundle(cfg, system)
+        assert len(dets) == 1 and len(minors) == cfg.m
+        held = system.C
+        assert dets[0] is held
+        for h, rows in enumerate(minors):
+            assert len(rows) == cfg.m - 1
+            assert all(row is other for row, other in zip(rows, held[:h] + held[h + 1 :]))
+
+    def test_system_holds_only_fields_and_cached_values(self):
+        cfg = SobolevConfig(alpha=3, beta=2, m1=2, m2=1, M=[[1, 0], [2, 1]], N=[[1]])
+        system = dataclasses.replace(build_z(cfg))
+        fields = {f.name for f in dataclasses.fields(ZSystem)}
+        bundle = diffop.build_bundle(cfg, system)
+        assert set(vars(system)) == fields | {"C", "P", "omega", "cofactors"}
+        diffop.verify_eigen(bundle, cfg, system, cfg.m + 1)
+        assert set(vars(system)) == fields | set(CACHED)
 
 
 class TestRlCrossCheck:

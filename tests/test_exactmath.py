@@ -38,7 +38,7 @@ from jacobisobolev.exactmath import (
     RationalFunction,
     anti_difference,
     divide_skew_by_sigma,
-    gamma_ratio,
+    falling_binomial,
     involute,
     pochhammer,
     rat,
@@ -293,6 +293,14 @@ class TestOperandProtocol:
             lambda: Poly.constant(0.5),
             lambda: (X + 1)(0.5),
             lambda: (X * X).shift(0.5),
+            lambda: RationalFunction(X, X + 1)(0.1),
+            lambda: pochhammer(0.1, 2),
+            lambda: falling_binomial(0.1, 2),
+            lambda: theta_poly(0.1, 0),
+            lambda: involute(X, 0.1),
+            lambda: to_theta_basis(ONE, 0, 0.1),
+            lambda: divide_skew_by_sigma(ZERO, 0.1, 0),
+            lambda: rat_str(0.1),
         ],
     )
     def test_float_coefficient_or_point_rejected(self, make):
@@ -393,25 +401,6 @@ class TestPochhammer:
 
     def test_polynomial_base(self):
         assert pochhammer(X + 1, 2) == X * X + 3 * X + 2
-
-
-class TestGammaRatio:
-    def test_telescoping_quotient(self):
-        assert gamma_ratio(1, 2, 0, 1) == RationalFunction((X + 1) * (X + 2))
-
-    def test_identity_case(self):
-        assert gamma_ratio(Fraction(5, 2), 3, Fraction(5, 2), 3) == RationalFunction(ONE)
-
-    def test_polynomial_case(self):
-        # pairing (a - c) and (b - d) integers makes a pure polynomial
-        alpha, beta, m, j = 3, 2, 3, 1
-        g = gamma_ratio(alpha - j, beta - 1, alpha - m, beta - j)
-        expected = pochhammer(X + alpha - m + 1, m - j) * pochhammer(X + beta - j + 1, j - 1)
-        assert g == RationalFunction(expected)
-
-    def test_rejects_unpairable_parameters(self):
-        with pytest.raises(ValueError):
-            gamma_ratio(Fraction(1, 2), 0, 0, 0)
 
 
 class TestAntiDifference:

@@ -100,6 +100,20 @@ class TestContext:
         assert c.theta(3) == 3 * (3 + 2 + 1 + 1)
         assert c.sigma(4) == 2 * 4 + 2 + 1 - 1
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: JacobiContext(0.1, 0),
+            lambda: JacobiContext(0, 0.5),
+            lambda: ctx(2, 1).theta(0.1),
+            lambda: ctx(2, 1).sigma(0.1),
+        ],
+    )
+    def test_float_parameter_rejected(self, make):
+        # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
+        with pytest.raises(TypeError, match="float"):
+            make()
+
 
 class TestClassicalOperator:
     def test_first_degree_action(self):

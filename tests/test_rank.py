@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from jacobisobolev.exactmath import Poly
 from jacobisobolev.rank import predicted_order, weighted_rank
 from jacobisobolev.sobolev import SobolevConfig
@@ -18,6 +20,12 @@ class TestWeightedRank:
         assert trace.value == 5
         assert trace.eta == (Fraction(5),)
         assert trace.tau == ()
+
+    def test_float_gamma_or_entry_rejected(self):
+        # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
+        for gamma, matrix in ((0.1, [[1]]), (1, [[0.5]])):
+            with pytest.raises(TypeError, match="float"):
+                weighted_rank(gamma, matrix)
 
     def test_zero_matrix(self):
         for m in (1, 2, 3):

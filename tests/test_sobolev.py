@@ -12,7 +12,7 @@ from kernel_reference import reference_bilinear
 from jacobisobolev.certify import endpoint_jet, gram_orthogonal_oracle, jet
 from jacobisobolev.exactmath import ONE, ZERO, Poly, X
 from jacobisobolev.jacobi import JacobiContext, jacobi_poly
-from jacobisobolev.sobolev import SobolevConfig, bilinear, bilinear_monomials
+from jacobisobolev.sobolev import ParameterOutOfRangeError, SobolevConfig, bilinear, bilinear_monomials
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 small_polys = st.lists(rationals, min_size=0, max_size=5).map(Poly)
@@ -28,7 +28,7 @@ class TestConfig:
             SobolevConfig(alpha=2, beta=2, m1=2, m2=1, M=[[1]], N=[[1]])
 
     def test_parameter_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterOutOfRangeError, match="beta - m1 = -1"):
             SobolevConfig(alpha=1, beta=0, m1=1, m2=1, M=[[1]], N=[[1]])
 
     @pytest.mark.parametrize("value", [2.0, Fraction(2), True])
