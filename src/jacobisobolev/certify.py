@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from . import _linalg
-from .construct import ZSystem, build_clearing, build_p, build_q, build_z, rho_table
+from .construct import ZSystem, build_p, build_q, build_z, rho_table
 from .exactmath import X, Poly, falling_binomial, pochhammer, theta_poly
 from .jacobi import JacobiContext, jacobi_poly, weight_moment
 from .sobolev import SobolevConfig, bilinear, bilinear_monomials
@@ -121,7 +121,6 @@ def p_from_y_tuple(alpha, beta, m1: int, m2: int, ys: Sequence[Poly]) -> Tuple[P
         p=build_p(alpha, beta, m1, m2),
         q=build_q(alpha, beta, m),
         rho=rho_table(a, b, m1, m),
-        clearing=build_clearing(beta, m1, m),
     )
     return (system.P,) + _degree_law(m1, ys)
 

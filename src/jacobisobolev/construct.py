@@ -65,7 +65,6 @@ class ZSystem:
     p: Poly
     q: Poly
     rho: Tuple[Tuple[RationalFunction, ...], ...]  # rho[h-1][j], j = 0..m
-    clearing: Poly  # n2^m1, see `build_clearing`
     q_polys: Dict[int, Poly] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
@@ -92,6 +91,13 @@ class ZSystem:
         return tuple(
             _linalg.det([[row[r] for r in range(m + 1) if r != j] for row in entries]) / pq for j in range(1, m)
         )
+
+    @cached_property
+    def clearing(self) -> Poly:
+        """n2^m1 with n2 = (x+beta-m+1)_{m-1}, the product of the rho^h_{x,m}: for h <= m1,
+        rho^h_{x,j} = xi^h_{x-j,m-j} n2(x), where xi^h_{x,j} = (-1)^j (x-j+alpha+1)_j /
+        (x-j+beta+1)_j, and rho^h_{x,m} = n2(x); for h > m1 both are 1."""
+        return math.prod((row[-1].as_poly() for row in self.rho), start=ONE)
 
     @cached_property
     def omega(self) -> RationalFunction:
@@ -179,12 +185,6 @@ def rho_table(a: Fraction, b: Fraction, m1: int, m: int) -> Tuple[Tuple[Rational
     return (first,) * m1 + (ones,) * (m - m1)
 
 
-def build_clearing(beta, m1: int, m: int) -> Poly:
-    """n2^m1 with n2 = (x+beta-m+1)_{m-1}. For h <= m1, rho^h_{x,j} = xi^h_{x-j,m-j} n2(x),
-    where xi^h_{x,j} = (-1)^j (x-j+alpha+1)_j / (x-j+beta+1)_j; for h > m1 both are 1."""
-    return pochhammer(X + (Fraction(beta) - m + 1), m - 1) ** m1
-
-
 _ZSYS_CACHE: Dict[SobolevConfig, ZSystem] = {}
 
 
@@ -236,7 +236,6 @@ def build_z(cfg: SobolevConfig) -> ZSystem:
         p=build_p(cfg.alpha, cfg.beta, m1, m2),
         q=build_q(cfg.alpha, cfg.beta, m),
         rho=rho_table(a, b, m1, m),
-        clearing=build_clearing(cfg.beta, m1, m),
     )
     _ZSYS_CACHE[cfg] = system
     return system

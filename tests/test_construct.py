@@ -20,7 +20,7 @@ from jacobisobolev.construct import (
     rho_table,
     sobolev_poly,
 )
-from jacobisobolev.exactmath import Poly, RationalFunction, X, theta_poly
+from jacobisobolev.exactmath import Poly, RationalFunction, X, pochhammer, theta_poly
 from jacobisobolev.sobolev import SobolevConfig, bilinear
 
 from conftest import STANDARD_SHAPES, mass_configs, random_configs
@@ -132,6 +132,18 @@ class TestBuildZ:
                                 for h in range(m):
                                     assert rho[h][j](x) == ((-1) ** (m - j) * ratio if h < m1 else 1)
 
+    def test_clearing_is_n2_to_the_m1(self):
+        # the system's row clearing, read off rho, is n2^m1 with n2 = (x+b-m+1)_{m-1}
+        for a in range(4):
+            for b in range(4):
+                for m1 in range(4):
+                    for m2 in range(0 if m1 else 1, 4):
+                        m = m1 + m2
+                        rho = rho_table(Fraction(a), Fraction(b), m1, m)
+                        system = ZSystem(z=(), Y=(), p=Poly([1]), q=Poly([1]), rho=rho)
+                        n2 = pochhammer(X + (b - m + 1), m - 1)
+                        assert system.clearing == n2**m1
+
 
 class TestCasoratiLambda:
     def test_pure_weight_never_vanishes(self):
@@ -200,7 +212,7 @@ class TestSobolevPoly:
                 build(sys_z, cfg, -1)
 
 
-CACHED = ("C", "P", "quotients", "omega", "cofactors")  # the ZSystem values built on first use
+CACHED = ("C", "P", "quotients", "clearing", "omega", "cofactors")  # the ZSystem values built on first use
 
 
 class TestPerConfigMemos:
@@ -259,7 +271,7 @@ class TestPerConfigMemos:
         z = (sys_z.z[1], sys_z.z[0], sys_z.z[2])
         Y = (sys_z.Y[1], sys_z.Y[0], sys_z.Y[2])
         if how == "direct":
-            swapped = ZSystem(z=z, Y=Y, p=sys_z.p, q=sys_z.q, rho=sys_z.rho, clearing=sys_z.clearing)
+            swapped = ZSystem(z=z, Y=Y, p=sys_z.p, q=sys_z.q, rho=sys_z.rho)
         else:
             swapped = dataclasses.replace(sys_z, z=z, Y=Y)
         assert lambdas[1] == -57344
@@ -272,7 +284,7 @@ class TestPerConfigMemos:
         warm = build_z(cfg)
         for n in range(cfg.m + 1):
             sobolev_poly(warm, cfg, n)
-        cold = ZSystem(z=warm.z, Y=warm.Y, p=warm.p, q=warm.q, rho=warm.rho, clearing=warm.clearing)
+        cold = ZSystem(z=warm.z, Y=warm.Y, p=warm.p, q=warm.q, rho=warm.rho)
         assert warm.q_polys and not cold.q_polys
         assert {"P", "quotients"} <= set(vars(warm)) and not set(CACHED) & set(vars(cold))
         assert warm == cold and hash(warm) == hash(cold)
@@ -311,7 +323,7 @@ class TestPerConfigMemos:
         system = dataclasses.replace(build_z(cfg))
         fields = {f.name for f in dataclasses.fields(ZSystem)}
         bundle = diffop.build_bundle(cfg, system)
-        assert set(vars(system)) == fields | {"C", "P", "omega", "cofactors"}
+        assert set(vars(system)) == fields | {"C", "P", "clearing", "omega", "cofactors"}
         diffop.verify_eigen(bundle, cfg, system, cfg.m + 1)
         assert set(vars(system)) == fields | set(CACHED)
 
