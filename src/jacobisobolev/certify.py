@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import _linalg
 from .construct import ZSystem, build_p, build_q, build_z, rho_table
-from .exactmath import X, Poly, falling_binomial, pochhammer, theta_poly
+from .exactmath import X, Poly, _exact, falling_binomial, pochhammer, theta_poly
 from .jacobi import JacobiContext, jacobi_poly, weight_moment
 from .sobolev import SobolevConfig, bilinear, bilinear_monomials
 
@@ -62,7 +62,7 @@ def verify_comb_identities(alpha: Fraction, beta: Fraction, m1: int, m2: int) ->
     Requires alpha, beta and alpha+beta non-integer (the identities' own
     hypothesis); every admissible (k, h) pair is evaluated and must give 0.
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = _exact(alpha), _exact(beta)
     if 1 in (alpha.denominator, beta.denominator, (alpha + beta).denominator):
         raise ValueError("alpha, beta and alpha+beta must be non-integers")
     m = m1 + m2
@@ -110,7 +110,7 @@ def p_from_y_tuple(alpha, beta, m1: int, m2: int, ys: Sequence[Poly]) -> Tuple[P
     the Y leading coefficients times the two Vandermonde determinants of the
     degree tuples.
     """
-    a, b = Fraction(alpha), Fraction(beta)
+    a, b = _exact(alpha), _exact(beta)
     m = m1 + m2
     if len(ys) != m:
         raise ValueError("need one Y polynomial per row")
@@ -118,8 +118,8 @@ def p_from_y_tuple(alpha, beta, m1: int, m2: int, ys: Sequence[Poly]) -> Tuple[P
     system = ZSystem(
         z=tuple(y(theta) for y in ys),
         Y=tuple(ys),
-        p=build_p(alpha, beta, m1, m2),
-        q=build_q(alpha, beta, m),
+        p=build_p(a, b, m1, m2),
+        q=build_q(a, b, m),
         rho=rho_table(a, b, m1, m),
     )
     return (system.P,) + _degree_law(m1, ys)

@@ -30,7 +30,6 @@ degree law of P) are in `certify`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Tuple
@@ -42,6 +41,7 @@ from .exactmath import (
     IdentityCheckFailed,
     Poly,
     RationalFunction,
+    _exact,
     pochhammer,
     theta_poly,
 )
@@ -53,19 +53,40 @@ class DegenerateConfigError(ValueError):
     """Lambda(k) vanished for some k in range: no orthogonal family exists."""
 
 
-@dataclass(frozen=True)
 class ZSystem:
     """The sequence functions and normalizers of one configuration, and the
     Casorati values built from them. The cached attributes and the q_n memo
     are filled on first use, ignored by ==, hash and repr, and start empty
-    after `dataclasses.replace`."""
+    on a system built from another's fields."""
 
-    z: Tuple[Poly, ...]  # z_l as polynomials in x, l = 1..m
-    Y: Tuple[Poly, ...]  # the same functions as polynomials in theta
-    p: Poly
-    q: Poly
-    rho: Tuple[Tuple[RationalFunction, ...], ...]  # rho[h-1][j], j = 0..m
-    q_polys: Dict[int, Poly] = field(default_factory=dict, init=False, compare=False, repr=False)
+    def __init__(
+        self,
+        z: Tuple[Poly, ...],  # z_l as polynomials in x, l = 1..m
+        Y: Tuple[Poly, ...],  # the same functions as polynomials in theta
+        p: Poly,
+        q: Poly,
+        rho: Tuple[Tuple[RationalFunction, ...], ...],  # rho[h-1][j], j = 0..m
+    ):
+        q_polys: Dict[int, Poly] = {}  # q_n by degree, filled by `sobolev_poly`
+        for name, value in (("z", z), ("Y", Y), ("p", p), ("q", q), ("rho", rho), ("q_polys", q_polys)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+        raise AttributeError("ZSystem is immutable")
+
+    def _key(self) -> tuple:
+        return (self.z, self.Y, self.p, self.q, self.rho)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"ZSystem(z={self.z!r}, Y={self.Y!r}, p={self.p!r}, q={self.q!r}, rho={self.rho!r})"
 
     @cached_property
     def C(self) -> Tuple[Tuple[Poly, ...], ...]:
@@ -136,7 +157,7 @@ def _u_polys(alpha: Fraction, beta: Fraction, lam: Fraction, j: int) -> Tuple[Po
 
 
 def build_p(alpha, beta, m1: int, m2: int) -> Poly:
-    a, b, m = Fraction(alpha), Fraction(beta), m1 + m2
+    a, b, m = _exact(alpha), _exact(beta), m1 + m2
     # primary definition as a product of Pochhammer pairs
     p1 = ONE
     for i in range(1, m1):
@@ -159,7 +180,7 @@ def build_p(alpha, beta, m1: int, m2: int) -> Poly:
 
 
 def build_q(alpha, beta, m: int) -> Poly:
-    a, b = Fraction(alpha), Fraction(beta)
+    a, b = _exact(alpha), _exact(beta)
     sign = (-1) ** math.comb(m, 2)
     q1 = ONE
     q2 = ONE

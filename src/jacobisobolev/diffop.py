@@ -38,9 +38,8 @@ checked in `certify`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .construct import sobolev_poly
 from .exactmath import (
@@ -248,8 +247,7 @@ def d_operators(ctx, m1: int, m2: int) -> List[DiffOp]:
     return [d1] * m1 + [d2] * m2
 
 
-@dataclass(frozen=True)
-class OperatorBundle:
+class OperatorBundle(NamedTuple):
     """Everything produced by one run of the operator pipeline."""
 
     S: RationalFunction

@@ -18,27 +18,38 @@ J_1 = -(s+1)/(2(b+1)) ((s+2)x + a-b) and, for k >= 2, j = k-1 and e = 2j+s,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import ONE, X, ZERO, IdentityCheckFailed, Poly, _exact
 
 
-@dataclass(frozen=True)
 class JacobiContext:
     """Jacobi parameter pair; alpha, beta and alpha+beta must avoid -1, -2, ..."""
 
-    alpha: Fraction
-    beta: Fraction
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self):
-        alpha = _exact(self.alpha)
-        beta = _exact(self.beta)
+    def __init__(self, alpha, beta):
+        alpha = _exact(alpha)
+        beta = _exact(beta)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         for value in (alpha, beta, alpha + beta):
             if value.denominator == 1 and value <= -1:
                 raise ValueError(f"parameter {value} is a forbidden negative integer")
+
+    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+        raise AttributeError("JacobiContext is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alpha, self.beta) == (other.alpha, other.beta)
+
+    def __hash__(self) -> int:
+        return hash((self.alpha, self.beta))
+
+    def __repr__(self) -> str:
+        return f"JacobiContext(alpha={self.alpha!r}, beta={self.beta!r})"
 
     def theta(self, n) -> Fraction:
         n = _exact(n)

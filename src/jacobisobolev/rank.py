@@ -9,16 +9,14 @@ and offset, predicts the order of the eigenoperator built in `diffop`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from . import _linalg
 from .exactmath import _exact
 
 
-@dataclass(frozen=True)
-class WeightedRankTrace:
+class WeightedRankTrace(NamedTuple):
     """Audit trail of one weighted-rank computation."""
 
     eta: Tuple[Fraction, ...]

@@ -19,7 +19,6 @@ the Casorati construction in `construct`, is in `certify`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -40,37 +39,52 @@ def _freeze_matrix(rows, size: int, name: str) -> Matrix:
     return rows
 
 
-@dataclass(frozen=True)
 class SobolevConfig:
     """Full problem statement: parameters, mass matrices and the Xi factor."""
 
-    alpha: int
-    beta: int
-    m1: int
-    m2: int
-    M: Matrix = ()
-    N: Matrix = ()
-    xi: Poly = field(default=ONE)
+    __slots__ = ("alpha", "beta", "m1", "m2", "M", "N", "xi")
 
-    def __post_init__(self):
-        for name in ("alpha", "beta", "m1", "m2"):
-            value = getattr(self, name)
+    def __init__(self, alpha: int, beta: int, m1: int, m2: int, M=(), N=(), xi: Poly = ONE):
+        for name, value in (("alpha", alpha), ("beta", beta), ("m1", m1), ("m2", m2)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
-        if self.m1 < 0 or self.m2 < 0 or self.m < 1:
+        if m1 < 0 or m2 < 0 or m1 + m2 < 1:
             raise ValueError("need m1, m2 >= 0 with m1 + m2 >= 1")
-        if self.alpha < 0 or self.beta < 0:
+        if alpha < 0 or beta < 0:
             raise ValueError("alpha and beta must be nonnegative integers")
-        object.__setattr__(self, "M", _freeze_matrix(self.M, self.m1, "M"))
-        object.__setattr__(self, "N", _freeze_matrix(self.N, self.m2, "N"))
-        for name, exponent in (("alpha - m2", self.alpha - self.m2), ("beta - m1", self.beta - self.m1)):
+        M = _freeze_matrix(M, m1, "M")
+        N = _freeze_matrix(N, m2, "N")
+        for name, exponent in (("alpha - m2", alpha - m2), ("beta - m1", beta - m1)):
             if exponent < 0:
                 raise ParameterOutOfRangeError(f"the weight exponent {name} = {exponent} is negative")
-        if self.xi.is_zero:
+        if not isinstance(xi, Poly):
+            raise TypeError(f"xi must be a Poly, got {xi!r}")
+        if xi.is_zero:
             raise ValueError("xi must be nonzero")
-        shift = self.alpha + self.beta - self.m - 1
-        if involute(self.xi, shift) != self.xi:
+        if involute(xi, alpha + beta - m1 - m2 - 1) != xi:
             raise ValueError("xi must be invariant under x -> -(x + alpha+beta-m)")
+        for name, value in zip(self.__slots__, (alpha, beta, m1, m2, M, N, xi)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+        raise AttributeError("SobolevConfig is immutable")
+
+    def _key(self) -> tuple:
+        return (self.alpha, self.beta, self.m1, self.m2, self.M, self.N, self.xi)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"SobolevConfig(alpha={self.alpha!r}, beta={self.beta!r}, m1={self.m1!r}, m2={self.m2!r}, "
+            f"M={self.M!r}, N={self.N!r}, xi={self.xi!r})"
+        )
 
     @property
     def m(self) -> int:

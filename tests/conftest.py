@@ -10,6 +10,7 @@ from jacobisobolev import (
     Poly,
     RationalFunction,
     SobolevConfig,
+    ZSystem,
     build_bundle,
     build_z,
     casorati_lambda,
@@ -97,6 +98,11 @@ def two_jet_lowered_s(cfg, omega):
         - Fraction(4 ** (a - 1)) * m1_mass * Fraction(1, a) * pochhammer(X - 2, a) * pochhammer(X + a - 1, a)
     )
     return RationalFunction(Poly([2 * a - 4, 2]) * r) / omega
+
+
+def cold_copy(system):
+    """A system with the same fields as `system`, none of its cached values and no q_n."""
+    return ZSystem(z=system.z, Y=system.Y, p=system.p, q=system.q, rho=system.rho)
 
 
 def cached_bundle(cfg, custom_s=None):

@@ -512,7 +512,26 @@ class TestOptimizedInterpreter:
             assert hashlib.sha256(done.stdout).hexdigest() == want
 
 
-RATIONALS = st.sampled_from(["1", "-1", "0", "2", "-2", "1/2", "-3/2", "1/0", "-3/0"])
+class TestStartup:
+    def test_cli_import_loads_no_dataclasses_or_inspect(self):
+        # every cold command pays this import; dataclasses pulls in inspect, ast, dis and tokenize.
+        # Only the modules that the import adds count, so what site preloads does not.
+        src = str(Path(jacobisobolev.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import jacobisobolev.cli\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, check=False)
+        assert done.returncode == 0, done.stderr
+        added = set(json.loads(done.stdout))
+        assert "jacobisobolev.cli" in added
+        assert not added & {"dataclasses", "inspect"}
+
+
+RATIONALS =st.sampled_from(["1", "-1", "0", "2", "-2", "1/2", "-3/2", "1/0", "-3/0"])
 COEFFS = st.lists(RATIONALS, max_size=3)
 
 

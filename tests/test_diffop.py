@@ -1,6 +1,5 @@
 """Differential-operator algebra and the eigenoperator pipeline."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -20,7 +19,7 @@ from kernel_reference import (
 
 from jacobisobolev import _linalg
 from jacobisobolev.certify import degree_of_P_check, p_from_y_tuple
-from jacobisobolev.construct import build_z, sobolev_poly
+from jacobisobolev.construct import ZSystem, build_z, sobolev_poly
 from jacobisobolev.diffop import (
     AssumptionFailed,
     _omega,
@@ -50,6 +49,7 @@ from jacobisobolev.sobolev import SobolevConfig
 from conftest import (
     STANDARD_SHAPES,
     cached_bundle,
+    cold_copy,
     degree_law_cases,
     random_configs,
     two_jet_config,
@@ -341,7 +341,7 @@ class TestOmegaAndMinors:
     def test_cold_bundle_takes_no_rational_determinant(self, shape, monkeypatch):
         # Omega and the M_h minors come from the polynomial Casorati matrix
         cfg = random_configs(shape, count=1)[0]
-        cold = dataclasses.replace(build_z(cfg))
+        cold = cold_copy(build_z(cfg))
         rf_dets = rational_dets(monkeypatch)
         _omega(cfg, cold)
         build_bundle(cfg, cold)
@@ -349,7 +349,7 @@ class TestOmegaAndMinors:
 
     def test_omega_is_held_on_the_system(self, monkeypatch):
         cfg = random_configs((3, 2, 2, 1), count=1)[0]
-        cold = dataclasses.replace(build_z(cfg))
+        cold = cold_copy(build_z(cfg))
         rf_dets = rational_dets(monkeypatch)
         omega = _omega(cfg, cold)
         assert _omega(cfg, cold) is omega
@@ -380,7 +380,7 @@ class TestEigenProperty:
         cfg = random_configs((2, 1, 1, 1), count=1)[0]
         sys_z = build_z(cfg)
         bundle = cached_bundle(cfg)
-        broken = dataclasses.replace(bundle, D=bundle.D + DiffOp([Poly([]), X]))
+        broken = bundle._replace(D=bundle.D + DiffOp([Poly([]), X]))
         with pytest.raises(EigenMismatch):
             verify_eigen(broken, cfg, sys_z, 4)
 
@@ -424,10 +424,12 @@ class TestYTupleStructure:
         cfg = random_configs((3, 2, 2, 1), count=1)[0]
         sys_z = build_z(cfg)
         base = cached_bundle(cfg)
-        swapped = dataclasses.replace(
-            sys_z,
-            z=[sys_z.z[1], sys_z.z[0], sys_z.z[2]],
-            Y=[sys_z.Y[1], sys_z.Y[0], sys_z.Y[2]],
+        swapped = ZSystem(
+            z=(sys_z.z[1], sys_z.z[0], sys_z.z[2]),
+            Y=(sys_z.Y[1], sys_z.Y[0], sys_z.Y[2]),
+            p=sys_z.p,
+            q=sys_z.q,
+            rho=sys_z.rho,
         )
         assert build_bundle(cfg, swapped).D == -base.D
 
@@ -436,10 +438,12 @@ class TestYTupleStructure:
         sys_z = build_z(cfg)
         base = cached_bundle(cfg)
         a, b = Fraction(2), Fraction(3)
-        mixed = dataclasses.replace(
-            sys_z,
-            z=[a * sys_z.z[0] + b * sys_z.z[1], sys_z.z[1], sys_z.z[2]],
-            Y=[a * sys_z.Y[0] + b * sys_z.Y[1], sys_z.Y[1], sys_z.Y[2]],
+        mixed = ZSystem(
+            z=(a * sys_z.z[0] + b * sys_z.z[1], sys_z.z[1], sys_z.z[2]),
+            Y=(a * sys_z.Y[0] + b * sys_z.Y[1], sys_z.Y[1], sys_z.Y[2]),
+            p=sys_z.p,
+            q=sys_z.q,
+            rho=sys_z.rho,
         )
         assert build_bundle(cfg, mixed).D == a * base.D
 
@@ -449,6 +453,11 @@ class TestDegreeLaw:
         p, d, lead = p_from_y_tuple(Fraction(2), Fraction(2), 1, 0, [X + 1])
         assert p.degree == d == 2
         assert p.lead == lead
+
+    def test_float_parameter_rejected(self):
+        for alpha, beta in ((0.5, Fraction(2)), (Fraction(2), 2.0)):
+            with pytest.raises(TypeError, match="float"):
+                p_from_y_tuple(alpha, beta, 1, 0, [X + 1])
 
     def test_degree_collapse(self):
         ys = [Poly.constant(3), 2 * X + 1]

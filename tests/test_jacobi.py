@@ -95,6 +95,15 @@ class TestContext:
         with pytest.raises(ValueError):
             JacobiContext(Fraction(1), Fraction(-3))  # alpha + beta = -2
 
+    def test_repr_eq_and_hash(self):
+        # the repr text, and == and hash over (alpha, beta), are pinned
+        c = JacobiContext(3, Fraction(1, 2))
+        assert repr(c) == "JacobiContext(alpha=Fraction(3, 1), beta=Fraction(1, 2))"
+        assert c == JacobiContext(Fraction(3), Fraction(2, 4)) and hash(c) == hash((Fraction(3), Fraction(1, 2)))
+        assert c != JacobiContext(3, 1) and c != (Fraction(3), Fraction(1, 2))
+        with pytest.raises(AttributeError):
+            c.alpha = Fraction(1)
+
     def test_theta_and_sigma(self):
         c = ctx(2, 1)
         assert c.theta(3) == 3 * (3 + 2 + 1 + 1)

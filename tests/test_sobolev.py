@@ -46,6 +46,31 @@ class TestConfig:
         with pytest.raises(ValueError, match="xi must be nonzero"):
             SobolevConfig(alpha=2, beta=2, m1=1, m2=1, M=[[1]], N=[[1]], xi=xi)
 
+    @pytest.mark.parametrize("xi", [[1], None, 1])
+    def test_non_poly_xi_rejected(self, xi):
+        with pytest.raises(TypeError, match="xi must be a Poly"):
+            SobolevConfig(alpha=2, beta=2, m1=1, m2=1, M=[[1]], N=[[1]], xi=xi)
+
+    def test_repr_eq_and_hash(self):
+        # the repr text, and == and hash over the seven fields, are pinned
+        cfg = SobolevConfig(alpha=3, beta=2, m1=2, m2=1, M=[[1, 0], [2, "1/2"]], N=[[1]])
+        assert repr(cfg) == (
+            "SobolevConfig(alpha=3, beta=2, m1=2, m2=1, M=((Fraction(1, 1), Fraction(0, 1)), "
+            "(Fraction(2, 1), Fraction(1, 2))), N=((Fraction(1, 1),),), xi=Poly(1))"
+        )
+        shift = 2  # alpha + beta - m - 1
+        with_xi = SobolevConfig(alpha=2, beta=2, m1=1, m2=0, M=[[1]], xi=X * (X + shift + 1) * Fraction(1, 3))
+        assert repr(with_xi) == (
+            "SobolevConfig(alpha=2, beta=2, m1=1, m2=0, M=((Fraction(1, 1),),), N=(), xi=Poly(1*x + 1/3*x^2))"
+        )
+        same = SobolevConfig(3, 2, 2, 1, ((1, 0), (2, Fraction(1, 2))), [["1"]], ONE)
+        assert cfg == same and hash(cfg) == hash(same)
+        assert hash(cfg) == hash((3, 2, 2, 1, cfg.M, cfg.N, ONE))
+        assert cfg != SobolevConfig(alpha=3, beta=2, m1=2, m2=1, M=[[1, 0], [2, 1]], N=[[1]])
+        assert cfg != (3, 2, 2, 1, cfg.M, cfg.N, ONE) and cfg.__eq__(cfg.M) is NotImplemented
+        with pytest.raises(AttributeError):
+            cfg.alpha = 4
+
     def test_json_round_trip(self):
         cfg = SobolevConfig(
             alpha=2, beta=1, m1=1, m2=1, M=[[Fraction(1, 2)]], N=[[-2]]
