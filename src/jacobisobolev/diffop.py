@@ -24,12 +24,15 @@ its first m1 rows divided by n2, so Omega = P p q / n2^m1 and each minor of E
 is a minor of C over a power of n2: no det runs on rational functions.
 
 Operators are applied, composed and evaluated at polynomials by one integer
-kernel: the coefficients are scaled to int lists over one common denominator
-and d^j x^t = t!/(t-j)! x^(t-j). A product of operators, and a polynomial in
-an operator, is recovered from its images of x^k, k up to its order bound:
-with a_j = c_j / (den j!) the image of x^k is sum_j C(k, j) c_j x^(k-j) / den,
-a triangular system whose solution c_j is again a list of ints. None of this
-assumes that the operators lie in the algebra.
+kernel on each operator's images of x^t (d^j x^t = t!/(t-j)! x^(t-j)), built
+once per product as ints over one common denominator and held as a band of
+diagonals from the lowest degree an image reaches. a.b takes the image of x^k
+as sum_t b(x^k)_t a(x^t) over b's nonzero diagonals, and p(d) runs Horner's
+rule on d's band, each step along whole diagonals. A product is recovered
+from its images of x^k, k up to its order bound: with a_j = c_j / (den j!) the
+image of x^k is sum_j C(k, j) c_j x^(k-j) / den, a triangular system whose
+solution c_j is again a list of ints. None of this assumes that the operators
+lie in the algebra: a degree-raising operator's band reaches above its diagonal.
 
 The degree law of the Casorati polynomial P, which no command runs, is
 checked in `certify`.
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .construct import sobolev_poly
@@ -51,6 +55,7 @@ from .exactmath import (
     NotSkewError,
     Poly,
     RationalFunction,
+    _exact,
     anti_difference,
     divide_skew_by_sigma,
     involute,
@@ -112,9 +117,16 @@ class DiffOp:
 
     def apply(self, p: Poly) -> Poly:
         rows, den = _scaled_rows(self)
-        return Poly._from_ints(_apply_rows(rows, p.nums), den * p.den)
+        n = len(p.nums)
+        low, diags = _band(rows, n)
+        out = [0] * (n + len(diags) - 1)
+        for f, g in enumerate(diags):
+            out[f : f + n] = map(add, out[f : f + n], map(mul, g, p.nums))
+        return Poly._from_ints(out[-low:], den * p.den)
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
+        if not isinstance(other, DiffOp):
+            return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         return DiffOp([self.coeff(j) + other.coeff(j) for j in range(n)])
 
@@ -122,10 +134,13 @@ class DiffOp:
         return DiffOp([-c for c in self.coeffs])
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self + (-other)
+        return self + (-other) if isinstance(other, DiffOp) else NotImplemented
 
     def __mul__(self, scalar) -> "DiffOp":
-        return DiffOp([c * scalar for c in self.coeffs])
+        if isinstance(scalar, (Poly, DiffOp)):
+            raise TypeError("DiffOp * takes an exact scalar; use compose for a product with an operator")
+        value = _exact(scalar)
+        return DiffOp([c * value for c in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -154,86 +169,98 @@ def _scaled_rows(op: DiffOp):
     return rows, den
 
 
-def _apply_rows(rows: list, p: list) -> list:
-    """sum_j rows[j] * d^j p for int lists, trimmed of trailing zeros."""
-    out = [0] * (max(map(len, rows), default=0) + len(p))
-    for j, row in enumerate(rows):
-        if j:
-            p = [t * c for t, c in enumerate(p)][1:]
-            if not p:
-                break
-        for i, a in enumerate(row):
-            if a:
-                for t, b in enumerate(p, i):
-                    out[t] += a * b
-    while out and not out[-1]:
-        out.pop()
-    return out
+def _band(rows: list, count: int):
+    """The images of x^t, t < count, under the operator with int rows `rows`.
+
+    The coefficient c of x^i in rows[j] puts c t!/(t-j)! on x^(t+i-j). The band
+    is a pair (low, diags), low <= 0 < low + len(diags): diags[f][t] is the
+    coefficient of x^(t+low+f) in the image of x^t, zero below degree 0.
+    """
+    shifts = [i - j for j, row in enumerate(rows[:count]) for i, c in enumerate(row) if c] + [0]
+    low = min(shifts)
+    diags = [[0] * count for _ in range(max(shifts) - low + 1)]
+    falling = [1] * count  # t!/(t-j)!
+    for j, row in enumerate(rows[:count]):
+        for i, c in enumerate(row):
+            if c:
+                diags[i - j - low] = list(map(add, diags[i - j - low], map(c.__mul__, falling)))
+        falling = [f * (t - j) for t, f in enumerate(falling)]
+    return low, diags
 
 
-def _from_images(images: list, den: int) -> DiffOp:
-    """The operator whose image of x^k is images[k] / den, k < len(images).
+def _product(a, b, count: int):
+    """The band of a.b on x^k, k < count. b's diagonal e carries x^k to x^(k+shift) and
+    a's column k+shift takes it on, so a's band needs count plus b's top shift columns."""
+    (la, A), (lb, B) = a, b
+    out = [[0] * count for _ in range(len(A) + len(B) - 1)]
+    for e, col in enumerate(B):
+        if not any(col):
+            continue
+        shift, k0 = lb + e, max(0, -lb - e)
+        for i, g in enumerate(A):
+            r = out[e + i]
+            r[k0:] = map(add, r[k0:], map(mul, g[k0 + shift : count + shift], col[k0:]))
+    return la + lb, out
 
-    With a_j = c_j / (den j!), images[k] = sum_{j<=k} C(k, j) c_j x^(k-j);
-    each c_k is images[k] less the terms of the c_j already found.
+
+def _from_images(low: int, diags: list, den: int) -> DiffOp:
+    """The operator whose image of x^k is column k of the band (low, diags) over den.
+
+    With a_j = c_j / (den j!), the image of x^k is sum_{j<=k} C(k, j) c_j x^(k-j);
+    each c_k is that image less the terms of the c_j already found.
     """
     found: List[list] = []
-    coeffs: List[Poly] = []
-    scale = den
-    for k, image in enumerate(images):
-        c = list(image)
+    for k, image in enumerate(zip(*diags)):
+        c = [0] * (k + low) + list(image[max(0, -k - low) :])
         for j, cj in enumerate(found):
             if cj:
                 b = math.comb(k, j)
                 c.extend([0] * (k - j + len(cj) - len(c)))
                 for t, v in enumerate(cj, k - j):
                     c[t] -= b * v
-        if k:
-            scale *= k
         while c and not c[-1]:
             c.pop()
         found.append(c)
-        coeffs.append(Poly._from_ints(c, scale))
-    return DiffOp(coeffs)
+    return DiffOp([Poly._from_ints(c, den * math.factorial(k)) for k, c in enumerate(found)])
 
 
 def compose(a: DiffOp, b: DiffOp) -> DiffOp:
     """Operator product a . b, so (a.b)(p) = a(b(p)).
 
-    Recovered from the images a(b(x^k)) for k <= ord a + ord b.
+    Recovered from the images a(b(x^k)) = sum_t b(x^k)_t a(x^t) for k <= ord a + ord b.
     """
     if not (a.coeffs and b.coeffs):
         return DiffOp()
     ra, da = _scaled_rows(a)
     rb, db = _scaled_rows(b)
-    n = len(ra) + len(rb) - 2
-    images = [_apply_rows(ra, _apply_rows(rb, [0] * k + [1])) for k in range(n + 1)]
-    return _from_images(images, da * db)
+    count = len(ra) + len(rb) - 1
+    band_b = _band(rb, count)
+    band_a = _band(ra, count + band_b[0] + len(band_b[1]) - 1)
+    return _from_images(*_product(band_a, band_b, count), da * db)
 
 
 def op_poly(p: Poly, d: DiffOp) -> DiffOp:
     """Evaluate a polynomial at an operator.
 
-    The images p(d)(x^k), k <= deg p * ord d, come from Horner's rule on int
-    lists: after i steps the accumulator is over the denominator dp * dd^i.
+    The images p(d)(x^k), k <= deg p * ord d, come from Horner's rule on d's
+    band, which reaches deg p * rise columns further when d raises degrees by
+    up to rise. After i steps the accumulator is over the denominator dp * dd^i.
     """
     if p.is_zero:
         return DiffOp()
     rows, dd = _scaled_rows(d)
     cs, dp = p.nums, p.den
-    n = (len(cs) - 1) * max(len(rows) - 1, 0)
-    images = []
-    for k in range(n + 1):
-        acc = [0] * k + [cs[-1]]
-        scale = 1
-        for c in reversed(cs[:-1]):
-            scale *= dd
-            acc = _apply_rows(rows, acc)
-            if c:
-                acc.extend([0] * (k + 1 - len(acc)))
-                acc[k] += c * scale
-        images.append(acc)
-    return _from_images(images, dp * dd ** (len(cs) - 1))
+    count = (len(cs) - 1) * max(len(rows) - 1, 0) + 1
+    rise = max([len(row) - 1 - j for j, row in enumerate(rows) if row] + [0])
+    band = _band(rows, count + (len(cs) - 1) * rise)
+    low, acc = 0, [[cs[-1]] * count]
+    scale = 1
+    for c in reversed(cs[:-1]):
+        scale *= dd
+        low, acc = _product(band, (low, acc), count)
+        if c:
+            acc[-low] = [v + c * scale for v in acc[-low]]
+    return _from_images(low, acc, dp * dd ** (len(cs) - 1))
 
 
 def d_operators(ctx, m1: int, m2: int) -> List[DiffOp]:

@@ -64,16 +64,45 @@ coefficients = st.one_of(small_rationals, wide_rationals)
 polys = st.lists(coefficients, max_size=6).map(Poly)
 
 
+def algebra_coefficient(j):
+    return st.lists(coefficients, max_size=j + 1).map(Poly)
+
+
 def operators(max_order):
-    """Zero, identity, in-algebra operators and ones that raise the degree."""
+    """Zero, identity, in-algebra operators (also with zero middle coefficients)
+    and ones that raise the degree, whose images reach above x^t."""
     in_algebra = st.integers(0, max_order).flatmap(
-        lambda n: st.tuples(*[st.lists(coefficients, max_size=j + 1).map(Poly) for j in range(n + 1)])
+        lambda n: st.tuples(*[algebra_coefficient(j) for j in range(n + 1)])
+    )
+    sparse = st.integers(1, max_order).flatmap(
+        lambda n: st.tuples(
+            *[st.one_of(st.just(Poly()), algebra_coefficient(j)) for j in range(n)],
+            algebra_coefficient(n).filter(lambda c: not c.is_zero),
+        )
     )
     return st.one_of(
         st.just(DiffOp()),
         st.just(DiffOp.identity()),
         in_algebra.map(DiffOp),
+        sparse.map(DiffOp),
         st.lists(st.lists(coefficients, max_size=4).map(Poly), max_size=max_order + 1).map(DiffOp),
+    )
+
+
+def order_two_operators():
+    """The classical operator for random parameters, and random order-2 operators."""
+    parameters = st.fractions(min_value=0, max_value=10, max_denominator=6)
+    classical = st.builds(lambda a, b: classical_operator(JacobiContext(a, b)), parameters, parameters)
+    return st.one_of(classical, operators(2))
+
+
+def baseline_config(shape):
+    """The baseline masses M[i][j] = (i+2j)%3-1 and N[i][j] = (2i+j)%3-1."""
+    alpha, beta, m1, m2 = shape
+    return SobolevConfig(
+        alpha=alpha, beta=beta, m1=m1, m2=m2,
+        M=[[Fraction((i + 2 * j) % 3 - 1) for j in range(m1)] for i in range(m1)],
+        N=[[Fraction((2 * i + j) % 3 - 1) for j in range(m2)] for i in range(m2)],
     )
 
 
@@ -115,6 +144,26 @@ class TestDiffOp:
         data = op.to_json()
         assert data["order"] == 1
 
+    def test_scalar_products(self):
+        op = DiffOp([ONE, X])
+        assert Fraction(1, 2) * op == op * Fraction(1, 2) == DiffOp([Fraction(1, 2), X * Fraction(1, 2)])
+        assert 3 * op == op * 3 == op + op + op
+        with pytest.raises(TypeError, match="float"):
+            op * 0.5
+
+    def test_products_with_operators_name_compose(self):
+        # T * X would read as T.x, X * T as x.T; neither is a scalar product
+        op = DiffOp([ONE, X])
+        for product in (lambda: op * X, lambda: X * op, lambda: op * op):
+            with pytest.raises(TypeError, match="compose"):
+                product()
+
+    def test_sum_with_a_non_operator_is_unsupported(self):
+        op = DiffOp([ONE, X])
+        for combination in (lambda: op + 1, lambda: 1 + op, lambda: op - 1, lambda: 1 - op, lambda: op + X):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                combination()
+
 
 class TestCompose:
     def test_product_rule(self):
@@ -149,12 +198,12 @@ class TestIntKernel:
     def test_apply_matches_reference(self, op, p):
         assert op.apply(p) == reference_apply(op, p)
 
-    @given(operators(3), operators(3))
+    @given(operators(8), operators(8))
     @settings(max_examples=150, deadline=None)
     def test_compose_matches_leibniz(self, a, b):
         assert compose(a, b) == reference_compose(a, b)
 
-    @given(st.lists(coefficients, max_size=4).map(Poly), operators(2))
+    @given(st.lists(coefficients, max_size=6).map(Poly), order_two_operators())
     @settings(max_examples=100, deadline=None)
     def test_op_poly_matches_reference(self, p, d):
         assert op_poly(p, d) == reference_op_poly(p, d)
@@ -375,6 +424,28 @@ class TestEigenProperty:
         bundle = cached_bundle(cfg)
         q0 = sobolev_poly(sys_z, cfg, 0)
         assert bundle.D.apply(q0).degree <= 0
+
+    @pytest.mark.parametrize("shape", [(3, 3, 2, 1), (4, 3, 2, 1), (3, 1, 0, 2), (1, 3, 2, 0)])
+    def test_eigen_check_to_the_operator_order(self, shape):
+        # a_j acts through d^j, which is zero on q_n for n < j: only n up to
+        # the order K reaches every coefficient of D
+        cfg = baseline_config(shape)
+        bundle = cached_bundle(cfg)
+        order = operator_order(bundle)
+        assert order == predicted_order(cfg)
+        assert len(verify_eigen(bundle, cfg, build_z(cfg), order)) == order + 1
+
+    def test_doubled_top_coefficient_fails_only_at_the_order(self):
+        cfg = baseline_config((3, 3, 2, 1))
+        sys_z = build_z(cfg)
+        bundle = cached_bundle(cfg)
+        order = operator_order(bundle)
+        top = DiffOp([Poly()] * order + [bundle.D.coeff(order)])
+        broken = bundle._replace(D=bundle.D + top)
+        verify_eigen(broken, cfg, sys_z, 8)
+        with pytest.raises(EigenMismatch) as failure:
+            verify_eigen(broken, cfg, sys_z, order)
+        assert failure.value.n == order
 
     def test_tampered_operator_is_detected(self):
         cfg = random_configs((2, 1, 1, 1), count=1)[0]
