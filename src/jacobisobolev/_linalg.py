@@ -6,6 +6,7 @@ heuristics are needed because the arithmetic is exact.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -15,10 +16,17 @@ def det(matrix: Sequence[Sequence]) -> object:
 
     Uses Laplace expansion with dynamic programming over column subsets, so
     entries only need +, - and *. Intended for small matrices (size <= ~6).
+    A matrix of ints and Fractions is reduced once: each row is scaled to ints
+    by the lcm of its denominators, and the int determinant over the product
+    of those lcms is returned as a Fraction.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant of a non-square matrix")
+    if all(isinstance(c, (int, Fraction)) for row in matrix for c in row):
+        scales = [math.lcm(*[c.denominator for c in row]) for row in matrix]
+        rows = [[c.numerator * (s // c.denominator) for c in row] for row, s in zip(matrix, scales)]
+        return Fraction(_subset_minors(rows, n)[(1 << n) - 1], math.prod(scales))
     return _subset_minors(matrix, n)[(1 << n) - 1]
 
 
@@ -33,7 +41,7 @@ def maximal_minors(rows: Sequence[Sequence]) -> list:
 
 def _subset_minors(rows: Sequence[Sequence], n: int) -> dict:
     """{mask: det of the rows restricted to the columns in mask}, for each len(rows) of the n columns."""
-    minors = {0: Fraction(1)}  # after row k, the dets of rows 0..k restricted to k+1 columns
+    minors = {0: 1}  # after row k, the dets of rows 0..k restricted to k+1 columns
     for k, row in enumerate(rows):
         new = {}
         for mask, value in minors.items():

@@ -292,7 +292,8 @@ def sobolev_poly(sys: ZSystem, cfg: SobolevConfig, n: int) -> Poly:
         pq = sys.p(n) * sys.q(n)
         if pq == 0:
             raise IdentityCheckFailed("sobolev_poly", f"p({n}) q({n}) != 0 for n >= m")
-        rows = [[sys.rho[h][j](n) * sys.z[h](n - j) for j in range(m + 1)] for h in range(m)]
+        # column j >= 1 is C[h][j-1](n) = rho^h_{n,j} z_h(n-j)
+        rows = [[sys.rho[h][0](n) * sys.z[h](n)] + [c(n) for c in sys.C[h]] for h in range(m)]
         values += [
             _linalg.det([[row[r] for r in range(m + 1) if r != j] for row in rows]) / pq
             for j in range(1, m + 1)

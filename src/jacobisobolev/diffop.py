@@ -320,14 +320,18 @@ def build_bundle(cfg, sys, custom_s: Optional[RationalFunction] = None) -> Opera
     # check 2: M_h = sigma^h_{x+1} * MhTilde_h(theta_x)
     mh_list: List[Poly] = []
     mh_tilde: List[Poly] = []
-    # M_h = sum_j (S / n2^m1)(x+j) times the (h, j) cofactor of C, which does not depend on S
+    # M_h = sum_j (S / n2^m1)(x+j) times the (h, j) cofactor of C, which does not depend on S,
+    # summed as polynomials over the monic lcm of the m shifted denominators
     cleared = RationalFunction(S.num, S.den * sys.clearing)
     s_shifted = [cleared.shift(j) for j in range(1, m + 1)]
+    lcm = ONE
+    for s_j in s_shifted:
+        lcm = lcm * s_j.den.div_exact(lcm.gcd(s_j.den))
+    lifted = [s_j.num * lcm.div_exact(s_j.den) for s_j in s_shifted]
     for h, cofactors in enumerate(sys.cofactors, 1):
-        total = sum((s_j * cofactor for s_j, cofactor in zip(s_shifted, cofactors)), RationalFunction(ZERO))
-        if not total.is_polynomial:
+        mh, rem = divmod(sum((u * cofactor for u, cofactor in zip(lifted, cofactors)), ZERO), lcm)
+        if not rem.is_zero:
             raise AssumptionFailed("sigma_factorization", f"M_{h} is not a polynomial")
-        mh = total.as_poly()
         try:
             tilde = divide_skew_by_sigma(mh, a, b)
         except (NotSkewError, ValueError) as exc:

@@ -541,13 +541,18 @@ def _pseudo_rem(a: list, b: list) -> list:
 
 
 class RationalFunction:
-    """Reduced quotient of two polynomials with a monic denominator."""
+    """Reduced quotient of two polynomials with a monic denominator.
+
+    Each result is reduced once: a product cross-cancels its operands and a
+    sum divides out only gcd(t, g), g the gcd of the denominators (Henrici's
+    method, as in `fractions.Fraction`), so neither runs the constructor's gcd.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=ONE):
-        num = _as_poly(num)
-        den = _as_poly(den)
+        num = num if isinstance(num, Poly) else Poly.constant(num)  # a float is refused by name
+        den = den if isinstance(den, Poly) else Poly.constant(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
@@ -583,10 +588,17 @@ class RationalFunction:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        g = self.den.gcd(other.den)
-        da = self.den.div_exact(g) if g.degree != 0 else self.den
-        db = other.den.div_exact(g) if g.degree != 0 else other.den
-        return RationalFunction(self.num * db + other.num * da, da * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = b.gcd(d)
+        if g.degree == 0:
+            t = a * d + c * b
+        else:
+            b = b.div_exact(g)
+            t = a * d.div_exact(g) + c * b
+            g = t.gcd(g)  # only a factor of g can be common to t and the denominator b d / g
+            if g.degree != 0:
+                t, d = t.div_exact(g), d.div_exact(g)
+        return _wrap_rf(t, b * d) if t else RationalFunction(ZERO)
 
     __radd__ = __add__
 
@@ -610,14 +622,14 @@ class RationalFunction:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        # cross-cancel before multiplying to keep the gcds small
+        # cross-cancelled, the two reduced quotients multiply to a reduced one
         g1 = self.num.gcd(other.den)
         g2 = other.num.gcd(self.den)
         n1 = self.num.div_exact(g1) if g1.degree != 0 else self.num
         d2 = other.den.div_exact(g1) if g1.degree != 0 else other.den
         n2 = other.num.div_exact(g2) if g2.degree != 0 else other.num
         d1 = self.den.div_exact(g2) if g2.degree != 0 else self.den
-        return RationalFunction(n1 * n2, d1 * d2)
+        return _wrap_rf(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -628,7 +640,10 @@ class RationalFunction:
         return self * RationalFunction(other.den, other.num)
 
     def __rtruediv__(self, other) -> "RationalFunction":
-        return _as_rf(other) / self
+        other = _as_rf(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def __call__(self, point) -> Fraction:
         point = _exact(point)
@@ -667,9 +682,8 @@ def _wrap_rf(num: Poly, den: Poly) -> RationalFunction:
 def _as_rf(value):
     if isinstance(value, RationalFunction):
         return value
-    if isinstance(value, (int, Fraction, Poly)):
-        return RationalFunction(value)
-    return NotImplemented
+    value = _as_poly(value)
+    return value if value is NotImplemented else _wrap_rf(value, ONE)
 
 
 def pochhammer(base, count: int):

@@ -388,6 +388,21 @@ class TestVerify:
         assert len(omegas) == 2 and omegas[0] is omegas[1]
         assert omegas[0] == real_det(entries)
 
+    @pytest.mark.parametrize("config", [EXAMPLE_CONFIG, GOLDEN_OPERATOR_CONFIG], ids=["scalar-1", "baseline-3321"])
+    def test_s_over_omega_reports_mh_failure(self, config, tmp_path):
+        path = write_json(tmp_path / "c.json", config)
+        s_path = write_json(tmp_path / "s.json", {"num": ["1"], "den": "auto-omega"})
+        out = tmp_path / "report.json"
+        code = main(["verify", "--config", path, "--nmax", "4", "--custom-s", s_path, "--out", str(out)])
+        assert code == cli.EXIT_VERIFY
+        report = json.loads(out.read_text())
+        assert report["assumption_status"] == {
+            "s_omega_polynomial": True, "sigma_factorization": False, "eigenvalue_generator": True,
+        }
+        assert report["eigen"] == {
+            "status": "fail", "reason": "assumption sigma_factorization failed: M_1 is not a polynomial",
+        }
+
     def test_invalid_custom_s_exits_3(self, config_path, tmp_path):
         s_path = write_json(tmp_path / "s.json", {"num": ["1", "1"], "den": ["0", "1", "1"]})
         code = main(["verify", "--config", config_path, "--nmax", "4", "--custom-s", s_path])

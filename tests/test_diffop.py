@@ -479,8 +479,62 @@ class TestCustomS:
     def test_invalid_custom_s_rejected(self):
         cfg = scalar_example_config(1)
         sys_z = build_z(cfg)
-        with pytest.raises(AssumptionFailed):
+        with pytest.raises(AssumptionFailed) as info:
             build_bundle(cfg, sys_z, RationalFunction(X, X + 1))
+        assert info.value.which == "s_omega_polynomial"
+
+    @pytest.mark.parametrize(
+        "cfg", [scalar_example_config(1), baseline_config((3, 3, 2, 1))], ids=["scalar-1", "baseline-3321"]
+    )
+    def test_s_over_omega_fails_mh_polynomial(self, cfg):
+        # S Omega = 1 passes check 1, but the sum over the shifted S leaves M_1 a proper fraction
+        sys_z = build_z(cfg)
+        with pytest.raises(AssumptionFailed, match="M_1 is not a polynomial") as info:
+            build_bundle(cfg, sys_z, RationalFunction(ONE) / sys_z.omega)
+        assert info.value.which == "sigma_factorization"
+
+
+NEG_X = Poly([0, -1])
+
+
+def mirrored_config(cfg):
+    """The problem mirrored by x -> -x: alpha <-> beta, m1 <-> m2, and M, N swapped
+    with each entry (i, k) times (-1)^(i+k)."""
+
+    def flip(masses):
+        return [[(-1) ** (i + k) * c for k, c in enumerate(row)] for i, row in enumerate(masses)]
+
+    return SobolevConfig(alpha=cfg.beta, beta=cfg.alpha, m1=cfg.m2, m2=cfg.m1, M=flip(cfg.N), N=flip(cfg.M))
+
+
+MIRROR_CASES = [
+    baseline_config((4, 3, 2, 1)),
+    baseline_config((3, 3, 2, 2)),
+    SobolevConfig(
+        alpha=2, beta=5, m1=2, m2=0, M=[[Fraction(1, 3), Fraction(-2, 5)], [Fraction(3, 2), Fraction(5, 7)]]
+    ),
+    SobolevConfig(
+        alpha=4, beta=3, m1=2, m2=1,
+        M=[[Fraction(2, 3), Fraction(-1, 4)], [Fraction(1, 5), Fraction(3, 2)]], N=[[Fraction(-5, 6)]],
+    ),
+]
+
+
+class TestMirror:
+    """The whole pipeline commutes with the reflection x -> -x of the problem."""
+
+    @pytest.mark.parametrize(
+        "cfg", MIRROR_CASES, ids=["baseline-4321", "baseline-3322", "rational-2520", "rational-4321"]
+    )
+    def test_mirrored_problem_reflects_operator_and_family(self, cfg):
+        twin = mirrored_config(cfg)
+        d, d_twin = cached_bundle(cfg).D, cached_bundle(twin).D
+        # R sends a_j(x) to (-1)^j a_j(-x); the constant term agrees too
+        assert d_twin == DiffOp([(-1) ** j * a(NEG_X) for j, a in enumerate(d.coeffs)])
+        for n in range(6):
+            q = sobolev_poly(build_z(cfg), cfg, n)(NEG_X)
+            q_twin = sobolev_poly(build_z(twin), twin, n)
+            assert q_twin * q.lead == q * q_twin.lead
 
 
 class TestOrderPrediction:

@@ -1,6 +1,7 @@
 """Exact scalar/polynomial/rational-function arithmetic and transforms."""
 
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -313,6 +314,17 @@ class TestOperandProtocol:
         with pytest.raises(TypeError, match=message):
             1.5 - RationalFunction(ONE, X + 1)
 
+    @pytest.mark.parametrize("left, name", [(1.5, "float"), ("a", "str")])
+    def test_bad_operand_divided_by_rational_function_rejected(self, left, name):
+        message = rf"unsupported operand type\(s\) for /: '{name}' and 'RationalFunction'"
+        with pytest.raises(TypeError, match=message):
+            left / RationalFunction(X, X + 1)
+
+    @pytest.mark.parametrize("make", [lambda: RationalFunction(1.5), lambda: RationalFunction(X, 0.5)])
+    def test_float_rational_function_part_rejected(self, make):
+        with pytest.raises(TypeError, match="the float"):
+            make()
+
     def test_negative_monomial_power_rejected(self):
         with pytest.raises(ValueError):
             Poly.monomial(-1)
@@ -327,11 +339,32 @@ square_rationals = st.integers(0, 4).flatmap(
 )
 
 
+# ints and wide rationals mixed in one row, so the rows scale by unrelated lcms
+square_mixed = st.integers(0, 4).flatmap(
+    lambda k: st.lists(
+        st.lists(st.one_of(st.integers(-(10**20), 10**20), wide_rationals), min_size=k, max_size=k),
+        min_size=k,
+        max_size=k,
+    )
+)
+
+
 class TestDeterminant:
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(square_polys, square_rationals))
     def test_matches_leibniz(self, matrix):
         assert _linalg.det(matrix) == reference_det(matrix)
+
+    @settings(max_examples=60, deadline=None)
+    @given(square_mixed)
+    def test_int_and_fraction_entries(self, matrix):
+        value = _linalg.det(matrix)
+        assert type(value) is Fraction and value == reference_det(matrix)
+
+    def test_int_and_empty_matrices_give_a_fraction(self):
+        for matrix, expected in (([[2, 1], [1, 3]], 5), ([[7]], 7), ([], 1)):
+            value = _linalg.det(matrix)
+            assert type(value) is Fraction and value == expected
 
     def test_rational_function_entries(self):
         f = RationalFunction(X + 1, X - 2)
@@ -390,6 +423,91 @@ class TestRationalFunction:
         g = RationalFunction(q, X + 3)
         assert f + g == g + f
         assert (f + g) - g == f
+
+
+# products of a few shared factors, so that denominators meet with gcd 1, with a
+# common factor that the sum keeps, and with one that the sum cancels
+_FACTORS = (X, X + 1, X - 2, 2 * X + 3, X * X + 1, X * X - X + Fraction(1, 2))
+factor_products = st.lists(st.sampled_from(_FACTORS), max_size=3).map(lambda fs: math.prod(fs, start=ONE))
+shared_factor_rfs = st.builds(
+    lambda f, p, g, c: RationalFunction(f * p, g * c),
+    factor_products,
+    st.one_of(small_polys, nonzero_constants),
+    factor_products,
+    nonzero_constants,
+)
+
+
+def _parts(value):
+    """(num, den) of a RationalFunction, Poly or scalar operand."""
+    if isinstance(value, RationalFunction):
+        return value.num, value.den
+    return (value if isinstance(value, Poly) else Poly.constant(value)), ONE
+
+
+def schoolbook(op, left, right):
+    """The unreduced (num, den) of left op right by the textbook formulas."""
+    (a, b), (c, d) = _parts(left), _parts(right)
+    if op is operator.mul:
+        return reference_mul(a, c), reference_mul(b, d)
+    if op is operator.truediv:
+        return reference_mul(a, d), reference_mul(b, c)
+    combine = reference_add if op is operator.add else reference_sub
+    return combine(reference_mul(a, d), reference_mul(c, b)), reference_mul(b, d)
+
+
+@st.composite
+def rf_operand_pairs(draw):
+    """(f, g): f a RationalFunction; g another one, one that cancels part or all of
+    f's denominator in f + g, or a Poly or scalar."""
+    f = draw(shared_factor_rfs)
+    kind = draw(st.sampled_from(["any", "cancel", "negate", "poly", "scalar"]))
+    if kind == "any":
+        return f, draw(shared_factor_rfs)
+    if kind == "cancel":  # g = h - f, so that f + g = h
+        return f, RationalFunction(*schoolbook(operator.sub, draw(shared_factor_rfs), f))
+    if kind == "negate":
+        return f, RationalFunction(reference_neg(f.num), f.den)
+    if kind == "poly":
+        return f, draw(st.one_of(small_polys, factor_products))
+    return f, draw(scalars)
+
+
+class TestRationalFunctionArithmetic:
+    """+, -, * and / against the reduced textbook formulas, on either side."""
+
+    @given(rf_operand_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_schoolbook(self, pair):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for left, right in (pair, pair[::-1]):
+                if op is operator.truediv and _parts(right)[0].is_zero:
+                    with pytest.raises(ZeroDivisionError):
+                        op(left, right)
+                    continue
+                result = op(left, right)
+                assert type(result) is RationalFunction
+                assert (result.num, result.den) == reference_rational_parts(*schoolbook(op, left, right))
+                # canonical: a monic denominator coprime to the numerator
+                assert result.den.lead == 1 and reference_gcd(result.num, result.den) == ONE
+
+    @pytest.mark.parametrize(
+        "f, g, expected",
+        [
+            # denominators with gcd 1
+            (RationalFunction(ONE, X), RationalFunction(ONE, X + 1), RationalFunction(2 * X + 1, X * X + X)),
+            # gcd x of the denominators, and gcd(t, x) = 1
+            (RationalFunction(ONE, X * (X + 1)), RationalFunction(ONE, X), RationalFunction(X + 2, X * (X + 1))),
+            # gcd x of the denominators, and gcd(t, x) = x
+            (RationalFunction(ONE, X), RationalFunction(X - 1, X), RationalFunction(ONE)),
+            # cancellation to zero
+            (RationalFunction(ONE, X + 1), RationalFunction(-ONE, X + 1), RationalFunction(ZERO)),
+        ],
+    )
+    def test_sum_branches_pinned(self, f, g, expected):
+        total = f + g
+        assert (total.num, total.den) == (expected.num, expected.den)
+        assert (f - (-g)) == total == g + f
 
 
 class TestPochhammer:
