@@ -44,7 +44,7 @@ class InputError(ValueError):
 def _load_config(path: str) -> SobolevConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=Fraction)
         return SobolevConfig.from_json(data)
     except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"bad config {path}: {exc}") from exc
@@ -58,7 +58,7 @@ def _load_custom_s(path: Optional[str], cfg: SobolevConfig, sys_z) -> Optional[R
         return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=Fraction)
         unknown = sorted(set(data) - {"num", "den"})
         if unknown:
             raise ValueError(f"unknown keys {unknown}")
@@ -179,7 +179,7 @@ def cmd_operator(cfg: SobolevConfig, system, n_max: int, custom_s) -> Tuple[int,
 def cmd_rank(gamma: str, matrix_json: str) -> Tuple[int, dict]:
     try:
         gamma_value = rat(gamma)
-        trace = weighted_rank(gamma_value, rat_rows(json.loads(matrix_json)))
+        trace = weighted_rank(gamma_value, rat_rows(json.loads(matrix_json, parse_float=Fraction)))
     except (ValueError, TypeError, json.JSONDecodeError) as exc:
         raise InputError(f"bad rank input: {exc}") from exc
     return EXIT_OK, {

@@ -38,6 +38,7 @@ from . import _linalg
 from .exactmath import (
     ONE,
     X,
+    Frozen,
     IdentityCheckFailed,
     Poly,
     RationalFunction,
@@ -53,11 +54,13 @@ class DegenerateConfigError(ValueError):
     """Lambda(k) vanished for some k in range: no orthogonal family exists."""
 
 
-class ZSystem:
+class ZSystem(Frozen):
     """The sequence functions and normalizers of one configuration, and the
     Casorati values built from them. The cached attributes and the q_n memo
     are filled on first use, ignored by ==, hash and repr, and start empty
     on a system built from another's fields."""
+
+    _fields = ("z", "Y", "p", "q", "rho")
 
     def __init__(
         self,
@@ -67,26 +70,9 @@ class ZSystem:
         q: Poly,
         rho: Tuple[Tuple[RationalFunction, ...], ...],  # rho[h-1][j], j = 0..m
     ):
-        q_polys: Dict[int, Poly] = {}  # q_n by degree, filled by `sobolev_poly`
-        for name, value in (("z", z), ("Y", Y), ("p", p), ("q", q), ("rho", rho), ("q_polys", q_polys)):
+        for name, value in zip(self._fields, (z, Y, p, q, rho)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("ZSystem is immutable")
-
-    def _key(self) -> tuple:
-        return (self.z, self.Y, self.p, self.q, self.rho)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"ZSystem(z={self.z!r}, Y={self.Y!r}, p={self.p!r}, q={self.q!r}, rho={self.rho!r})"
+        object.__setattr__(self, "q_polys", {})  # q_n by degree, filled by `sobolev_poly`
 
     @cached_property
     def C(self) -> Tuple[Tuple[Poly, ...], ...]:
@@ -105,9 +91,10 @@ class ZSystem:
     @cached_property
     def quotients(self) -> Tuple[RationalFunction, ...]:
         """quotients[j-1] = minor j / (p q), j = 1..m-1: q_n's minors for n < m, where
-        minor j leaves column j out of [rho^h_{x,r} z_h(x-r)], r = 0..m."""
+        minor j leaves column j out of [rho^h_{x,r} z_h(x-r)], r = 0..m, whose columns 1..m are C."""
         m = len(self.z)
-        entries = [[self.rho[h][r] * RationalFunction(self.z[h].shift(-r)) for r in range(m + 1)] for h in range(m)]
+        first = [rho[0] * RationalFunction(z) for rho, z in zip(self.rho, self.z)]
+        entries = [[f, *map(RationalFunction, row)] for f, row in zip(first, self.C)]
         pq = RationalFunction(self.p * self.q)
         return tuple(
             _linalg.det([[row[r] for r in range(m + 1) if r != j] for row in entries]) / pq for j in range(1, m)

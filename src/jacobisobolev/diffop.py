@@ -50,6 +50,7 @@ from .exactmath import (
     NEG_INFINITY,
     ONE,
     ZERO,
+    Frozen,
     IdentityCheckFailed,
     NotInvariantError,
     NotSkewError,
@@ -83,19 +84,16 @@ class EigenMismatch(ValueError):
         self.residual = residual
 
 
-class DiffOp:
+class DiffOp(Frozen):
     """sum_j coeffs[j](x) d^j/dx^j with exact polynomial coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: Sequence = ()):
         cs = [c if isinstance(c, Poly) else Poly.constant(c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("DiffOp is immutable")
 
     @classmethod
     def identity(cls) -> "DiffOp":
@@ -143,14 +141,6 @@ class DiffOp:
         return DiffOp([c * value for c in self.coeffs])
 
     __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"DiffOp({list(self.coeffs)!r})"

@@ -13,6 +13,10 @@ the change of basis into powers of ``theta_x = x (x + s + 1)``.
 
 A float is refused wherever a scalar enters (`_exact`), not read as its
 binary value.
+
+``Frozen``, the base of the package's value classes, refuses assignment and
+deletion and gives ``==`` (same class only), ``hash`` and the repr
+``Name(field=value, ...)`` over the attributes a subclass names in ``_fields``.
 """
 
 from __future__ import annotations
@@ -49,18 +53,47 @@ class IdentityCheckFailed(RuntimeError):
         self.identity = identity
 
 
+class Frozen:
+    """Immutable value over the attributes named in ``_fields``; ``__init__``
+    sets them with ``object.__setattr__``."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__name__}({fields})"
+
+
 def rat(value: Union[int, str, Fraction]) -> Fraction:
     """Parse a rational from an int, a Fraction or a canonical "p/q" string.
 
-    A bool is rejected: JSON true would otherwise be read as 1."""
+    A bool is rejected: JSON true would otherwise be read as 1. A float is
+    refused by `_exact`; JSON numbers are read with ``parse_float=Fraction``."""
     if isinstance(value, bool):
         raise TypeError(f"a rational must be an integer, a fraction or a string, got {value!r}")
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if not isinstance(value, str):
+        return _exact(value)
     try:
-        return Fraction(str(value))
+        return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
 
@@ -84,7 +117,7 @@ def rat_str(value: Scalar) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-class Poly:
+class Poly(Frozen):
     """Dense univariate polynomial over the rationals.
 
     Stored as a tuple ``nums`` of int numerators, ascending powers, trailing
@@ -104,9 +137,6 @@ class Poly:
         den = math.lcm(*[c.denominator for c in cs])
         object.__setattr__(self, "nums", tuple([c.numerator * (den // c.denominator) for c in cs]))
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("Poly is immutable")
 
     @classmethod
     def _from_ints(cls, nums: Sequence[int], den: int) -> "Poly":
@@ -540,7 +570,7 @@ def _pseudo_rem(a: list, b: list) -> list:
     return r
 
 
-class RationalFunction:
+class RationalFunction(Frozen):
     """Reduced quotient of two polynomials with a monic denominator.
 
     Each result is reduced once: a product cross-cancels its operands and a
@@ -567,9 +597,6 @@ class RationalFunction:
             num, den = num / lead, den / lead
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("RationalFunction is immutable")
 
     @property
     def is_zero(self) -> bool:

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactmath import ONE, X, ZERO, IdentityCheckFailed, Poly, _exact
+from .exactmath import ONE, X, ZERO, Frozen, IdentityCheckFailed, Poly, _exact
 
 
-class JacobiContext:
+class JacobiContext(Frozen):
     """Jacobi parameter pair; alpha, beta and alpha+beta must avoid -1, -2, ..."""
 
-    __slots__ = ("alpha", "beta")
+    __slots__ = _fields = ("alpha", "beta")
 
     def __init__(self, alpha, beta):
         alpha = _exact(alpha)
@@ -36,20 +36,6 @@ class JacobiContext:
         for value in (alpha, beta, alpha + beta):
             if value.denominator == 1 and value <= -1:
                 raise ValueError(f"parameter {value} is a forbidden negative integer")
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("JacobiContext is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.alpha, self.beta) == (other.alpha, other.beta)
-
-    def __hash__(self) -> int:
-        return hash((self.alpha, self.beta))
-
-    def __repr__(self) -> str:
-        return f"JacobiContext(alpha={self.alpha!r}, beta={self.beta!r})"
 
     def theta(self, n) -> Fraction:
         n = _exact(n)

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import List, Tuple
 
-from .exactmath import ONE, Poly, involute, rat_rows, rat_str
+from .exactmath import ONE, Frozen, Poly, involute, rat_rows, rat_str
 from .jacobi import weight_moment
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
@@ -39,10 +39,10 @@ def _freeze_matrix(rows, size: int, name: str) -> Matrix:
     return rows
 
 
-class SobolevConfig:
+class SobolevConfig(Frozen):
     """Full problem statement: parameters, mass matrices and the Xi factor."""
 
-    __slots__ = ("alpha", "beta", "m1", "m2", "M", "N", "xi")
+    __slots__ = _fields = ("alpha", "beta", "m1", "m2", "M", "N", "xi")
 
     def __init__(self, alpha: int, beta: int, m1: int, m2: int, M=(), N=(), xi: Poly = ONE):
         for name, value in (("alpha", alpha), ("beta", beta), ("m1", m1), ("m2", m2)):
@@ -65,26 +65,6 @@ class SobolevConfig:
             raise ValueError("xi must be invariant under x -> -(x + alpha+beta-m)")
         for name, value in zip(self.__slots__, (alpha, beta, m1, m2, M, N, xi)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("SobolevConfig is immutable")
-
-    def _key(self) -> tuple:
-        return (self.alpha, self.beta, self.m1, self.m2, self.M, self.N, self.xi)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"SobolevConfig(alpha={self.alpha!r}, beta={self.beta!r}, m1={self.m1!r}, m2={self.m2!r}, "
-            f"M={self.M!r}, N={self.N!r}, xi={self.xi!r})"
-        )
 
     @property
     def m(self) -> int:

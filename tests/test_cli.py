@@ -141,7 +141,7 @@ class TestInputValidation:
         assert main(["construct", "--config", config_path, "--nmax", "-1"]) == 1
 
     @pytest.mark.parametrize("field", ["alpha", "beta", "m1", "m2"])
-    @pytest.mark.parametrize("value", [2.7, "2", True])
+    @pytest.mark.parametrize("value", [2.7, 2.0, "2", True])
     def test_non_integer_parameter_rejected(self, tmp_path, capsys, field, value):
         # int() would silently turn 2.7 into 2 and true into 1
         cfg = dict(EXAMPLE_CONFIG, **{field: value})
@@ -199,6 +199,30 @@ class TestInputValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith(prefix)
+
+    # a JSON number with a fraction or an exponent went through a binary float:
+    # 1e-400 was read as 0 and 12345678901234567891.0 as 12345678901234567000
+    def test_json_number_read_exactly(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(
+            '{"alpha": 1, "beta": 1, "m1": 1, "m2": 1, "M": [[1e-400]], "N": [[12345678901234567891.0]]}',
+            encoding="utf-8",
+        )
+        assert main(["construct", "--config", str(path), "--nmax", "1"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["M"] == [["1/1" + "0" * 400]]
+        assert config["N"] == [["12345678901234567891"]]
+
+    def test_json_number_in_custom_s_and_rank(self, tmp_path, capsys, config_path):
+        reports = []
+        for custom in ('{"num": [0.5, 1.25e1], "den": [3]}', '{"num": ["1/2", "25/2"], "den": ["3"]}'):
+            path = tmp_path / "s.json"
+            path.write_text(custom, encoding="utf-8")
+            main(["verify", "--config", config_path, "--nmax", "3", "--custom-s", str(path)])
+            reports.append(capsys.readouterr())
+        assert reports[0] == reports[1] and reports[0].out
+        assert main(["rank", "--gamma", "3", "--matrix", "[[1e-400]]"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == "3"
 
     # a "p/0" rational used to escape as a ZeroDivisionError traceback
     @pytest.mark.parametrize(
@@ -439,6 +463,22 @@ class TestIdentityChecks:
                 if is_dict:
                     found.update(f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name))
         assert found == {"construct._ZSYS_CACHE", "jacobi._POLY_CACHE", "jacobi._MOMENT_CACHE"}
+
+    def test_one_immutability_guard(self):
+        # every value class takes its guard from exactmath.Frozen, and its == and
+        # hash too, except the two whose == coerces scalars
+        package = Path(jacobisobolev.__file__).parent
+        found = {"__setattr__": set(), "__eq__": set(), "__hash__": set()}
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for cls in ast.walk(tree):
+                if isinstance(cls, ast.ClassDef):
+                    for node in cls.body:
+                        if isinstance(node, ast.FunctionDef) and node.name in found:
+                            found[node.name].add(f"{path.stem}.{cls.name}")
+        assert found["__setattr__"] == {"exactmath.Frozen"}
+        own = {"exactmath.Frozen", "exactmath.Poly", "exactmath.RationalFunction"}
+        assert found["__eq__"] == found["__hash__"] == own
 
     def test_failed_check_exits_3_with_one_line(self, config_path, capsys, monkeypatch):
         monkeypatch.setattr(DiffOp, "in_algebra", property(lambda self: False))

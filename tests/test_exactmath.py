@@ -28,6 +28,8 @@ from kernel_reference import (
 )
 
 from jacobisobolev import _linalg
+from jacobisobolev.construct import ZSystem, build_z
+from jacobisobolev.diffop import DiffOp
 from jacobisobolev.exactmath import (
     NEG_INFINITY,
     ONE,
@@ -47,6 +49,8 @@ from jacobisobolev.exactmath import (
     theta_poly,
     to_theta_basis,
 )
+from jacobisobolev.jacobi import JacobiContext
+from jacobisobolev.sobolev import SobolevConfig
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=6
@@ -188,6 +192,45 @@ class TestPoly:
             rat(value)
         with pytest.raises(TypeError):
             Poly.from_json([value])
+
+    def test_rat_refuses_a_float(self):
+        # Fraction(str(0.1)) happened to read 1/10, but 1e-400 was read as 0
+        for value in (0.1, 1e-400):
+            with pytest.raises(TypeError, match=f"the float {value!r}"):
+                rat(value)
+        assert rat("1e-400") == Fraction(1, 10**400)
+        assert rat(Fraction("12345678901234567891.0")) == 12345678901234567891
+
+
+def value_instances():
+    cfg = SobolevConfig(alpha=3, beta=2, m1=2, m2=1, M=[[1, 0], [2, 1]], N=[[1]])
+    return {
+        SobolevConfig: cfg,
+        JacobiContext: JacobiContext(3, Fraction(1, 2)),
+        ZSystem: build_z(cfg),
+        DiffOp: DiffOp([ONE, X]),
+        Poly: Poly([1, Fraction(2, 3)]),
+        RationalFunction: RationalFunction(ONE, X + 1),
+    }
+
+
+class TestValueClasses:
+    """Every value class is frozen by the one `Frozen` guard; the four without
+    a canonical form of their own compare only with their own class."""
+
+    @pytest.mark.parametrize("cls", list(value_instances()), ids=lambda cls: cls.__name__)
+    def test_immutable_and_compared_within_its_class(self, cls):
+        values = value_instances()
+        value = values.pop(cls)
+        for name in ("den", "coeffs", "alpha", "z", "new_name"):
+            with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+                setattr(value, name, 1)
+            with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+                delattr(value, name)
+        if cls not in (Poly, RationalFunction):  # these two coerce scalars in ==
+            for other in values.values():
+                assert value.__eq__(other) is NotImplemented and value != other
+            assert value.__eq__(value._key()) is NotImplemented
 
 
 class TestIntegerLayout:

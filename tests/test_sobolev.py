@@ -71,6 +71,14 @@ class TestConfig:
         with pytest.raises(AttributeError):
             cfg.alpha = 4
 
+    @pytest.mark.parametrize("field, value", [("M", 0.5), ("N", 1e-400)])
+    def test_float_mass_rejected(self, field, value):
+        # a float mass used to be read through str(), and 1e-400 became 0
+        masses = {"M": [[1]], "N": [[1]]}
+        masses[field] = [[value]]
+        with pytest.raises(TypeError, match=f"the float {value!r}"):
+            SobolevConfig(alpha=2, beta=2, m1=1, m2=1, **masses)
+
     def test_json_round_trip(self):
         cfg = SobolevConfig(
             alpha=2, beta=1, m1=1, m2=1, M=[[Fraction(1, 2)]], N=[[-2]]
