@@ -41,6 +41,14 @@ class InputError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is malformed input: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def _load_config(path: str) -> SobolevConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -192,7 +200,7 @@ def cmd_rank(gamma: str, matrix_json: str) -> Tuple[int, dict]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jacobisobolev",
         description="Sobolev-orthogonal Jacobi-type polynomials and their eigenoperators",
     )
@@ -215,8 +223,8 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         if args.command == "rank":
             code, payload = cmd_rank(args.gamma, args.matrix)
         else:

@@ -63,7 +63,7 @@ from .exactmath import (
     theta_poly,
     to_theta_basis,
 )
-from .jacobi import JacobiContext, classical_operator
+from .jacobi import JacobiContext
 from .rank import predicted_order
 
 
@@ -262,6 +262,12 @@ def d_operators(ctx, m1: int, m2: int) -> List[DiffOp]:
     if not (d1.in_algebra and d2.in_algebra):
         raise IdentityCheckFailed("d_operators", "deg a_j <= j for D1 and D2")
     return [d1] * m1 + [d2] * m2
+
+
+def classical_operator(ctx: JacobiContext) -> DiffOp:
+    """The second-order operator with jacobi_poly(ctx, n) as eigenfunctions."""
+    a, b = ctx.alpha, ctx.beta
+    return DiffOp([ZERO, Poly([a - b, a + b + 2]), Poly([-1, 0, 1])])
 
 
 class OperatorBundle(NamedTuple):

@@ -5,6 +5,8 @@ denominator with no common factor, the layout of FLINT's ``fmpq_poly``, so
 every operation in this package is exact: there is no floating point
 anywhere. Each polynomial operation runs on Python ints and reduces its
 result once; the ``Fraction`` coefficients are built only when asked for.
+Division and the gcd share one kernel, the integer pseudo-division
+`_pseudo_divide` (Knuth, TAOCP vol. 2, 4.6.1).
 
 Beyond the basic rings this module provides the structural transforms the
 rest of the package is built on: Pochhammer products, the discrete
@@ -124,10 +126,10 @@ class Poly(Frozen):
     zeros trimmed, over one int denominator ``den > 0`` with
     gcd(den, *nums) = 1. The form is canonical, so equality and hashing
     compare ``(nums, den)``. ``coeffs``, the tuple of reduced ``Fraction``
-    coefficients, is built on first use. Instances are immutable and hashable.
+    coefficients, is built on each request. Instances are immutable and hashable.
     """
 
-    __slots__ = ("nums", "den", "_coeffs")
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [c if isinstance(c, Fraction) else _exact(c) for c in coeffs]
@@ -160,13 +162,8 @@ class Poly(Frozen):
     @property
     def coeffs(self) -> tuple:
         """The coefficients as reduced Fractions, ascending powers."""
-        try:
-            return self._coeffs
-        except AttributeError:
-            den = self.den
-            cs = tuple([Fraction(c, den) for c in self.nums])
-            object.__setattr__(self, "_coeffs", cs)
-            return cs
+        den = self.den
+        return tuple([Fraction(c, den) for c in self.nums])
 
     # -- constructors -------------------------------------------------------
 
@@ -280,40 +277,15 @@ class Poly(Frozen):
         return result
 
     def __divmod__(self, other: "Poly"):
-        """Quotient and remainder by integer pseudo-division.
-
-        Each step cancels the leading term with the smallest integer
-        multipliers and keeps their product s, so that s * self.nums =
-        quot * other.nums + rem over the integers.
-        """
+        """Quotient and remainder by integer pseudo-division (`_pseudo_divide`)."""
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        b = other.nums
-        dq = len(b) - 1
-        if len(self.nums) <= dq:
+        if len(self.nums) < len(other.nums):
             return ZERO, self
-        rem = list(self.nums)
-        lead, tail = b[-1], b[:-1]
-        quot = []  # highest power first
-        scale = 1
-        for i in range(len(rem) - 1, dq - 1, -1):
-            c = rem.pop()
-            if not c:
-                quot.append(0)
-                continue
-            g = math.gcd(c, lead)
-            s, t = lead // g, c // g
-            if s != 1:
-                rem = [s * v for v in rem]
-                quot = [s * v for v in quot]
-                scale *= s
-            quot.append(t)
-            for j, v in enumerate(tail, i - dq):
-                rem[j] -= t * v
-        quot.reverse()
+        quot, rem, scale = _pseudo_divide(self.nums, other.nums)
         # self = nums / den and other = b / db give q = quot db / (den s), r = rem / (den s)
         den = self.den * scale
         if other.den != 1:
@@ -421,7 +393,7 @@ class Poly(Frozen):
         if len(a) < len(b):
             a, b = b, a
         while b:
-            a, b = b, _primitive_ints(_pseudo_rem(a, b))
+            a, b = b, _primitive_ints(_pseudo_divide(a, b)[1])
         if not a:
             return ZERO
         return Poly._from_ints(a, a[-1])
@@ -546,28 +518,38 @@ def _primitive_ints(ints):
     return ints if g <= 1 else [c // g for c in ints]
 
 
-def _pseudo_rem(a: list, b: list) -> list:
-    """A nonzero rational multiple of a mod b, for trimmed integer lists.
+def _pseudo_divide(a: Sequence[int], b: Sequence[int]) -> tuple:
+    """Integer pseudo-division of trimmed int lists, for len(a) >= len(b).
 
-    Each step cancels the leading term with the smallest integer multipliers,
-    so the rows grow only by the cofactor of the gcd of the two leads.
+    Returns (quot, rem, s) with s * a = quot * b + rem, rem trimmed and shorter
+    than b. Each step cancels the leading term with the smallest integer
+    multipliers, so the rows grow only by the cofactor of the gcd of the two
+    leads, and s is the product of those cofactors.
     """
-    r = list(a)
+    rem = list(a)
     db = len(b) - 1
-    lead = b[-1]
-    tail = b[:-1]
-    while len(r) > db:
-        c = r.pop()
-        if c:
-            g = math.gcd(c, lead)
-            s, t = lead // g, c // g
-            if s != 1:
-                r = [s * v for v in r]
-            for j, v in enumerate(tail, len(r) - db):
-                r[j] -= t * v
-    while r and not r[-1]:
-        r.pop()
-    return r
+    lead, tail = b[-1], b[:-1]
+    steps = []  # (t, s) for each quotient term, highest power first
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem.pop()
+        if not c:
+            steps.append((0, 1))
+            continue
+        g = math.gcd(c, lead)
+        s, t = lead // g, c // g
+        if s != 1:
+            rem = [s * v for v in rem]
+        steps.append((t, s))
+        for j, v in enumerate(tail, i - db):
+            rem[j] -= t * v
+    # a term is scaled by the multipliers of the steps after it
+    quot, scale = [], 1
+    for t, s in reversed(steps):
+        quot.append(t * scale)
+        scale *= s
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem, scale
 
 
 class RationalFunction(Frozen):

@@ -51,40 +51,27 @@ _POLY_CACHE: dict = {}
 def jacobi_poly(ctx: JacobiContext, n: int) -> Poly:
     """Degree-n Jacobi polynomial; the zero polynomial for n < 0.
 
-    A cache miss extends the family for (alpha, beta) from the highest degree
-    held, one degree at a time, by Szego's recurrence (4.5.1) stated above,
-    whose divisors are nonzero for every JacobiContext.
+    ``_POLY_CACHE`` maps (alpha, beta) to the family [J_0, J_1, ...] built so
+    far. While that list is too short, the next degree is appended by Szego's
+    recurrence (4.5.1) stated above, whose divisors are nonzero for every
+    JacobiContext.
     """
     if n < 0:
         return ZERO
     a, b = ctx.alpha, ctx.beta
-    cached = _POLY_CACHE.get((a, b, n))
-    if cached is not None:
-        return cached
-    # the family is built from degree 0 up, so every degree below the top is held
-    top = next((d for d in range(n - 1, -1, -1) if (a, b, d) in _POLY_CACHE), -1)
-    prev, cur = [_POLY_CACHE.get((a, b, d), ZERO) for d in (top - 1, top)]
-    s = a + b
-    for k in range(top + 1, n + 1):
+    family = _POLY_CACHE.setdefault((a, b), [])
+    while len(family) <= n:
+        k, s = len(family), a + b
         if k < 2:
             nxt = ONE if k == 0 else Poly([a - b, s + 2]) * (-(s + 1) / (2 * (b + 1)))
         else:
             j, e = k - 1, 2 * k - 2 + s
-            step = Poly([(e + 1) * (a * a - b * b), (e + 1) * (e + 2) * e]) * cur
-            nxt = (step + prev * (2 * (j + a) * (e + 2) * (j + s))) / (-2 * (j + 1) * (j + b + 1) * e)
+            step = Poly([(e + 1) * (a * a - b * b), (e + 1) * (e + 2) * e]) * family[j]
+            nxt = (step + family[j - 1] * (2 * (j + a) * (e + 2) * (j + s))) / (-2 * (j + 1) * (j + b + 1) * e)
         if nxt.degree != k:
             raise IdentityCheckFailed("jacobi_poly", f"deg J_{k} = {k}")
-        _POLY_CACHE[(a, b, k)] = nxt
-        prev, cur = cur, nxt
-    return cur
-
-
-def classical_operator(ctx: JacobiContext):
-    """The second-order operator with jacobi_poly(ctx, n) as eigenfunctions."""
-    from .diffop import DiffOp
-
-    a, b = ctx.alpha, ctx.beta
-    return DiffOp([ZERO, Poly([a - b, a + b + 2]), Poly([-1, 0, 1])])
+        family.append(nxt)
+    return family[n]
 
 
 _MOMENT_CACHE: dict = {}

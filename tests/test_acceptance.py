@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from jacobisobolev.certify import gram_orthogonal_oracle, p_from_y_tuple, rl_cross_check, verify_comb_identities
 from jacobisobolev.construct import build_z, casorati_lambda, sobolev_poly
-from jacobisobolev.diffop import build_bundle, operator_order, verify_eigen
+from jacobisobolev.diffop import build_bundle, classical_operator, operator_order, verify_eigen
 from jacobisobolev.exactmath import (
     Poly,
     RationalFunction,
@@ -19,7 +19,7 @@ from jacobisobolev.exactmath import (
     pochhammer,
     theta_poly,
 )
-from jacobisobolev.jacobi import JacobiContext, classical_operator, jacobi_poly
+from jacobisobolev.jacobi import JacobiContext, jacobi_poly
 from jacobisobolev.rank import predicted_order
 from jacobisobolev.sobolev import SobolevConfig, bilinear
 

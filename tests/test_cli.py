@@ -140,6 +140,27 @@ class TestInputValidation:
     def test_negative_nmax_rejected(self, config_path, capsys):
         assert main(["construct", "--config", config_path, "--nmax", "-1"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "--config", "c.json", "--nmax", "abc"],
+            ["construct", "--nmax", "2"],
+            ["bogus"],
+            ["rank", "--gamma", "3"],
+        ],
+        ids=["bad-nmax", "missing-config", "unknown-subcommand", "rank-without-matrix"],
+    )
+    def test_malformed_command_line_exits_1(self, capsys, argv):
+        # argparse itself would exit 2, the code of a degenerate configuration
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: ")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: ")
+
     @pytest.mark.parametrize("field", ["alpha", "beta", "m1", "m2"])
     @pytest.mark.parametrize("value", [2.7, 2.0, "2", True])
     def test_non_integer_parameter_rejected(self, tmp_path, capsys, field, value):

@@ -26,6 +26,7 @@ from jacobisobolev.diffop import (
     DiffOp,
     EigenMismatch,
     build_bundle,
+    classical_operator,
     compose,
     d_operators,
     default_s,
@@ -42,7 +43,7 @@ from jacobisobolev.exactmath import (
     pochhammer,
     theta_poly,
 )
-from jacobisobolev.jacobi import JacobiContext, classical_operator, jacobi_poly
+from jacobisobolev.jacobi import JacobiContext, jacobi_poly
 from jacobisobolev.rank import predicted_order
 from jacobisobolev.sobolev import SobolevConfig
 

@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernel_reference import (
@@ -126,6 +126,7 @@ class TestPoly:
         assert assert_canonical(p * q) == reference_mul(p, q)
 
     @given(kernel_operands, kernel_operands)
+    @example(Poly([-1, 0, 1]) * Poly([3, 2]), Poly([-1, 0, 1]) * Poly([-5, Fraction(1, 3)]))  # common x^2 - 1
     @settings(max_examples=200, deadline=None)
     def test_gcd_matches_euclid(self, p, q):
         assert assert_canonical(p.gcd(q)) == reference_gcd(p, q)
@@ -259,6 +260,9 @@ class TestIntegerLayout:
                 p / c
 
     @given(kernel_operands, divisors)
+    @example(Poly([-1, 0, 0, 0, 1]), Poly([-1, 0, 1]))  # quotient x^2 + 1: a zero step in the loop
+    @example(Poly([1, 2]), Poly([1, 0, 3]))  # dividend shorter than the divisor
+    @example(Poly([Fraction(5, 3), -1, 0, 7]), Poly([Fraction(1, 2), Fraction(-3, 4)]))  # divisor over 4
     @settings(max_examples=300, deadline=None)
     def test_divmod(self, p, d):
         q, r = divmod(p, d)
@@ -306,6 +310,7 @@ class TestIntegerLayout:
 
     def test_coefficient_views(self):
         p = Poly([Fraction(1, 6), 0, Fraction(-3, 4)])
+        assert Poly.__slots__ == ("nums", "den")
         assert (p.nums, p.den) == ((2, 0, -9), 12)
         assert p.coeffs == (Fraction(1, 6), Fraction(0), Fraction(-3, 4))
         assert p.lead == Fraction(-3, 4) and p.coeff(0) == Fraction(1, 6) and p.coeff(5) == 0

@@ -10,7 +10,8 @@ import kernel_reference
 from jacobisobolev import jacobi
 from jacobisobolev.exactmath import Poly, X
 from jacobisobolev.certify import endpoint_jet, integrate_against_weight
-from jacobisobolev.jacobi import JacobiContext, classical_operator, jacobi_poly, weight_moment
+from jacobisobolev.diffop import classical_operator
+from jacobisobolev.jacobi import JacobiContext, jacobi_poly, weight_moment
 
 
 def ctx(a, b):
@@ -51,7 +52,7 @@ class TestJacobiPoly:
         monkeypatch.setattr(jacobi, "_POLY_CACHE", cache)
         c = ctx(a, b)
         top = jacobi_poly(c, 40)
-        assert sorted(key[2] for key in cache) == list(range(41))
+        assert len(cache[c.alpha, c.beta]) == 41
         assert top == reference_jacobi_poly(a, b, 40)
         for n in range(41):
             assert jacobi_poly(c, n) == reference_jacobi_poly(a, b, n)
