@@ -84,18 +84,3 @@ def _reduce(rows: Sequence[Sequence[Fraction]], ncols: int) -> Tuple[List[List[F
                 work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
         pivots.append(col)
     return work, pivots
-
-
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rational matrix by exact Gaussian elimination."""
-    if not rows:
-        return 0
-    return len(_reduce(rows, len(rows[0]))[1])
-
-
-def in_span(vectors: Sequence[Sequence[Fraction]], candidate: Sequence[Fraction]) -> bool:
-    """Whether candidate lies in the linear span of the given vectors."""
-    if all(c == 0 for c in candidate):
-        return True
-    base = list(vectors)
-    return rank(base) == rank(base + [list(candidate)])

@@ -11,6 +11,14 @@ at +1. One routine, `_endpoint_block`, builds the -1 block; the +1 block is
 the -1 block of the problem mirrored by x -> -x, which swaps alpha and beta,
 m1 and m2, and sends N to ((-1)^(i+k) N[i][k]).
 
+With alpha and beta integers, every factor of the Pochhammer blocks behind
+z_l and Y_l, and of p, q and the rho entries, is a linear polynomial with an
+int constant. Each of these products is one int-list product
+(`exactmath._int_product`), and each z_l and Y_l is one int combination of
+its blocks over the lcm of its weights' denominators; the weights are int
+pairs read off the mass rows. p and q are checked at n = 0..deg against a
+scalar evaluation of their shifted-factorial and sigma forms.
+
 Lambda(n) = P(n) for one polynomial P per configuration: the determinant of
 the polynomial Casorati matrix C divided by p(x) q(x), exactness checked. P
 is also q_n's j = 0 minor. Its other minors are plain rationals for n >= m;
@@ -43,6 +51,9 @@ from .exactmath import (
     Poly,
     RationalFunction,
     _exact,
+    _int_product,
+    _num_den,
+    _wrap_rf,
     pochhammer,
     theta_poly,
 )
@@ -130,67 +141,101 @@ class ZSystem(Frozen):
         )
 
 
-def _u_polys(alpha: Fraction, beta: Fraction, lam: Fraction, j: int) -> Tuple[Poly, Poly]:
+def _scalar(value):
+    """An exact scalar as an int when it is integral, else as a Fraction; a float is refused."""
+    value = _exact(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _linear_product(constants, lead: int = 1, sign: int = 1) -> Poly:
+    """sign * prod (lead x + c) over the rational constants c: for c = u/v the
+    factor is (lead v x + u) / v, so the product is one int-list product."""
+    factors, den = [], sign
+    for c in constants:
+        u, v = _num_den(c)
+        factors.append([u, lead * v])
+        den *= v
+    return _int_product(factors, den)
+
+
+def _combination(terms) -> Poly:
+    """sum n u / d over the (n, d, u) triples of ints n and d > 0 and Polys u: one
+    int linear combination over the lcm of the d u.den."""
+    den = math.lcm(*[d * u.den for _, d, u in terms])
+    acc = [0] * max(len(u.nums) for _, _, u in terms)
+    for n, d, u in terms:
+        k = n * (den // (d * u.den))
+        for i, c in enumerate(u.nums):
+            acc[i] += k * c
+    return Poly._from_ints(acc, den)
+
+
+def _u_polys(alpha: int, beta: int, lam: int, j: int) -> Tuple[Poly, Poly]:
     """The degree-2j building block (x+a-lam+1)_j (x+b+lam-j+1)_j.
 
     Returns the polynomial both in x and in theta; the theta form follows
     from the factorization into factors (a-lam+i)(b+lam-i+1) + theta_x.
     """
-    u_x = pochhammer(X + (alpha - lam + 1), j) * pochhammer(X + (beta + lam - j + 1), j)
-    u_t = ONE
-    for i in range(1, j + 1):
-        u_t = u_t * Poly([(alpha - lam + i) * (beta + lam - i + 1), 1])
+    u_x = _linear_product([alpha - lam + 1 + k for k in range(j)] + [beta + lam - j + 1 + k for k in range(j)])
+    u_t = _linear_product([(alpha - lam + i) * (beta + lam - i + 1) for i in range(1, j + 1)])
     return u_x, u_t
 
 
 def build_p(alpha, beta, m1: int, m2: int) -> Poly:
-    a, b, m = _exact(alpha), _exact(beta), m1 + m2
-    # primary definition as a product of Pochhammer pairs
-    p1 = ONE
-    for i in range(1, m1):
-        p1 = (
-            p1
-            * (-1) ** (m1 - i)
-            * pochhammer(X + (a - m + 1), m1 - i)
-            * pochhammer(X + (b - m1 + i), m1 - i)
-        )
-    # equivalent product over the shifted factorial functions; must agree
-    p2 = ONE
-    for i in range(1, m1):
-        j = m1 - i
-        n1 = (-1) ** j * pochhammer(X + (-m2 - i - j + a + 1), j)
-        n2 = pochhammer(X + (-1 - j + b + 1), j)
-        p2 = p2 * n1 * n2
-    if p1 != p2:
-        raise IdentityCheckFailed("build_z", "the two product forms of p agree")
-    return p1
+    """p = prod_{i=1}^{m1-1} (-1)^(m1-i) (x+a-m+1)_{m1-i} (x+b-m1+i)_{m1-i}, checked at
+    n = 0..deg p against the shifted factorials (-1)^j (n-m2-i-j+a+1)_j (n-j+b)_j, j = m1-i."""
+    a, b, m = _scalar(alpha), _scalar(beta), m1 + m2
+    p = _linear_product(
+        [c + k for i in range(1, m1) for c in (a - m + 1, b - m1 + i) for k in range(m1 - i)],
+        sign=(-1) ** math.comb(m1, 2),
+    )
+
+    def at(n: int) -> Fraction:
+        value = 1
+        for i in range(1, m1):
+            j = m1 - i
+            value *= (-1) ** j * pochhammer(n - m2 - i - j + a + 1, j) * pochhammer(n - j + b, j)
+        return value
+
+    degree = m1 * (m1 - 1)
+    if p.degree != degree or any(p(n) != at(n) for n in range(degree + 1)):
+        raise IdentityCheckFailed("build_z", "p equals its shifted-factorial form at n = 0..deg p")
+    return p
 
 
 def build_q(alpha, beta, m: int) -> Poly:
-    a, b = _exact(alpha), _exact(beta)
+    """q = (-1)^C(m,2) prod_{h=1}^{m-1} prod_{i=1}^h (2x+a+b-2m+i+h), checked at n = 0..deg q
+    against the sigma form prod sigma_{n-m+(i+h+1)/2}, sigma_y = 2y+a+b-1."""
+    a, b = _scalar(alpha), _scalar(beta)
     sign = (-1) ** math.comb(m, 2)
-    q1 = ONE
-    q2 = ONE
-    for h in range(1, m):
-        for i in range(1, h + 1):
-            q1 = q1 * Poly([2 * Fraction(-m) + a + b + i + h, 2])
-            # sigma_{x - m + (i+h+1)/2} with sigma_y = 2y + a + b - 1
-            q2 = q2 * Poly([2 * (Fraction(i + h + 1, 2) - m) + a + b - 1, 2])
-    if q1 != q2:
-        raise IdentityCheckFailed("build_z", "the two product forms of q agree")
-    return sign * q1
+    q = _linear_product([a + b - 2 * m + i + h for h in range(1, m) for i in range(1, h + 1)], lead=2, sign=sign)
+
+    def at(n: int) -> Fraction:
+        value = sign
+        for h in range(1, m):
+            for i in range(1, h + 1):
+                two_y = 2 * (n - m) + i + h + 1  # sigma_y = 2y + a + b - 1
+                value *= two_y + a + b - 1
+        return value
+
+    degree = math.comb(m, 2)
+    if q.degree != degree or any(q(n) != at(n) for n in range(degree + 1)):
+        raise IdentityCheckFailed("build_z", "q equals its sigma form at n = 0..deg q")
+    return q
 
 
-def rho_table(a: Fraction, b: Fraction, m1: int, m: int) -> Tuple[Tuple[RationalFunction, ...], ...]:
+def rho_table(a, b, m1: int, m: int) -> Tuple[Tuple[RationalFunction, ...], ...]:
     """rho[h-1][j], j = 0..m: 1 if h > m1, else the Gamma ratio
     (-1)^(m-j) Gamma(x+a-j+1) Gamma(x+b) / (Gamma(x+a-m+1) Gamma(x+b-j+1)), which telescopes
-    to (-1)^(m-j) (x+a-m+1)_{m-j} (x+b-j+1)_{j-1} for j >= 1 and (-1)^m (x+a-m+1)_m / (x+b)."""
-    first = (RationalFunction((-1) ** m * pochhammer(X + (a - m + 1), m), X + b),) + tuple(
-        RationalFunction((-1) ** (m - j) * pochhammer(X + (a - m + 1), m - j) * pochhammer(X + (b - j + 1), j - 1))
-        for j in range(1, m + 1)
-    )
+    to (-1)^(m-j) (x+a-m+1)_{m-j} (x+b-j+1)_{j-1} for j >= 1 and (-1)^m (x+a-m+1)_m / (x+b).
+    Only the j = 0 entry has a denominator to reduce; the others are polynomials."""
+    a, b = _scalar(a), _scalar(b)
+    first = [RationalFunction(_linear_product([a - m + 1 + k for k in range(m)], sign=(-1) ** m), X + b)]
+    for j in range(1, m + 1):
+        constants = [a - m + 1 + k for k in range(m - j)] + [b - j + 1 + k for k in range(j - 1)]
+        first.append(_wrap_rf(_linear_product(constants, sign=(-1) ** (m - j)), ONE))
     ones = (RationalFunction(ONE),) * (m + 1)
-    return (first,) * m1 + (ones,) * (m - m1)
+    return (tuple(first),) * m1 + (ones,) * (m - m1)
 
 
 _ZSYS_CACHE: Dict[SobolevConfig, ZSystem] = {}
@@ -198,28 +243,37 @@ _ZSYS_CACHE: Dict[SobolevConfig, ZSystem] = {}
 
 def _endpoint_block(alpha: int, beta: int, m1: int, m2: int, masses) -> Tuple[List[Poly], List[Poly]]:
     """z_l and Y_l, l = 1..m1: the rows of the m1 jets at -1 against the mass matrix;
-    called on the mirrored problem, the rows of the jets at +1."""
-    a, b = Fraction(alpha), Fraction(beta)
+    called on the mirrored problem, the rows of the jets at +1.
+
+    z_l = front_l u(alpha, m1-l) + sum_i w_li u(0, beta+i), with u(lam, j) the `_u_polys`
+    block, front_l = 2^(alpha+beta-m1+l) (beta-m1+l-1)! / (m1-l)! and
+    w_li = 2^m2 sum_j C(m2, j-l) (j-1)! M[i][j-1] / ((-2)^(i+j-l) (beta+i)!), j = l..min(l+m2, m1).
+    Each weight is an int pair, mass row i read as ints r_ik over their lcm L_i:
+    (-2)^-(i+j-l) = (-1)^(i+j-l) 2^(m1-j) / 2^(i+m1-l). The lam = 0 blocks do not
+    depend on l and are built once."""
+    rows = []
+    for masses_i in masses:
+        lcm = math.lcm(*[c.denominator for c in masses_i])
+        rows.append(([c.numerator * (lcm // c.denominator) for c in masses_i], lcm))
+    weights = []
+    for l in range(1, m1 + 1):
+        row = []
+        for i, (r, lcm) in enumerate(rows):
+            total = sum(
+                math.comb(m2, j - l) * math.factorial(j - 1) * (-1) ** (i + j - l) * 2 ** (m1 - j) * r[j - 1]
+                for j in range(l, min(l + m2, m1) + 1)
+            )
+            row.append((2**m2 * total, lcm * 2 ** (i + m1 - l) * math.factorial(beta + i)))
+        weights.append(row)
+    shared = [_u_polys(alpha, beta, 0, beta + i) if any(row[i][0] for row in weights) else None for i in range(m1)]
     zs: List[Poly] = []
     ys: List[Poly] = []
-    for l in range(1, m1 + 1):
-        front = Fraction(2) ** (alpha + beta - m1 + l) * math.factorial(beta - m1 + l - 1)
-        front /= math.factorial(m1 - l)
-        u_x, u_t = _u_polys(a, b, a, m1 - l)
-        z = front * u_x
-        y = front * u_t
-        for i in range(m1):
-            inner = Fraction(0)
-            for j in range(l, min(l + m2, m1) + 1):
-                inner += math.comb(m2, j - l) * math.factorial(j - 1) * masses[i][j - 1] / Fraction(-2) ** (i + j - l)
-            if inner == 0:
-                continue
-            w = Fraction(2) ** m2 * inner / math.factorial(beta + i)
-            u_x, u_t = _u_polys(a, b, Fraction(0), beta + i)
-            z = z + w * u_x
-            y = y + w * u_t
-        zs.append(z)
-        ys.append(y)
+    for l, row in enumerate(weights, 1):
+        front = 2 ** (alpha + beta - m1 + l) * math.factorial(beta - m1 + l - 1), math.factorial(m1 - l)
+        terms = [(front, _u_polys(alpha, beta, alpha, m1 - l))]
+        terms += [(w, u) for w, u in zip(row, shared) if w[0]]
+        zs.append(_combination([(n, d, u_x) for (n, d), (u_x, _) in terms]))
+        ys.append(_combination([(n, d, u_t) for (n, d), (_, u_t) in terms]))
     return zs, ys
 
 
@@ -228,13 +282,12 @@ def build_z(cfg: SobolevConfig) -> ZSystem:
     cached = _ZSYS_CACHE.get(cfg)
     if cached is not None:
         return cached
-    a, b = Fraction(cfg.alpha), Fraction(cfg.beta)
     m1, m2, m = cfg.m1, cfg.m2, cfg.m
     mirrored = [[(-1) ** (i + k) * c for k, c in enumerate(row)] for i, row in enumerate(cfg.N)]
     zs, ys = _endpoint_block(cfg.alpha, cfg.beta, m1, m2, cfg.M)
     z_plus, y_plus = _endpoint_block(cfg.beta, cfg.alpha, m2, m1, mirrored)
     zs, ys = zs + z_plus, ys + y_plus
-    theta = theta_poly(a, b)
+    theta = theta_poly(cfg.alpha, cfg.beta)
     for z, y in zip(zs, ys):
         if y(theta) != z:
             raise IdentityCheckFailed("build_z", "the theta-basis form Y_l(theta_x) = z_l(x)")
@@ -243,7 +296,7 @@ def build_z(cfg: SobolevConfig) -> ZSystem:
         Y=tuple(ys),
         p=build_p(cfg.alpha, cfg.beta, m1, m2),
         q=build_q(cfg.alpha, cfg.beta, m),
-        rho=rho_table(a, b, m1, m),
+        rho=rho_table(cfg.alpha, cfg.beta, m1, m),
     )
     _ZSYS_CACHE[cfg] = system
     return system

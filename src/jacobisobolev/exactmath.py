@@ -504,12 +504,23 @@ def _sum(a, da: int, b, db: int) -> Poly:
 
 def _convolve(a, b) -> list:
     """The product of two nonempty int coefficient sequences."""
+    if len(a) > len(b):
+        a, b = b, a  # the shorter one outside: one pass over the longer per entry
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b, i):
                 out[j] += x * y
     return out
+
+
+def _int_product(factors: Iterable[Sequence[int]], den: int) -> Poly:
+    """The polynomial prod(factors) / den, for nonempty int coefficient lists
+    and an int den != 0: one `_convolve` fold and one reduction."""
+    acc = [1]
+    for factor in factors:
+        acc = _convolve(acc, factor)
+    return Poly._from_ints(acc, den)
 
 
 def _primitive_ints(ints):
@@ -698,20 +709,21 @@ def _as_rf(value):
 def pochhammer(base, count: int):
     """Rising factorial base (base+1) ... (base+count-1); empty product is 1.
 
-    Returns a Fraction for scalar input and a Poly for polynomial input.
+    Returns a Fraction for scalar input and a Poly for polynomial input; either
+    is one product of ints over one denominator, reduced once.
     """
     if count < 0:
         raise ValueError("pochhammer count must be nonnegative")
     if isinstance(base, Poly):
-        result = ONE
-        for i in range(count):
-            result = result * (base + i)
-        return result
-    base = _exact(base)
-    result = Fraction(1)
+        # base + i = (nums + i den) / den: ints over one denominator den^count
+        nums, den = list(base.nums) or [0], base.den
+        return _int_product([[nums[0] + i * den, *nums[1:]] for i in range(count)], den**count)
+    # base = u/v: the product of the u + i v over v^count
+    u, v = _num_den(base)
+    result = 1
     for i in range(count):
-        result *= base + i
-    return result
+        result *= u + i * v
+    return Fraction(result, v**count)
 
 
 def anti_difference(f: Poly) -> Poly:

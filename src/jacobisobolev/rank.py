@@ -12,7 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple
 
-from . import _linalg
 from .exactmath import _exact
 
 
@@ -25,8 +24,27 @@ class WeightedRankTrace(NamedTuple):
     value: Fraction
 
 
+def _absorb(basis: List[Tuple[int, List[Fraction]]], vector: Sequence[Fraction]) -> bool:
+    """Whether vector lies in the span of the echelon rows in basis, each a (pivot, row)
+    pair with row[pivot] = 1 and zeros at the pivots before it. When it does not, its
+    reduced row, scaled to a leading 1, joins the basis."""
+    for pivot, row in basis:
+        factor = vector[pivot]
+        if factor:
+            vector = [a - factor * b for a, b in zip(vector, row)]
+    lead = next((k for k, c in enumerate(vector) if c), None)
+    if lead is None:
+        return True
+    inv = 1 / vector[lead]
+    basis.append((lead, [c * inv for c in vector]))
+    return False
+
+
 def weighted_rank(gamma, matrix: Sequence[Sequence]) -> WeightedRankTrace:
-    """Walk the definition of the gamma-weighted rank with exact span tests."""
+    """Walk the definition of the gamma-weighted rank with exact span tests.
+
+    Each scan carries one echelon basis of the vectors seen so far, so every
+    column, and then every row, is reduced once."""
     gamma = _exact(gamma)
     m = len(matrix)
     rows = [[_exact(c) for c in row] for row in matrix]
@@ -34,24 +52,24 @@ def weighted_rank(gamma, matrix: Sequence[Sequence]) -> WeightedRankTrace:
         raise ValueError("weighted rank is defined for square matrices")
     if m == 0:
         return WeightedRankTrace(eta=(), tau=(), reduced_columns=(), value=Fraction(0))
-    columns = [[rows[i][j] for i in range(m)] for j in range(m)]
     eta: List[Fraction] = []
     kept: List[int] = []
+    basis: List[Tuple[int, List[Fraction]]] = []  # the kept columns, right of the scanned one
     for j in range(1, m + 1):
-        col = columns[m - j]
-        later = [columns[i] for i in kept]
-        if _linalg.in_span(later, col):
+        if _absorb(basis, [row[m - j] for row in rows]):
             eta.append(Fraction(0))
         else:
             eta.append(gamma + m - j)
             kept.append(m - j)
     kept_sorted = sorted(kept)
-    reduced_rows = [[rows[i][j] for j in kept_sorted] for i in range(m)]
-    tau: List[int] = []
+    reduced_rows = [[row[j] for j in kept_sorted] for row in rows]
+    tau = [0] * (m - 1)
+    basis = []  # the reduced rows below the scanned one
+    _absorb(basis, reduced_rows[-1])
+    for j in range(m - 1, 0, -1):
+        if _absorb(basis, reduced_rows[j - 1]):
+            tau[j - 1] = m - j
     total_binom = m * (m - 1) // 2
-    for j in range(1, m):
-        below = reduced_rows[j:]
-        tau.append(m - j if _linalg.in_span(below, reduced_rows[j - 1]) else 0)
     value = sum(eta, Fraction(0)) + sum(tau) - total_binom
     return WeightedRankTrace(
         eta=tuple(eta), tau=tuple(tau), reduced_columns=tuple(kept_sorted), value=value

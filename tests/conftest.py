@@ -24,6 +24,16 @@ _CONFIG_CACHE = {}
 _BUNDLE_CACHE = {}
 
 
+def baseline_config(shape):
+    """The baseline masses M[i][j] = (i+2j)%3-1 and N[i][j] = (2i+j)%3-1."""
+    alpha, beta, m1, m2 = shape
+    return SobolevConfig(
+        alpha=alpha, beta=beta, m1=m1, m2=m2,
+        M=[[Fraction((i + 2 * j) % 3 - 1) for j in range(m1)] for i in range(m1)],
+        N=[[Fraction((2 * i + j) % 3 - 1) for j in range(m2)] for i in range(m2)],
+    )
+
+
 def random_configs(shape, count=5, seed=0, guard=12):
     """Deterministic random mass-matrix configs for a shape.
 

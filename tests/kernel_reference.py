@@ -10,14 +10,17 @@ and evaluates differential operators through their images of x^k on
 integers. It builds Lambda's polynomial, each n < m Casorati quotient and
 each q_n once per configuration, and takes Omega and the M_h minors from
 Lambda's polynomial Casorati matrix. It builds the z_l of the mass point +1
-as those of -1 for the mirrored problem, and takes the Sobolev form B(p, x^j)
-as ints over one lcm of the moment and mass denominators. Its cross-checks
-evaluate R_l(n) as a Sobolev form and sum the combinatorial identities as
-rationals. These are the plain algorithms it replaced (both blocks of z_l
-written out; B as the weighted integral of p q plus the jets against the
-masses; Omega and the M_h from the xi-weighted entries, one rational
-determinant each; one Sobolev form per x^j); the differential tests require
-exact equality with them.
+as those of -1 for the mirrored problem, each z_l, Y_l and Pochhammer product
+as one int-list product or combination, and takes the Sobolev form B(p, x^j)
+as ints over one lcm of the moment and mass denominators. Its weighted rank
+carries one echelon basis through each scan. Its cross-checks evaluate R_l(n)
+as a Sobolev form and sum the combinatorial identities as rationals. These
+are the plain algorithms it replaced (both blocks of z_l written out from
+Fraction products, one factor at a time; B as the weighted integral of p q
+plus the jets against the masses; Omega and the M_h from the xi-weighted
+entries, one rational determinant each; one Sobolev form per x^j; two fresh
+eliminations per span test); the differential tests require exact equality
+with them.
 """
 
 import functools
@@ -111,6 +114,14 @@ def reference_divmod(p: Poly, q: Poly):
     return Poly(quot), Poly(rem)
 
 
+def reference_pochhammer(base: Poly, count: int) -> Poly:
+    """base (base+1) ... (base+count-1) by schoolbook products of Fraction polynomials."""
+    result = Poly([1])
+    for i in range(count):
+        result = reference_mul(result, reference_add(base, Poly([i])))
+    return result
+
+
 def reference_derivative(p: Poly, times: int = 1) -> Poly:
     cs = _fractions(p)
     for _ in range(times):
@@ -197,6 +208,36 @@ def reference_det(matrix):
             term = term * matrix[i][j]
         total = total + term
     return total
+
+
+def _reference_rank(rows) -> int:
+    """Rank of a rational matrix by a fresh Gauss-Jordan elimination."""
+    return len(_linalg._reduce(rows, len(rows[0]))[1]) if rows else 0
+
+
+def _reference_in_span(vectors, candidate) -> bool:
+    """Whether candidate lies in the span of vectors: two ranks compared."""
+    if all(c == 0 for c in candidate):
+        return True
+    return _reference_rank(list(vectors)) == _reference_rank(list(vectors) + [list(candidate)])
+
+
+def reference_weighted_rank(gamma, matrix) -> tuple:
+    """(eta, tau, reduced_columns, value) with each span test its own two eliminations."""
+    gamma, m = Fraction(gamma), len(matrix)
+    rows = [[Fraction(c) for c in row] for row in matrix]
+    columns = [[rows[i][j] for i in range(m)] for j in range(m)]
+    eta, kept = [], []
+    for j in range(1, m + 1):
+        if _reference_in_span([columns[i] for i in kept], columns[m - j]):
+            eta.append(Fraction(0))
+        else:
+            eta.append(gamma + m - j)
+            kept.append(m - j)
+    kept.sort()
+    reduced = [[rows[i][j] for j in kept] for i in range(m)]
+    tau = [m - j if _reference_in_span(reduced[j:], reduced[j - 1]) else 0 for j in range(1, m)]
+    return tuple(eta), tuple(tau), tuple(kept), sum(eta, Fraction(0)) + sum(tau) - m * (m - 1) // 2
 
 
 def reference_jacobi_poly(alpha, beta, n: int) -> Poly:
@@ -331,10 +372,12 @@ def xi(ctx, m1: int, h: int, j: int) -> RationalFunction:
 def _reference_u(alpha: Fraction, beta: Fraction, lam: Fraction, j: int):
     """(x+a-lam+1)_j (x+b+lam-j+1)_j in x, and in theta as the product of
     the factors (a-lam+i)(b+lam-i+1) + theta."""
-    u_x = pochhammer(X + (alpha - lam + 1), j) * pochhammer(X + (beta + lam - j + 1), j)
+    u_x = reference_mul(
+        reference_pochhammer(Poly([alpha - lam + 1, 1]), j), reference_pochhammer(Poly([beta + lam - j + 1, 1]), j)
+    )
     u_t = ONE
     for i in range(1, j + 1):
-        u_t = u_t * Poly([(alpha - lam + i) * (beta + lam - i + 1), 1])
+        u_t = reference_mul(u_t, Poly([(alpha - lam + i) * (beta + lam - i + 1), 1]))
     return u_x, u_t
 
 
@@ -351,8 +394,8 @@ def reference_build_z(cfg) -> tuple:
             / math.factorial(m1 - l)
         )
         u_x, u_t = _reference_u(a, b, a, m1 - l)
-        z = front * u_x
-        y = front * u_t
+        z = reference_scale(u_x, front)
+        y = reference_scale(u_t, front)
         for i in range(m1):
             inner = Fraction(0)
             for j in range(l, min(l + m2, m1) + 1):
@@ -366,8 +409,8 @@ def reference_build_z(cfg) -> tuple:
                 continue
             w = Fraction(2) ** m2 * inner / math.factorial(cfg.beta + i)
             u_x, u_t = _reference_u(a, b, Fraction(0), cfg.beta + i)
-            z = z + w * u_x
-            y = y + w * u_t
+            z = reference_add(z, reference_scale(u_x, w))
+            y = reference_add(y, reference_scale(u_t, w))
         zs.append(z)
         ys.append(y)
     for l in range(m1 + 1, m + 1):
@@ -377,8 +420,8 @@ def reference_build_z(cfg) -> tuple:
             / math.factorial(m - l)
         )
         u_x, u_t = _reference_u(a, b, a, m - l)
-        z = front * u_x
-        y = front * u_t
+        z = reference_scale(u_x, front)
+        y = reference_scale(u_t, front)
         for i in range(m2):
             inner = Fraction(0)
             for j in range(l - m1, min(l, m2) + 1):
@@ -392,8 +435,8 @@ def reference_build_z(cfg) -> tuple:
                 continue
             w = inner / math.factorial(cfg.alpha + i)
             u_x, u_t = _reference_u(a, b, a - b, cfg.alpha + i)
-            z = z + w * u_x
-            y = y + w * u_t
+            z = reference_add(z, reference_scale(u_x, w))
+            y = reference_add(y, reference_scale(u_t, w))
         zs.append(z)
         ys.append(y)
     return tuple(zs), tuple(ys)

@@ -1,11 +1,18 @@
 """Construction of the orthogonal family via Casorati determinants."""
 
+import hashlib
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobisobolev import _linalg, certify, construct, diffop
 from jacobisobolev.certify import gram_orthogonal_oracle, rl_cross_check, verify_comb_identities
@@ -19,14 +26,16 @@ from jacobisobolev.construct import (
     rho_table,
     sobolev_poly,
 )
-from jacobisobolev.exactmath import Poly, RationalFunction, X, pochhammer, theta_poly
+from jacobisobolev.exactmath import IdentityCheckFailed, Poly, RationalFunction, X, pochhammer, theta_poly
 from jacobisobolev.sobolev import SobolevConfig, bilinear
 
-from conftest import STANDARD_SHAPES, cold_copy, mass_configs, random_configs
+from conftest import STANDARD_SHAPES, baseline_config, cold_copy, mass_configs, random_configs
 from kernel_reference import (
     GammaProduct,
     reference_build_z,
     reference_casorati_lambda,
+    reference_mul,
+    reference_pochhammer,
     reference_rl_cross_check,
     reference_sobolev_poly,
     reference_verify_comb_identities,
@@ -46,11 +55,75 @@ def assert_z_matches_reference(cfg):
     assert [(y.nums, y.den) for y in sys_z.Y] == [(y.nums, y.den) for y in ys]
 
 
+def build_z_digest(shape) -> str:
+    """sha256 of the canonical JSON of build_z's z, Y, p, q and rho, and of C and P."""
+    system = build_z(baseline_config(shape))
+    record = {
+        "z": [z.to_json() for z in system.z],
+        "Y": [y.to_json() for y in system.Y],
+        "p": system.p.to_json(),
+        "q": system.q.to_json(),
+        "rho": [[[f.num.to_json(), f.den.to_json()] for f in row] for row in system.rho],
+        "C": [[c.to_json() for c in row] for row in system.C],
+        "P": system.P.to_json(),
+    }
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+
+
+# STANDARD_SHAPES and four more, recorded before z_l, Y_l, p, q and rho were built
+# on int linear-factor products
+GOLDEN_BUILD_Z_SHA256 = {
+    (2, 1, 1, 1): "1fbe237551f2a664ae3431866f9e2cccde487c7ae04f945d9719d9ab241532cb",
+    (2, 2, 1, 1): "fc15aa4ba1b2fa868e90f22b9f088ca7b63394a87b92d749cb5e0a0e25c49ae0",
+    (3, 2, 2, 1): "3ac72353c4ec33cbc7f7016b58f85caf6ea032132fb4f10c24b8bed59a47155a",
+    (3, 3, 2, 2): "1795e4a3e03999b3dc30921573c1394a3db70491298ffeb4c51a7d4f5d81b872",
+    (3, 1, 0, 3): "f1abc561542ec70c01f828c564069698355740e0ed8c30f05c468d3309b7f5cd",
+    (1, 3, 3, 0): "01835a736558333ee14355d8e03ee730654667d5d4f42b643f8271d20e87baba",
+    (4, 3, 2, 2): "8569b6d7e7b93d5c222127dc6bd462946e7db8cc304dcd7220b9d94991260a07",
+    (4, 4, 3, 3): "853f512c938e3d2b1b3bd99ec55f4ac532d6b8c2d1401bba081a6e2829d1a5bd",
+}
+
+
+class TestGoldenDigest:
+    @pytest.mark.parametrize("shape", list(GOLDEN_BUILD_Z_SHA256), ids=str)
+    def test_build_z_c_and_p_digest(self, shape):
+        construct._ZSYS_CACHE.pop(baseline_config(shape), None)  # built here, not by an earlier test
+        assert build_z_digest(shape) == GOLDEN_BUILD_Z_SHA256[shape]
+
+    def test_digests_under_python_O(self):
+        # no identity check or value may hang on __debug__
+        tests = str(Path(__file__).resolve().parent)
+        src = str(Path(construct.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([tests, src, os.environ.get("PYTHONPATH", "")]))
+        probe = (
+            "import json, test_construct as t\n"
+            "print(json.dumps({str(s): t.build_z_digest(s) for s in t.GOLDEN_BUILD_Z_SHA256}))"
+        )
+        done = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, env=env, check=False)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {str(s): d for s, d in GOLDEN_BUILD_Z_SHA256.items()}
+
+
 class TestBuildZ:
     @given(mass_configs(max_jets=4))
     @settings(max_examples=80, deadline=None)
     def test_matches_two_block_reference(self, cfg):
         # the +1 block is the -1 block of the problem mirrored by x -> -x
+        assert_z_matches_reference(cfg)
+
+    @given(
+        st.sampled_from([(3, 1, 0, 3), (1, 3, 3, 0), (4, 3, 2, 2)]),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_sided_and_two_sided_random_masses(self, shape, data):
+        alpha, beta, m1, m2 = shape
+        masses = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+        cfg = SobolevConfig(
+            alpha=alpha, beta=beta, m1=m1, m2=m2,
+            M=[[data.draw(masses) for _ in range(m1)] for _ in range(m1)],
+            N=[[data.draw(masses) for _ in range(m2)] for _ in range(m2)],
+        )
         assert_z_matches_reference(cfg)
 
     @pytest.mark.parametrize(
@@ -104,15 +177,44 @@ class TestBuildZ:
             expected = 2 * (b + m1 - l) if l <= m1 else 2 * (a + m - l)
             assert sys_z.z[l - 1].degree == expected
 
-    def test_p_and_q_dual_forms_agree(self):
-        # both constructors assert their two product forms internally
-        for m1 in range(0, 4):
-            for m2 in range(0, 4):
-                if m1 + m2 == 0:
-                    continue
-                p = build_p(Fraction(4), Fraction(4), m1, m2)
-                q = build_q(Fraction(4), Fraction(4), m1 + m2)
-                assert not p.is_zero and not q.is_zero
+    def test_p_and_q_match_schoolbook_products(self):
+        # both constructors also check their int product against a scalar form at n = 0..deg
+        for a, b in ((4, 4), (Fraction(4), Fraction(5)), (Fraction(7, 2), Fraction(1, 3))):
+            for m1 in range(0, 4):
+                for m2 in range(0, 4):
+                    m = m1 + m2
+                    if m == 0:
+                        continue
+                    p = Poly([1])
+                    for i in range(1, m1):
+                        p = reference_mul(p, Poly([(-1) ** (m1 - i)]))
+                        p = reference_mul(p, reference_pochhammer(Poly([a - m + 1, 1]), m1 - i))
+                        p = reference_mul(p, reference_pochhammer(Poly([b - m1 + i, 1]), m1 - i))
+                    q = Poly([(-1) ** math.comb(m, 2)])
+                    for h in range(1, m):
+                        for i in range(1, h + 1):
+                            q = reference_mul(q, Poly([a + b - 2 * m + i + h, 2]))
+                    assert build_p(a, b, m1, m2) == p
+                    assert build_q(a, b, m) == q
+
+    @pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize(
+        "build", [lambda: build_p(4, 4, 3, 1), lambda: build_q(4, 4, 4), lambda: build_p(Fraction(7, 2), 3, 3, 0)],
+        ids=["p", "q", "p at a = 7/2"],
+    )
+    def test_one_factor_constant_off_by_one_raises(self, monkeypatch, build, index):
+        # the scalar check does not share the product's factor list
+        real = construct._linear_product
+
+        def off_by_one(constants, *args, **kwargs):
+            constants = list(constants)
+            constants[index] += 1
+            return real(constants, *args, **kwargs)
+
+        monkeypatch.setattr(construct, "_linear_product", off_by_one)
+        with pytest.raises(IdentityCheckFailed) as info:
+            build()
+        assert info.value.stage == "build_z"
 
     def test_rho_table_is_the_gamma_ratio(self):
         # rho^h_{x,j} = (-1)^(m-j) Gamma(x+a-j+1) Gamma(x+b) / (Gamma(x+a-m+1) Gamma(x+b-j+1))

@@ -49,6 +49,7 @@ from jacobisobolev.sobolev import SobolevConfig
 
 from conftest import (
     STANDARD_SHAPES,
+    baseline_config,
     cached_bundle,
     cold_copy,
     degree_law_cases,
@@ -95,16 +96,6 @@ def order_two_operators():
     parameters = st.fractions(min_value=0, max_value=10, max_denominator=6)
     classical = st.builds(lambda a, b: classical_operator(JacobiContext(a, b)), parameters, parameters)
     return st.one_of(classical, operators(2))
-
-
-def baseline_config(shape):
-    """The baseline masses M[i][j] = (i+2j)%3-1 and N[i][j] = (2i+j)%3-1."""
-    alpha, beta, m1, m2 = shape
-    return SobolevConfig(
-        alpha=alpha, beta=beta, m1=m1, m2=m2,
-        M=[[Fraction((i + 2 * j) % 3 - 1) for j in range(m1)] for i in range(m1)],
-        N=[[Fraction((2 * i + j) % 3 - 1) for j in range(m2)] for i in range(m2)],
-    )
 
 
 def ctx(a, b):

@@ -19,6 +19,7 @@ from kernel_reference import (
     reference_monic,
     reference_mul,
     reference_neg,
+    reference_pochhammer,
     reference_rational_parts,
     reference_scalar_div,
     reference_scale,
@@ -567,6 +568,36 @@ class TestPochhammer:
 
     def test_polynomial_base(self):
         assert pochhammer(X + 1, 2) == X * X + 3 * X + 2
+
+    @given(
+        st.one_of(
+            # linear bases lead x + c, with int and non-integer constants and leads
+            st.builds(
+                lambda lead, c: lead * X + c,
+                st.sampled_from([1, 2, -1, Fraction(3, 2)]),
+                st.one_of(st.integers(-9, 9), rationals, wide_rationals),
+            ),
+            st.lists(rationals, min_size=0, max_size=3).map(Poly),  # zero, constants and quadratics
+        ),
+        st.integers(0, 8),
+    )
+    @example(X - 3, 8)
+    @example(X + Fraction(1, 2), 8)
+    @example(2 * X + 1, 8)
+    @example(X * X / 2 - Fraction(1, 3), 5)
+    @example(Poly.constant(-3), 5)  # the factor base + 3 is zero
+    @settings(max_examples=80, deadline=None)
+    def test_polynomial_base_matches_schoolbook(self, base, count):
+        assert assert_canonical(pochhammer(base, count)) == reference_pochhammer(base, count)
+
+    @given(st.one_of(st.integers(-9, 9), rationals, wide_rationals), st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_base_matches_fraction_product(self, base, count):
+        want = Fraction(1)
+        for i in range(count):
+            want *= base + i
+        got = pochhammer(base, count)
+        assert type(got) is Fraction and got == want
 
 
 class TestAntiDifference:

@@ -3,6 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from kernel_reference import reference_weighted_rank
 
 from jacobisobolev.exactmath import Poly
 from jacobisobolev.rank import predicted_order, weighted_rank
@@ -59,6 +63,33 @@ class TestWeightedRank:
 
     def test_empty_matrix(self):
         assert weighted_rank(3, []).value == 0
+
+
+entries = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
+
+
+@st.composite
+def square_matrices(draw):
+    """m x m, m = 0..5: sparse entries, or a product U V of rank at most r, so
+    that dependent columns and rows are common."""
+    m = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        return [[draw(entries) for _ in range(m)] for _ in range(m)]
+    r = draw(st.integers(0, m))
+    u = [[draw(entries) for _ in range(r)] for _ in range(m)]
+    v = [[draw(entries) for _ in range(m)] for _ in range(r)]
+    return [[sum((u[i][k] * v[k][j] for k in range(r)), Fraction(0)) for j in range(m)] for i in range(m)]
+
+
+class TestAgainstReference:
+    @given(st.integers(0, 6), square_matrices())
+    @example(3, [[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    @example(2, [[0, 1, 1], [0, 1, 1], [0, 0, 0]])
+    @settings(max_examples=150, deadline=None)
+    def test_trace_matches_two_elimination_reference(self, gamma, matrix):
+        # one echelon basis per scan gives the trace of two fresh eliminations per span test
+        trace = weighted_rank(gamma, matrix)
+        assert (trace.eta, trace.tau, trace.reduced_columns, trace.value) == reference_weighted_rank(gamma, matrix)
 
 
 class TestPredictedOrder:
