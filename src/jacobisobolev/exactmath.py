@@ -11,7 +11,9 @@ Division and the gcd share one kernel, the integer pseudo-division
 Beyond the basic rings this module provides the structural transforms the
 rest of the package is built on: Pochhammer products, the discrete
 anti-difference, the reflection substitution ``x -> -(x + shift + 1)`` and
-the change of basis into powers of ``theta_x = x (x + s + 1)``.
+the change of basis into powers of ``theta_x = x (x + s + 1)``. Whether a
+polynomial is invariant or skew under the reflection is read from its parity
+in ``y = x + (s + 1)/2``, in which the reflection is ``y -> -y``.
 
 A float is refused wherever a scalar enters (`_exact`), not read as its
 binary value.
@@ -748,41 +750,33 @@ def theta_poly(alpha, beta) -> Poly:
     return Poly([0, _exact(alpha) + _exact(beta) + 1, 1])
 
 
-def to_theta_basis(f: Poly, alpha, beta) -> Poly:
-    """Rewrite a reflection-invariant polynomial of x as a polynomial in theta_x.
+def _reflection_quotient(f: Poly, alpha, beta, odd: int) -> Poly:
+    """The g with f = y^odd g(theta_x), y = x + (s+1)/2 and s = alpha + beta.
 
-    Substituting x = y - (s+1)/2 with s = alpha + beta makes f even in y, and
-    y^2 = theta + ((s+1)/2)^2 finishes the conversion.
+    In y the reflection x -> -(x+s+1) is y -> -y, so f is invariant exactly
+    when f(y - (s+1)/2) has no odd powers of y, and skew exactly when it has no
+    even ones; y^2 = theta_x + ((s+1)/2)^2 finishes the change of basis.
     """
-    s = _exact(alpha) + _exact(beta)
-    if involute(f, s) != f:
+    half = (_exact(alpha) + _exact(beta) + 1) / 2
+    fy = f.shift(-half)
+    if any(fy.nums[1 - odd :: 2]):
+        if odd:
+            raise NotSkewError("polynomial is not skew invariant under x -> -(x+s+1)")
         raise NotInvariantError("polynomial is not invariant under x -> -(x+s+1)")
-    half = (s + 1) / 2
-    fy = f(Poly([-half, 1]))  # f as a polynomial in y = x + (s+1)/2
-    base = Poly([half * half, 1])  # theta + ((s+1)/2)^2, as a poly in theta
-    g = ZERO
-    power = ONE
-    for k in range(0, len(fy.nums), 2):
-        if k + 1 < len(fy.nums) and fy.nums[k + 1]:
-            raise NotInvariantError("odd coefficient survived the shift")
-        g = g + fy.coeff(k) * power
-        power = power * base
-    return g
+    return Poly._from_ints(fy.nums[odd::2], fy.den).shift(half * half)
+
+
+def to_theta_basis(f: Poly, alpha, beta) -> Poly:
+    """Rewrite a reflection-invariant polynomial of x as a polynomial in theta_x."""
+    return _reflection_quotient(f, alpha, beta, 0)
 
 
 def divide_skew_by_sigma(f: Poly, alpha, beta) -> Poly:
     """For skew-invariant f, the quotient f / (2x+alpha+beta+1) in the theta basis.
 
-    The linear factor is sigma_{x+1}; skew invariance of f guarantees exact
-    divisibility and that the quotient is reflection invariant.
+    The linear factor is sigma_{x+1} = 2y, so the quotient is half the g with f = y g(theta_x).
     """
-    s = _exact(alpha) + _exact(beta)
-    if involute(f, s) != -f:
-        raise NotSkewError("polynomial is not skew invariant under x -> -(x+s+1)")
-    if f.is_zero:
-        return ZERO
-    quotient = f.div_exact(Poly([s + 1, 2]))
-    return to_theta_basis(quotient, alpha, beta)
+    return _reflection_quotient(f, alpha, beta, 1) / 2
 
 
 def falling_binomial(top, k: int) -> Fraction:

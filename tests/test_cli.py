@@ -454,6 +454,100 @@ class TestVerify:
         assert code == 3
 
 
+class TestAssumptionFailures:
+    """The two reflection assumptions, each failing with its reason on the CLI."""
+
+    def run(self, capsys, command, config_path, *extra):
+        code = main([command, "--config", config_path, "--nmax", "4", *extra])
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_eigenvalue_generator_reported(self, config_path, capsys, monkeypatch):
+        # a linear term in lambda_x makes 2 lambda + sum Y_h M_h odd in y = x + (s+1)/2
+        real = diffop.anti_difference
+        monkeypatch.setattr(diffop, "anti_difference", lambda f: real(f) + X)
+        code, report = self.run(capsys, "verify", config_path)
+        assert code == cli.EXIT_VERIFY
+        assert report["assumption_status"] == {
+            "s_omega_polynomial": True, "sigma_factorization": True, "eigenvalue_generator": False,
+        }
+        assert report["eigen"] == {
+            "status": "fail",
+            "reason": "assumption eigenvalue_generator failed: 2*lambda + sum Y_h M_h not theta-invariant",
+        }
+        code, report = self.run(capsys, "operator", config_path)
+        assert code == cli.EXIT_VERIFY
+        assert report["assumption_failed"] == "eigenvalue_generator"
+
+    def test_sigma_factorization_skew_reported(self, config_path, tmp_path, capsys):
+        # M_1 is a polynomial here, but not skew under x -> -(x+s+1)
+        s_path = write_json(tmp_path / "s.json", {"num": ["1/2", "25/2"], "den": ["3"]})
+        code, report = self.run(capsys, "verify", config_path, "--custom-s", s_path)
+        assert code == cli.EXIT_VERIFY
+        assert report["assumption_status"] == {
+            "s_omega_polynomial": True, "sigma_factorization": False, "eigenvalue_generator": True,
+        }
+        assert report["eigen"] == {
+            "status": "fail",
+            "reason": "assumption sigma_factorization failed: "
+            "M_1: polynomial is not skew invariant under x -> -(x+s+1)",
+        }
+
+
+class TestReportPaths:
+    """The verify and operator report branches for degenerate and failed runs."""
+
+    DEGENERATE_CONFIG = {"alpha": 2, "beta": 1, "m1": 1, "m2": 1, "M": [["-1"]], "N": [["-1"]]}
+
+    @pytest.mark.parametrize("command", ["verify", "operator"])
+    def test_degenerate_config_reports_first_zero(self, tmp_path, capsys, command):
+        path = write_json(tmp_path / "c.json", self.DEGENERATE_CONFIG)
+        assert main([command, "--config", path, "--nmax", "5"]) == cli.EXIT_DEGENERATE
+        report = json.loads(capsys.readouterr().out)
+        assert report["degenerate_at"] == 1
+        assert "eigen" not in report and "operator" not in report
+
+    @pytest.fixture
+    def doubled_top(self, monkeypatch):
+        """build_bundle with the top coefficient a_K of D doubled; D(q_n) is off from n = K."""
+        real = cli.build_bundle
+
+        def build_bundle(cfg, system, custom_s):
+            bundle = real(cfg, system, custom_s)
+            coeffs = list(bundle.D.coeffs)
+            coeffs[-1] = 2 * coeffs[-1]
+            return bundle._replace(D=DiffOp(coeffs))
+
+        monkeypatch.setattr(cli, "build_bundle", build_bundle)
+        return 6  # the order of D on EXAMPLE_CONFIG
+
+    def test_verify_reports_first_eigen_failure(self, config_path, capsys, doubled_top):
+        assert main(["verify", "--config", config_path, "--nmax", "8"]) == cli.EXIT_VERIFY
+        report = json.loads(capsys.readouterr().out)
+        assert report["eigen"] == {"status": "fail", "first_failure": doubled_top}
+        assert "eigenvalues" not in report
+        assert report["measured_order"] == report["predicted_order"] == doubled_top
+        assert report["order_check"] == "pass"
+
+    def test_operator_reports_eigen_failed_at(self, config_path, capsys, doubled_top):
+        assert main(["operator", "--config", config_path, "--nmax", "8"]) == cli.EXIT_VERIFY
+        report = json.loads(capsys.readouterr().out)
+        assert report["eigen_failed_at"] == doubled_top
+        assert "operator" not in report
+
+    def test_verify_reports_order_mismatch(self, config_path, capsys, monkeypatch):
+        real = diffop.predicted_order
+        monkeypatch.setattr(diffop, "predicted_order", lambda cfg: real(cfg) + 1)
+        assert main(["verify", "--config", config_path, "--nmax", "4"]) == cli.EXIT_VERIFY
+        report = json.loads(capsys.readouterr().out)
+        assert report["eigen"] == {"status": "pass"}
+        assert report["measured_order"] == 6 and report["predicted_order"] == 7
+        assert report["order_check"] == "fail"
+
+    def test_zero_polynomial_fails_the_norm_check(self):
+        cfg = SobolevConfig.from_json(EXAMPLE_CONFIG)
+        assert cli._orthogonality_failure(cfg, [Poly()]) == {"n": 0, "j": None}
+
+
 class TestIdentityChecks:
     def test_no_assert_in_package(self):
         # asserts vanish under python -O; every check must raise instead
@@ -502,9 +596,10 @@ class TestIdentityChecks:
         assert found["__eq__"] == found["__hash__"] == own
 
     def test_failed_check_exits_3_with_one_line(self, config_path, capsys, monkeypatch):
+        # fires the check that the assembled D lies in the algebra
         monkeypatch.setattr(DiffOp, "in_algebra", property(lambda self: False))
         code = main(["operator", "--config", config_path, "--nmax", "3"])
-        self.assert_one_line_exit_3(code, capsys, "d_operators")
+        self.assert_one_line_exit_3(code, capsys, "build_bundle")
 
 
     def assert_one_line_exit_3(self, code, capsys, stage):

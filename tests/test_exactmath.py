@@ -679,3 +679,39 @@ class TestDivideSkewBySigma:
     def test_rejects_non_skew(self):
         with pytest.raises(NotSkewError):
             divide_skew_by_sigma(theta_poly(1, 1), 1, 1)
+
+
+class TestReflectionParity:
+    """to_theta_basis and divide_skew_by_sigma against the involute definition."""
+
+    # alpha + beta is non-integer for some draws: the Fraction-shift path
+    parameters = st.fractions(min_value=0, max_value=6, max_denominator=3)
+
+    # zero comes from the examples; an empty draw would take a third of the runs
+    @given(
+        st.lists(rationals, min_size=1, max_size=4).map(Poly),
+        st.sampled_from(["invariant", "skew", "mixed", "any"]),
+        parameters,
+        parameters,
+    )
+    @example(Poly(), "any", Fraction(1, 2), Fraction(0))
+    @example(Poly([3]), "any", Fraction(1, 3), Fraction(1))
+    @example(Poly([3]), "skew", Fraction(1, 3), Fraction(1))
+    @example(Poly([0, 1]), "any", Fraction(1), Fraction(1))
+    @settings(max_examples=80, deadline=None)
+    def test_raises_exactly_when_involute_disagrees(self, g, kind, a, b):
+        s = a + b
+        theta = theta_poly(a, b)
+        sigma_next = Poly([s + 1, 2])  # 2x + s + 1
+        f = {"invariant": g(theta), "skew": sigma_next * g(theta), "mixed": g(theta) + X, "any": g}[kind]
+        reflected = involute(f, s)
+        if reflected == f:
+            assert to_theta_basis(f, a, b)(theta) == f
+        else:
+            with pytest.raises(NotInvariantError):
+                to_theta_basis(f, a, b)
+        if reflected == -f:
+            assert sigma_next * divide_skew_by_sigma(f, a, b)(theta) == f
+        else:
+            with pytest.raises(NotSkewError):
+                divide_skew_by_sigma(f, a, b)
