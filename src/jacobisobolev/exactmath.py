@@ -659,7 +659,11 @@ class RationalFunction(Frozen):
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        return self * RationalFunction(other.den, other.num)
+        if other.is_zero:
+            raise ZeroDivisionError("zero denominator")
+        # the swapped pair is still reduced; only its denominator needs making monic
+        lead = other.num.lead
+        return self * _wrap_rf(other.den / lead, other.num / lead)
 
     def __rtruediv__(self, other) -> "RationalFunction":
         other = _as_rf(other)

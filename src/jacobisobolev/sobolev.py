@@ -11,15 +11,21 @@ is generally non-symmetric, so orthogonality is one-sided ("left"): q_n is
 orthogonal when B(q_n, q) = 0 for every q of lower degree and
 B(q_n, q_n) != 0.
 
-Both `bilinear` and `bilinear_monomials` take B(p, x^j) as ints over one
-denominator from `_form_ints`. The Gram-matrix oracle, the ground truth for
-the Casorati construction in `construct`, is in `certify`.
+B is tabulated once per configuration as an int Gram matrix over one
+denominator d, G[k][j] = d B(x^k, x^j): the Hankel matrix of the weight
+moments mu_(k+j), plus J_-^T M J_- and J_+^T N J_+ with the jet rows
+J[l][k] = k!/(k-l)! (+-1)^(k-l). The table is held on the `SobolevConfig`
+and rebuilt larger when a longer p or more monomials need it. `bilinear` and
+`bilinear_monomials` take B(p, x^j) as dot products of p's numerators with
+G's columns (`_form_ints`). The Gram-matrix oracle, the ground truth for the
+Casorati construction in `construct`, is in `certify`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, mul
 from typing import List, Tuple
 
 from .exactmath import ONE, Frozen, Poly, involute, rat_rows, rat_str
@@ -40,9 +46,14 @@ def _freeze_matrix(rows, size: int, name: str) -> Matrix:
 
 
 class SobolevConfig(Frozen):
-    """Full problem statement: parameters, mass matrices and the Xi factor."""
+    """Full problem statement: parameters, mass matrices and the Xi factor.
 
-    __slots__ = _fields = ("alpha", "beta", "m1", "m2", "M", "N", "xi")
+    The Gram table of B (see `_gram`) is filled on first use, ignored by ==,
+    hash, repr and `to_json`, and starts empty on a config built from
+    another's fields, as a copy is."""
+
+    _fields = ("alpha", "beta", "m1", "m2", "M", "N", "xi")
+    __slots__ = (*_fields, "_gram")
 
     def __init__(self, alpha: int, beta: int, m1: int, m2: int, M=(), N=(), xi: Poly = ONE):
         for name, value in (("alpha", alpha), ("beta", beta), ("m1", m1), ("m2", m2)):
@@ -63,8 +74,12 @@ class SobolevConfig(Frozen):
             raise ValueError("xi must be nonzero")
         if involute(xi, alpha + beta - m1 - m2 - 1) != xi:
             raise ValueError("xi must be invariant under x -> -(x + alpha+beta-m)")
-        for name, value in zip(self.__slots__, (alpha, beta, m1, m2, M, N, xi)):
+        for name, value in zip(self._fields, (alpha, beta, m1, m2, M, N, xi)):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_gram", ((), 1))
+
+    def __reduce__(self):
+        return type(self), self._key()
 
     @property
     def m(self) -> int:
@@ -97,28 +112,53 @@ class SobolevConfig(Frozen):
         )
 
 
-def _form_ints(cfg: SobolevConfig, p: Poly, n: int) -> Tuple[List[int], int]:
-    """Ints v_j and one denominator d with B(p, x^j) = v_j / d for j < n.
+def _gram(cfg: SobolevConfig, size: int) -> Tuple[Tuple[List[int], ...], int]:
+    """Columns G[j] and one denominator d with B(x^k, x^j) = G[j][k] / d for
+    k, j < size at least. A table too small is rebuilt, to at least half as
+    large again, so that a run of growing requests builds few tables.
 
-    The weight moments and the entries of M and N are scaled to ints over one
-    lcm. The integral of p x^j is then a sum of p's numerators against the
-    moments, and the jet of x^j at +-1 is (j! / (j-c)! (+-1)^(j-c))_c.
+    d is the lcm of the weight moments' and the masses' denominators. Column j
+    is the moments mu_(k+j) plus sum_c J[c][j] (J^T M)[k][c] over both
+    endpoints, where J[l][k] = k!/(k-l)! (+-1)^(k-l) is the jet of x^k.
     """
-    nums = p.nums
-    moments = [weight_moment(cfg.alpha - cfg.m2, cfg.beta - cfg.m1, k) for k in range(len(nums) + n - 1)]
-    scale = math.lcm(*[c.denominator for c in moments], *[c.denominator for row in cfg.M + cfg.N for c in row])
-    mu = [c.numerator * (scale // c.denominator) for c in moments]
-    values = [sum([c * mu[k + j] for k, c in enumerate(nums)]) for j in range(n)]
-    for point, size, masses in ((-1, cfg.m1, cfg.M), (1, cfg.m2, cfg.N)):
-        if not size:
-            continue
-        # the row vector T(p, point, size) . masses, times scale
-        tp = [sum([nums[i] * math.perm(i, l) * point ** (i - l) for i in range(l, len(nums))]) for l in range(size)]
-        ints = [[c.numerator * (scale // c.denominator) for c in row] for row in masses]
-        row = [sum([tp[l] * ints[l][c] for l in range(size)]) for c in range(size)]
-        for j in range(n):
-            values[j] += sum([row[c] * math.perm(j, c) * point ** (j - c) for c in range(min(size, j + 1))])
-    return values, p.den * scale
+    columns, den = cfg._gram
+    if len(columns) >= size:
+        return columns, den
+    size = max(size, len(columns) * 3 // 2)
+    moments = [weight_moment(cfg.alpha - cfg.m2, cfg.beta - cfg.m1, k) for k in range(2 * size - 1)]
+    den = math.lcm(*[c.denominator for c in moments], *[c.denominator for row in cfg.M + cfg.N for c in row])
+    mu = [c.numerator * (den // c.denominator) for c in moments]
+    jets: List[List[int]] = []  # the rows J[l], at -1 and then at +1
+    lefts: List[List[int]] = []  # the columns of J^T M and J^T N, times d, in the same order
+    for point, masses in ((-1, cfg.M), (1, cfg.N)):
+        rows, row = [], [point**k for k in range(size)]
+        for l in range(len(masses)):
+            rows.append(row)
+            row = [v * (k - l) * point for k, v in enumerate(row)]  # k!/(k-l-1)! = k!/(k-l)! (k-l)
+        ints = [[c.numerator * (den // c.denominator) for c in masses_row] for masses_row in masses]
+        for ints_c in zip(*ints):
+            left = [0] * size
+            for jet, v in zip(rows, ints_c):
+                if v:
+                    left = list(map(add, left, map(v.__mul__, jet)))
+            lefts.append(left)
+        jets += rows
+    columns = []
+    for j in range(size):
+        col = mu[j : j + size]
+        for jet, left in zip(jets, lefts):
+            if jet[j]:
+                col = list(map(add, col, map(jet[j].__mul__, left)))
+        columns.append(col)
+    object.__setattr__(cfg, "_gram", (tuple(columns), den))
+    return cfg._gram
+
+
+def _form_ints(cfg: SobolevConfig, p: Poly, n: int) -> Tuple[List[int], int]:
+    """Ints v_j and one denominator with B(p, x^j) = v_j / den for j < n: the
+    dot products of p's numerators with the Gram table's columns."""
+    columns, den = _gram(cfg, max(len(p.nums), n))
+    return [sum(map(mul, p.nums, columns[j])) for j in range(n)], p.den * den
 
 
 def bilinear(cfg: SobolevConfig, p: Poly, q: Poly) -> Fraction:
@@ -128,6 +168,6 @@ def bilinear(cfg: SobolevConfig, p: Poly, q: Poly) -> Fraction:
 
 
 def bilinear_monomials(cfg: SobolevConfig, p: Poly, n: int) -> List[Fraction]:
-    """[B(p, x^j) for j < n], from one pass over p's jets and the moments."""
+    """[B(p, x^j) for j < n], from the configuration's Gram table."""
     values, den = _form_ints(cfg, p, n)
     return [Fraction(v, den) for v in values]

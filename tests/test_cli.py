@@ -558,8 +558,9 @@ class TestIdentityChecks:
             assert not found, f"assert at {path.name}:{found}"
 
     def test_module_level_caches_pinned(self):
-        # every per-config value lives on its ZSystem; the Jacobi caches are
-        # keyed by (alpha, beta) and shared across configs
+        # every per-config value lives on its ZSystem or, for the Gram table of
+        # the form B, on its SobolevConfig; the Jacobi caches are keyed by
+        # (alpha, beta) and shared across configs
         package = Path(jacobisobolev.__file__).parent
         found = set()
         for path in sorted(package.glob("*.py")):
@@ -601,6 +602,14 @@ class TestIdentityChecks:
         code = main(["operator", "--config", config_path, "--nmax", "3"])
         self.assert_one_line_exit_3(code, capsys, "build_bundle")
 
+    @pytest.mark.parametrize("command", ["verify", "operator"])
+    def test_difference_identity_exits_3(self, config_path, capsys, monkeypatch, command):
+        # lambda + theta_x passes the theta-basis check and fails the P_S difference identity
+        theta = construct.theta_poly(1, 1)
+        real = diffop.anti_difference
+        monkeypatch.setattr(diffop, "anti_difference", lambda g: real(g) + theta)
+        code = main([command, "--config", config_path, "--nmax", "3"])
+        self.assert_one_line_exit_3(code, capsys, "build_bundle")
 
     def assert_one_line_exit_3(self, code, capsys, stage):
         captured = capsys.readouterr()

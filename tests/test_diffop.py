@@ -17,12 +17,15 @@ from kernel_reference import (
     xi,
 )
 
-from jacobisobolev import _linalg
+from jacobisobolev import _linalg, diffop
 from jacobisobolev.certify import degree_of_P_check, p_from_y_tuple
 from jacobisobolev.construct import ZSystem, build_z, sobolev_poly
 from jacobisobolev.diffop import (
     AssumptionFailed,
+    _apply_band,
+    _band,
     _omega,
+    _scaled_rows,
     DiffOp,
     EigenMismatch,
     build_bundle,
@@ -36,6 +39,7 @@ from jacobisobolev.diffop import (
 )
 from jacobisobolev.exactmath import (
     ONE,
+    IdentityCheckFailed,
     Poly,
     RationalFunction,
     X,
@@ -190,6 +194,15 @@ class TestIntKernel:
     def test_apply_matches_reference(self, op, p):
         assert op.apply(p) == reference_apply(op, p)
 
+    @given(operators(6), st.integers(0, 7), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_band_applies_every_polynomial_it_spans(self, op, width, data):
+        # verify_eigen builds one band for n_max + 1 columns and applies it to every q_n
+        rows, den = _scaled_rows(op)
+        band = _band(rows, width)
+        for p in data.draw(st.lists(st.lists(coefficients, max_size=width).map(Poly), max_size=4)):
+            assert _apply_band(band, den, p) == op.apply(p)
+
     @given(operators(8), operators(8))
     @settings(max_examples=150, deadline=None)
     def test_compose_matches_leibniz(self, a, b):
@@ -318,6 +331,18 @@ class TestBundleDefaultS:
         a, b = cfg.alpha, cfg.beta
         ps_x = bundle.PS(theta_poly(a, b))
         assert ps_x - ps_x.shift(-1) == bundle.SOmega + bundle.SOmega.shift(cfg.m)
+
+    def test_difference_identity_fires(self, monkeypatch):
+        # lambda + theta_x keeps 2 lambda + sum Y_h M_h a polynomial in theta, so check 3
+        # passes, but P_S gains 2 theta, whose difference SOmega_x + SOmega_{x+m} lacks
+        cfg = baseline_config((3, 3, 2, 1))
+        theta = theta_poly(cfg.alpha, cfg.beta)
+        real = diffop.anti_difference
+        monkeypatch.setattr(diffop, "anti_difference", lambda g: real(g) + theta)
+        with pytest.raises(IdentityCheckFailed) as failure:
+            build_bundle(cfg, build_z(cfg))
+        assert failure.value.stage == "build_bundle"
+        assert failure.value.identity == "P_S(theta_x) - P_S(theta_{x-1}) = SOmega_x + SOmega_{x+m}"
 
     def test_involution_symmetries(self):
         cfg = random_configs((3, 2, 2, 1), count=1)[0]

@@ -526,6 +526,9 @@ class TestRationalFunctionArithmetic:
     """+, -, * and / against the reduced textbook formulas, on either side."""
 
     @given(rf_operand_pairs())
+    # a divisor whose numerator is not monic, and a zero divisor
+    @example((RationalFunction(X + 1, X), RationalFunction(Fraction(-3, 2) * X * X + 1, X - 2)))
+    @example((RationalFunction(X + 1, X), RationalFunction(ZERO)))
     @settings(max_examples=150, deadline=None)
     def test_matches_schoolbook(self, pair):
         for op in (operator.add, operator.sub, operator.mul, operator.truediv):

@@ -1,5 +1,6 @@
 """The endpoint-mass bilinear form, jets, and the Gram existence oracle."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,22 @@ from jacobisobolev.sobolev import ParameterOutOfRangeError, SobolevConfig, bilin
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 small_polys = st.lists(rationals, min_size=0, max_size=5).map(Poly)
+
+
+PINNED_REPRS = (
+    "SobolevConfig(alpha=3, beta=2, m1=2, m2=1, M=((Fraction(1, 1), Fraction(0, 1)), "
+    "(Fraction(2, 1), Fraction(1, 2))), N=((Fraction(1, 1),),), xi=Poly(1))",
+    "SobolevConfig(alpha=2, beta=2, m1=1, m2=0, M=((Fraction(1, 1),),), N=(), xi=Poly(1*x + 1/3*x^2))",
+)
+
+
+def pinned_configs():
+    """Fresh copies of the two configs whose repr is pinned in PINNED_REPRS."""
+    shift = 2  # alpha + beta - m - 1 of the second
+    return (
+        SobolevConfig(alpha=3, beta=2, m1=2, m2=1, M=[[1, 0], [2, "1/2"]], N=[[1]]),
+        SobolevConfig(alpha=2, beta=2, m1=1, m2=0, M=[[1]], xi=X * (X + shift + 1) * Fraction(1, 3)),
+    )
 
 
 class TestConfig:
@@ -53,16 +70,9 @@ class TestConfig:
 
     def test_repr_eq_and_hash(self):
         # the repr text, and == and hash over the seven fields, are pinned
-        cfg = SobolevConfig(alpha=3, beta=2, m1=2, m2=1, M=[[1, 0], [2, "1/2"]], N=[[1]])
-        assert repr(cfg) == (
-            "SobolevConfig(alpha=3, beta=2, m1=2, m2=1, M=((Fraction(1, 1), Fraction(0, 1)), "
-            "(Fraction(2, 1), Fraction(1, 2))), N=((Fraction(1, 1),),), xi=Poly(1))"
-        )
-        shift = 2  # alpha + beta - m - 1
-        with_xi = SobolevConfig(alpha=2, beta=2, m1=1, m2=0, M=[[1]], xi=X * (X + shift + 1) * Fraction(1, 3))
-        assert repr(with_xi) == (
-            "SobolevConfig(alpha=2, beta=2, m1=1, m2=0, M=((Fraction(1, 1),),), N=(), xi=Poly(1*x + 1/3*x^2))"
-        )
+        cfg, with_xi = pinned_configs()
+        for config, text in zip((cfg, with_xi), PINNED_REPRS):
+            assert repr(config) == text
         same = SobolevConfig(3, 2, 2, 1, ((1, 0), (2, Fraction(1, 2))), [["1"]], ONE)
         assert cfg == same and hash(cfg) == hash(same)
         assert hash(cfg) == hash((3, 2, 2, 1, cfg.M, cfg.N, ONE))
@@ -70,6 +80,20 @@ class TestConfig:
         assert cfg != (3, 2, 2, 1, cfg.M, cfg.N, ONE) and cfg.__eq__(cfg.M) is NotImplemented
         with pytest.raises(AttributeError):
             cfg.alpha = 4
+
+    def test_gram_table_is_not_part_of_the_value(self):
+        # a built table changes none of repr, ==, hash and to_json, and a copy,
+        # rebuilt from the fields, starts without one and still compares equal
+        for config, text in zip(pinned_configs(), PINNED_REPRS):
+            fresh = copy.copy(config)
+            data, key = config.to_json(), hash(config)
+            bilinear_monomials(config, X**5 - 1, 9)
+            assert repr(config) == text
+            assert config == fresh and hash(config) == key == hash(fresh)
+            assert config.to_json() == data
+            duplicate = copy.copy(config)
+            assert duplicate._gram[0] == () and config._gram[0]
+            assert duplicate == config and hash(duplicate) == key and repr(duplicate) == text
 
     @pytest.mark.parametrize("field, value", [("M", 0.5), ("N", 1e-400)])
     def test_float_mass_rejected(self, field, value):
@@ -138,6 +162,27 @@ class TestBilinearMonomials:
         values = bilinear_monomials(cfg, p, n)
         assert all(type(v) is Fraction for v in values)
         assert values == [reference_bilinear(cfg, p, Poly.monomial(j)) for j in range(n)]
+
+
+class TestGramTable:
+    """The configuration's Gram table, built small and then rebuilt larger."""
+
+    @given(st.one_of(st.sampled_from(MASS_CONFIGS), mass_configs()), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rebuilt_table_matches_reference(self, cfg, data):
+        cfg = copy.copy(cfg)  # a config rebuilt from the fields has no table yet
+        short = data.draw(st.lists(rationals, max_size=3).map(Poly))
+        q = data.draw(st.lists(rationals, max_size=3).map(Poly))
+        assert bilinear(cfg, short, q) == reference_bilinear(cfg, short, q)
+        size = len(cfg._gram[0])
+        longer_coeffs = st.lists(rationals, min_size=size + 1, max_size=size + 6).filter(lambda cs: cs[-1])
+        longer = data.draw(longer_coeffs.map(Poly))
+        n = data.draw(st.integers(0, size + 6))
+        values = bilinear_monomials(cfg, longer, n)
+        assert values == [reference_bilinear(cfg, longer, Poly.monomial(j)) for j in range(n)]
+        assert len(cfg._gram[0]) > size
+        assert bilinear(cfg, short, longer) == reference_bilinear(cfg, short, longer)
+        assert bilinear(cfg, longer, q) == reference_bilinear(cfg, longer, q)
 
 
 class TestAgainstReference:
