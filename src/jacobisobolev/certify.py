@@ -17,7 +17,8 @@ shares no code with the construction it certifies.
 - `gram_orthogonal_oracle`: q_n solved from the moment system of B, the
   ground truth for the existence and the shape of `construct`'s q_n.
 - `jet`, `integrate_against_weight` and `endpoint_jet`: the two parts of B
-  term by term, and the closed form of the jets of J_n at -1 and +1.
+  term by term, and the closed form of the jets of J_n at -1 and +1. The
+  integral expands p (1-x)^a (1+x)^b, apart from `sobolev`'s moment recurrence.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Optional, Sequence, Tuple
 from . import _linalg
 from .construct import ZSystem, build_p, build_q, build_z, rho_table
 from .exactmath import X, Poly, _exact, falling_binomial, pochhammer, theta_poly
-from .jacobi import JacobiContext, jacobi_poly, weight_moment
+from .jacobi import JacobiContext, jacobi_poly
 from .sobolev import SobolevConfig, bilinear, bilinear_monomials
 
 
@@ -177,9 +178,10 @@ def jet(p: Poly, point, k: int) -> Tuple[Fraction, ...]:
 
 
 def integrate_against_weight(p: Poly, a: int, b: int) -> Fraction:
-    """Exact integral of p(x) (1-x)^a (1+x)^b over (-1, 1)."""
-    total = sum((c * weight_moment(a, b, k) for k, c in enumerate(p.nums) if c), Fraction(0))
-    return total / p.den
+    """Exact integral of p(x) (1-x)^a (1+x)^b over (-1, 1), as x^k -> 2/(k+1) for even k."""
+    integrand = p * (1 - X) ** a * (1 + X) ** b
+    total = sum((Fraction(2 * c, k + 1) for k, c in enumerate(integrand.nums) if k % 2 == 0), Fraction(0))
+    return total / integrand.den
 
 
 def endpoint_jet(ctx: JacobiContext, n: int, point: int, order: int) -> Fraction:

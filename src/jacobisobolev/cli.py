@@ -104,14 +104,15 @@ def _first_degenerate(system, cfg: SobolevConfig, n_max: int) -> Optional[int]:
 
 
 def _orthogonality_failure(cfg: SobolevConfig, qs) -> Optional[dict]:
-    """The first failed check: B(q_n, x^j) != 0 for j < n, or B(q_n, q_n) = 0 (j None)."""
-    for n, qn in enumerate(qs):
-        j = next((j for j, value in enumerate(bilinear_monomials(cfg, qn, n)) if value), None)
-        if j is not None:
-            return {"n": n, "j": j}
-        if bilinear(cfg, qn, qn) == 0:
-            return {"n": n, "j": None}
-    return None
+    """The first failed check: B(q_n, x^j) != 0 for j < n, or B(q_n, q_n) = 0 (j None),
+    at the lowest such n and the smallest j there. The degrees are walked from the top
+    down, so the first request sizes the configuration's Gram table."""
+    failure = None
+    for n in reversed(range(len(qs))):
+        j = next((j for j, value in enumerate(bilinear_monomials(cfg, qs[n], n)) if value), None)
+        if j is not None or bilinear(cfg, qs[n], qs[n]) == 0:
+            failure = {"n": n, "j": j}
+    return failure
 
 
 def cmd_construct(cfg: SobolevConfig, system, n_max: int) -> Tuple[int, dict]:

@@ -329,9 +329,7 @@ def sobolev_poly(sys: ZSystem, cfg: SobolevConfig, n: int) -> Poly:
     m = cfg.m
     values = [lam]  # the j = 0 minor quotient is P
     if n >= m:
-        pq = sys.p(n) * sys.q(n)
-        if pq == 0:
-            raise IdentityCheckFailed("sobolev_poly", f"p({n}) q({n}) != 0 for n >= m")
+        pq = sys.p(n) * sys.q(n)  # every root of p and of q is below m
         # column j >= 1 is C[h][j-1](n) = rho^h_{n,j} z_h(n-j)
         rows = [[sys.rho[h][0](n) * sys.z[h](n)] + [c(n) for c in sys.C[h]] for h in range(m)]
         values += [

@@ -1,4 +1,4 @@
-"""Classical Jacobi polynomials and weight moments.
+"""Classical Jacobi polynomials.
 
 The normalization used throughout is
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactmath import ONE, X, ZERO, Frozen, IdentityCheckFailed, Poly, _exact
+from .exactmath import ONE, ZERO, Frozen, IdentityCheckFailed, Poly, _exact
 
 
 class JacobiContext(Frozen):
@@ -73,27 +73,3 @@ def jacobi_poly(ctx: JacobiContext, n: int) -> Poly:
         family.append(nxt)
     return family[n]
 
-
-_MOMENT_CACHE: dict = {}
-
-
-def weight_moment(a: int, b: int, k: int) -> Fraction:
-    """Exact integral of (1-x)^a (1+x)^b x^k over (-1, 1).
-
-    Computed by expanding the integrand and integrating monomials; a, b are
-    nonnegative integers so the result is rational.
-    """
-    if a < 0 or b < 0 or k < 0:
-        raise ValueError("weight_moment arguments must be nonnegative")
-    key = (a, b, k)
-    cached = _MOMENT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    integrand = (1 - X) ** a * (1 + X) ** b * X**k
-    total = Fraction(0)
-    for j in range(0, len(integrand.nums), 2):
-        if integrand.nums[j]:
-            total += Fraction(2 * integrand.nums[j], j + 1)
-    total /= integrand.den
-    _MOMENT_CACHE[key] = total
-    return total

@@ -14,8 +14,9 @@ B(q_n, q_n) != 0.
 B is tabulated once per configuration as an int Gram matrix over one
 denominator d, G[k][j] = d B(x^k, x^j): the Hankel matrix of the weight
 moments mu_(k+j), plus J_-^T M J_- and J_+^T N J_+ with the jet rows
-J[l][k] = k!/(k-l)! (+-1)^(k-l). The table is held on the `SobolevConfig`
-and rebuilt larger when a longer p or more monomials need it. `bilinear` and
+J[l][k] = k!/(k-l)! (+-1)^(k-l); the moments come from one int recurrence
+(`_moments`). The table is held on the `SobolevConfig` and rebuilt at the
+size asked for when a longer p or more monomials need it. `bilinear` and
 `bilinear_monomials` take B(p, x^j) as dot products of p's numerators with
 G's columns (`_form_ints`). The Gram-matrix oracle, the ground truth for the
 Casorati construction in `construct`, is in `certify`.
@@ -29,7 +30,6 @@ from operator import add, mul
 from typing import List, Tuple
 
 from .exactmath import ONE, Frozen, Poly, involute, rat_rows, rat_str
-from .jacobi import weight_moment
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 
@@ -112,10 +112,26 @@ class SobolevConfig(Frozen):
         )
 
 
+def _moments(a: int, b: int, count: int) -> Tuple[List[int], int]:
+    """Ints mu_k and one denominator d, mu_k / d = int (1-x)^a (1+x)^b x^k dx over (-1, 1), k < count.
+
+    Pearson's equation (1-x^2) w' = ((b-a) - (a+b) x) w, integrated against x^k by parts, gives
+    (a+b+k+2) mu_(k+1) = (b-a) mu_k + k mu_(k-1) from mu_0 = 2^(a+b+1) a! b! / (a+b+1)!. So the
+    t_k = mu_k (a+b+2)_k / mu_0 are ints, t_(k+1) = (b-a) t_k + k (a+b+k+1) t_(k-1) from 1, b-a.
+    """
+    s = a + b
+    t = [1, b - a]
+    for k in range(1, count - 1):
+        t.append((b - a) * t[k] + k * (s + k + 1) * t[k - 1])
+    den, scale = math.factorial(s + count), 2 ** (s + 1) * math.factorial(a) * math.factorial(b)
+    nums = [scale * t[k] * (den // math.factorial(s + k + 1)) for k in range(count)]
+    g = math.gcd(den, *nums)
+    return [c // g for c in nums], den // g
+
+
 def _gram(cfg: SobolevConfig, size: int) -> Tuple[Tuple[List[int], ...], int]:
     """Columns G[j] and one denominator d with B(x^k, x^j) = G[j][k] / d for
-    k, j < size at least. A table too small is rebuilt, to at least half as
-    large again, so that a run of growing requests builds few tables.
+    k, j < size at least. A table too small is rebuilt at the size asked for.
 
     d is the lcm of the weight moments' and the masses' denominators. Column j
     is the moments mu_(k+j) plus sum_c J[c][j] (J^T M)[k][c] over both
@@ -124,10 +140,9 @@ def _gram(cfg: SobolevConfig, size: int) -> Tuple[Tuple[List[int], ...], int]:
     columns, den = cfg._gram
     if len(columns) >= size:
         return columns, den
-    size = max(size, len(columns) * 3 // 2)
-    moments = [weight_moment(cfg.alpha - cfg.m2, cfg.beta - cfg.m1, k) for k in range(2 * size - 1)]
-    den = math.lcm(*[c.denominator for c in moments], *[c.denominator for row in cfg.M + cfg.N for c in row])
-    mu = [c.numerator * (den // c.denominator) for c in moments]
+    mu, mu_den = _moments(cfg.alpha - cfg.m2, cfg.beta - cfg.m1, 2 * size - 1)
+    den = math.lcm(mu_den, *[c.denominator for row in cfg.M + cfg.N for c in row])
+    mu = [c * (den // mu_den) for c in mu]
     jets: List[List[int]] = []  # the rows J[l], at -1 and then at +1
     lefts: List[List[int]] = []  # the columns of J^T M and J^T N, times d, in the same order
     for point, masses in ((-1, cfg.M), (1, cfg.N)):

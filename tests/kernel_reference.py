@@ -11,13 +11,14 @@ integers. It builds Lambda's polynomial, each n < m Casorati quotient and
 each q_n once per configuration, and takes Omega and the M_h minors from
 Lambda's polynomial Casorati matrix. It builds the z_l of the mass point +1
 as those of -1 for the mirrored problem, each z_l, Y_l and Pochhammer product
-as one int-list product or combination, and takes the Sobolev form B(p, x^j)
-as ints over one lcm of the moment and mass denominators. Its weighted rank
+as one int-list product or combination, takes the weight moments from their
+Pearson recurrence and the Sobolev form B(p, x^j) as ints over one lcm of the
+moment and mass denominators. Its weighted rank
 carries one echelon basis through each scan. Its cross-checks evaluate R_l(n)
 as a Sobolev form and sum the combinatorial identities as rationals. These
 are the plain algorithms it replaced (both blocks of z_l written out from
 Fraction products, one factor at a time; B as the weighted integral of p q
-plus the jets against the masses; Omega and the M_h from the xi-weighted
+plus the jets against the masses; each moment from its expanded integrand; Omega and the M_h from the xi-weighted
 entries, one rational determinant each; one Sobolev form per x^j; two fresh
 eliminations per span test); the differential tests require exact equality
 with them.
@@ -440,6 +441,14 @@ def reference_build_z(cfg) -> tuple:
         zs.append(z)
         ys.append(y)
     return tuple(zs), tuple(ys)
+
+
+def reference_weight_moment(a: int, b: int, k: int) -> Fraction:
+    """The integral of (1-x)^a (1+x)^b x^k over (-1, 1), from the expanded
+    integrand: each even power x^j integrates to 2/(j+1)."""
+    integrand = (1 - X) ** a * (1 + X) ** b * X**k
+    total = sum((Fraction(2 * c, j + 1) for j, c in enumerate(integrand.nums) if j % 2 == 0), Fraction(0))
+    return total / integrand.den
 
 
 def reference_bilinear(cfg, p: Poly, q: Poly) -> Fraction:

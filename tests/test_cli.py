@@ -24,7 +24,7 @@ from jacobisobolev import _linalg, cli, construct, diffop
 from jacobisobolev.cli import main
 from jacobisobolev.diffop import DiffOp
 from jacobisobolev.exactmath import ONE, Poly, RationalFunction, X, pochhammer
-from jacobisobolev.sobolev import SobolevConfig
+from jacobisobolev.sobolev import SobolevConfig, bilinear_monomials
 
 EXAMPLE_CONFIG = {
     "alpha": 1, "beta": 1, "m1": 1, "m2": 1,
@@ -49,6 +49,10 @@ GOLDEN_CONSTRUCT_SHA256 = "a7fa935be586995d068eff41a31bc02616051b74047b42730882c
 GOLDEN_VERIFY_CONFIG = {"alpha": 2, "beta": 2, "m1": 1, "m2": 1, "M": [["1"]], "N": [["1"]]}
 GOLDEN_VERIFY_S = {"num": ["8", "5", "-5/2", "5/2", "5/2", "1/2"], "den": "auto-omega"}
 GOLDEN_VERIFY_SHA256 = "4f7762663b700424a4f49c56bf1a2109132376614ced84b5612cc017a5099b07"
+
+# weight exponents a = 2 < b = 3 (the benchmark's verify inputs all have a >= b); order 22
+GOLDEN_WEIGHT_CONFIG = {"alpha": 2, "beta": 5, "m1": 2, "m2": 0, "M": [["-1", "1"], ["0", "-1"]]}
+GOLDEN_WEIGHT_SHA256 = "11e854892941518c3bf2a42257acb1efa79342f891f6c27cb53e358620df0387"
 
 
 @pytest.fixture
@@ -121,6 +125,17 @@ class TestOrthogonalityFailure:
                 failures.append(want)
         # a perturbation orthogonal to every lower x^i, by parity, reports none
         assert sum(f is not None for f in failures) > len(failures) // 2
+
+    def test_lowest_degree_and_smallest_j_are_reported(self):
+        # q_3 fails at j = 0 and j = 1, and q_6 fails too; the report names (3, 0)
+        cfg = SobolevConfig.from_json(GOLDEN_OPERATOR_CONFIG)
+        system = construct.build_z(cfg)
+        qs = [construct.sobolev_poly(system, cfg, n) for n in range(9)]
+        qs[3] = qs[3] + 1 + X
+        qs[6] = qs[6] + X**2
+        failing = [[j for j, v in enumerate(bilinear_monomials(cfg, qs[n], n)) if v] for n in (3, 6)]
+        assert failing[0][:2] == [0, 1] and failing[1]
+        assert cli._orthogonality_failure(cfg, qs) == {"n": 3, "j": 0} == reference_orthogonality_failure(cfg, qs)
 
 
 class TestInputValidation:
@@ -405,6 +420,14 @@ class TestVerify:
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         assert digest == GOLDEN_VERIFY_SHA256
 
+    def test_golden_report_with_a_below_b(self, tmp_path, capsys, monkeypatch):
+        # cold, so the orthogonality check builds this config's first Gram table
+        monkeypatch.setattr(construct, "_ZSYS_CACHE", {})
+        path = write_json(tmp_path / "c.json", GOLDEN_WEIGHT_CONFIG)
+        assert main(["verify", "--config", path, "--nmax", "8"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == GOLDEN_WEIGHT_SHA256
+
     def test_auto_omega_takes_no_det_of_e(self, tmp_path, capsys, monkeypatch):
         # _load_custom_s and build_bundle share the system's Omega, and Omega
         # comes from the polynomial Casorati matrix, not from a det of E
@@ -559,8 +582,9 @@ class TestIdentityChecks:
 
     def test_module_level_caches_pinned(self):
         # every per-config value lives on its ZSystem or, for the Gram table of
-        # the form B, on its SobolevConfig; the Jacobi caches are keyed by
-        # (alpha, beta) and shared across configs
+        # the form B, on its SobolevConfig; the Jacobi family cache is keyed by
+        # (alpha, beta) and shared across configs, and the weight moments that
+        # the table needs come from their recurrence, uncached
         package = Path(jacobisobolev.__file__).parent
         found = set()
         for path in sorted(package.glob("*.py")):
@@ -578,7 +602,7 @@ class TestIdentityChecks:
                 )
                 if is_dict:
                     found.update(f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name))
-        assert found == {"construct._ZSYS_CACHE", "jacobi._POLY_CACHE", "jacobi._MOMENT_CACHE"}
+        assert found == {"construct._ZSYS_CACHE", "jacobi._POLY_CACHE"}
 
     def test_one_immutability_guard(self):
         # every value class takes its guard from exactmath.Frozen, and its == and
@@ -651,6 +675,14 @@ class TestIdentityChecks:
         code = main(["construct", "--config", config_path, "--nmax", "3"])
         self.assert_one_line_exit_3(code, capsys, "sobolev_poly")
 
+    def test_degree_of_q_n_exits_3(self, tmp_path, capsys, monkeypatch, fresh_caches):
+        # J_4 in place of J_5 leaves q_5 with no x^5 term
+        real = construct.jacobi_poly
+        monkeypatch.setattr(construct, "jacobi_poly", lambda ctx, n: real(ctx, 4 if n == 5 else n))
+        path = write_json(tmp_path / "c.json", GOLDEN_OPERATOR_CONFIG)
+        code = main(["construct", "--config", path, "--nmax", "5"])
+        self.assert_one_line_exit_3(code, capsys, "sobolev_poly")
+
 
 class TestOperator:
     def test_golden_report(self, tmp_path, capsys):
@@ -676,12 +708,14 @@ class TestOptimizedInterpreter:
         config = write_json(tmp_path / "c.json", GOLDEN_OPERATOR_CONFIG)
         verify_config = write_json(tmp_path / "v.json", GOLDEN_VERIFY_CONFIG)
         s_path = write_json(tmp_path / "s.json", GOLDEN_VERIFY_S)
+        weight_config = write_json(tmp_path / "w.json", GOLDEN_WEIGHT_CONFIG)
         src = str(Path(jacobisobolev.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         runs = [
             (["operator", "--config", config, "--nmax", "8"], GOLDEN_OPERATOR_SHA256),
             (["construct", "--config", config, "--nmax", "32"], GOLDEN_CONSTRUCT_SHA256),
             (["verify", "--config", verify_config, "--nmax", "8", "--custom-s", s_path], GOLDEN_VERIFY_SHA256),
+            (["verify", "--config", weight_config, "--nmax", "8"], GOLDEN_WEIGHT_SHA256),
         ]
         for argv, want in runs:
             done = subprocess.run(

@@ -312,6 +312,16 @@ class TestSobolevPoly:
             with pytest.raises(ValueError, match="n must be nonnegative"):
                 build(sys_z, cfg, -1)
 
+    def test_degree_short_of_n_raises(self, monkeypatch):
+        # J_4 in place of J_5 leaves q_5 with no x^5 term
+        cfg = baseline_config((3, 3, 2, 1))
+        system = cold_copy(build_z(cfg))
+        real = construct.jacobi_poly
+        monkeypatch.setattr(construct, "jacobi_poly", lambda ctx, n: real(ctx, 4 if n == 5 else n))
+        with pytest.raises(IdentityCheckFailed) as info:
+            sobolev_poly(system, cfg, 5)
+        assert (info.value.stage, info.value.identity) == ("sobolev_poly", "deg q_5 = 5")
+
 
 CACHED = ("C", "P", "quotients", "clearing", "omega", "cofactors")  # the ZSystem values built on first use
 

@@ -8,10 +8,11 @@ import pytest
 import kernel_reference
 
 from jacobisobolev import jacobi
-from jacobisobolev.exactmath import Poly, X
+from jacobisobolev.exactmath import ONE, IdentityCheckFailed, Poly, X
 from jacobisobolev.certify import endpoint_jet, integrate_against_weight
 from jacobisobolev.diffop import classical_operator
-from jacobisobolev.jacobi import JacobiContext, jacobi_poly, weight_moment
+from jacobisobolev.jacobi import JacobiContext, jacobi_poly
+from jacobisobolev.sobolev import _moments
 
 
 def ctx(a, b):
@@ -68,6 +69,14 @@ class TestJacobiPoly:
     def test_degree_is_exact(self):
         for n in range(9):
             assert jacobi_poly(ctx(3, 2), n).degree == n
+
+    def test_degree_short_of_k_raises(self, monkeypatch):
+        # a constant J_1 makes the recurrence's J_2 linear
+        c = ctx(Fraction(11, 3), Fraction(5, 7))
+        monkeypatch.setitem(jacobi._POLY_CACHE, (c.alpha, c.beta), [ONE, ONE])
+        with pytest.raises(IdentityCheckFailed) as info:
+            jacobi_poly(c, 2)
+        assert (info.value.stage, info.value.identity) == ("jacobi_poly", "deg J_2 = 2")
 
     def test_eigenfunction_of_second_order_operator(self):
         for (a, b) in [(2, 1), (3, 3), (5, 2)]:
@@ -145,20 +154,33 @@ class TestClassicalOperator:
         assert op.in_algebra
 
 
+def moments(a, b, count):
+    nums, den = _moments(a, b, count)
+    return [Fraction(c, den) for c in nums]
+
+
 class TestWeightMoment:
     def test_interval_length(self):
-        assert weight_moment(0, 0, 0) == 2
+        assert moments(0, 0, 1) == [2]
 
     def test_parabolic_weight(self):
-        assert weight_moment(1, 1, 0) == Fraction(4, 3)
+        assert moments(1, 1, 1) == [Fraction(4, 3)]
 
     def test_odd_symmetry(self):
-        assert weight_moment(0, 0, 1) == 0
+        assert moments(0, 0, 2)[1] == 0
 
     def test_matches_polynomial_integration(self):
         p = (X + 1) * (X - 2) * X
-        direct = sum(p.coeff(k) * weight_moment(2, 1, k) for k in range(4))
+        direct = sum(p.coeff(k) * mu for k, mu in enumerate(moments(2, 1, 4)))
         assert integrate_against_weight(p, 2, 1) == direct
+
+    def test_recurrence_matches_expansion(self):
+        # a < b, a = b and a > b, each count from one moment to forty
+        for a in range(9):
+            for b in range(9):
+                want = [kernel_reference.reference_weight_moment(a, b, k) for k in range(40)]
+                for count in range(1, 41):
+                    assert moments(a, b, count) == want[:count]
 
 
 class TestEndpointJet:
