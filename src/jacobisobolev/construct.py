@@ -314,7 +314,7 @@ def casorati_lambda(sys: ZSystem, cfg: SobolevConfig, n: int) -> Fraction:
 
 
 def sobolev_poly(sys: ZSystem, cfg: SobolevConfig, n: int) -> Poly:
-    """The degree-n Sobolev-orthogonal polynomial from the bordered determinant."""
+    """q_n = sum_j (minor j quotient) J_(n-j), from the bordered determinant: one int `_combination`."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     cached = sys.q_polys.get(n)
@@ -343,10 +343,7 @@ def sobolev_poly(sys: ZSystem, cfg: SobolevConfig, n: int) -> Poly:
             except ZeroDivisionError as exc:
                 what = f"the reduced minor {j} quotient is regular at n={n}"
                 raise IdentityCheckFailed("sobolev_poly", what) from exc
-    result = Poly()
-    for j, value in enumerate(values):
-        if value != 0:
-            result = result + value * jacobi_poly(ctx, n - j)
+    result = _combination([(v.numerator, v.denominator, jacobi_poly(ctx, n - j)) for j, v in enumerate(values) if v])
     if result.degree != n:
         raise IdentityCheckFailed("sobolev_poly", f"deg q_{n} = {n}")
     sys.q_polys[n] = result

@@ -392,14 +392,12 @@ def verify_eigen(bundle: OperatorBundle, cfg, sys, n_max: int) -> List[Fraction]
     """
     rows, den = _scaled_rows(bundle.D)
     band = _band(rows, n_max + 1)
-    qn = sobolev_poly(sys, cfg, 0)
-    image = _apply_band(band, den, qn)
-    c = image.coeff(0) / qn.coeff(0) - bundle.lam(0)
     eigenvalues: List[Fraction] = []
     for n in range(n_max + 1):
-        if n:
-            qn = sobolev_poly(sys, cfg, n)
-            image = _apply_band(band, den, qn)
+        qn = sobolev_poly(sys, cfg, n)
+        image = _apply_band(band, den, qn)
+        if not n:
+            c = image.coeff(0) / qn.coeff(0) - bundle.lam(0)
         value = bundle.lam(n) + c
         residual = image - value * qn
         if not residual.is_zero:

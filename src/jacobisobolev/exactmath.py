@@ -10,10 +10,10 @@ Division and the gcd share one kernel, the integer pseudo-division
 
 Beyond the basic rings this module provides the structural transforms the
 rest of the package is built on: Pochhammer products, the discrete
-anti-difference, the reflection substitution ``x -> -(x + shift + 1)`` and
-the change of basis into powers of ``theta_x = x (x + s + 1)``. Whether a
-polynomial is invariant or skew under the reflection is read from its parity
-in ``y = x + (s + 1)/2``, in which the reflection is ``y -> -y``.
+anti-difference and the change of basis into powers of
+``theta_x = x (x + s + 1)``. Whether a polynomial is invariant or skew under
+the reflection ``x -> -(x + s + 1)`` is read from its parity in
+``y = x + (s + 1)/2``, in which the reflection is ``y -> -y``.
 
 A float is refused wherever a scalar enters (`_exact`), not read as its
 binary value.
@@ -733,20 +733,20 @@ def pochhammer(base, count: int):
 
 
 def anti_difference(f: Poly) -> Poly:
-    """The polynomial g with g(x) - g(x-1) = f(x) and zero constant term."""
-    g = ZERO
-    r = f
-    while not r.is_zero:
-        k = int(r.degree) + 1
-        term = Poly.monomial(k, r.lead / k)
-        g = g + term
-        r = r - (term - term.shift(-1))
-    return g
-
-
-def involute(f: Poly, shift) -> Poly:
-    """Substitute x -> -(x + shift + 1); an exact involution."""
-    return f(Poly([-(_exact(shift) + 1), -1]))
+    """The polynomial g with g(x) - g(x-1) = f(x) and zero constant term. As x^k - (x-1)^k =
+    sum_{i<k} (-1)^(k-i+1) C(k, i) x^i, g's coefficients solve (i+1) c_(i+1) = f_i +
+    sum_{k>i+1} (-1)^(k-i) C(k, i) c_k, top first: a triangular system of determinant
+    (deg f + 1)!, so the c_k are ints over (deg f + 1)! f.den and each division is exact."""
+    top = len(f.nums)  # deg g
+    scale = math.factorial(top)
+    c = [0] * (top + 1)
+    for i in range(top - 1, -1, -1):
+        acc = scale * f.nums[i]
+        for k in range(i + 2, top + 1):
+            term = math.comb(k, i) * c[k]
+            acc += -term if (k - i) % 2 else term
+        c[i + 1] = acc // (i + 1)
+    return Poly._from_ints(c, scale * f.den)
 
 
 def theta_poly(alpha, beta) -> Poly:

@@ -18,8 +18,6 @@ J_1 = -(s+1)/(2(b+1)) ((s+2)x + a-b) and, for k >= 2, j = k-1 and e = 2j+s,
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exactmath import ONE, ZERO, Frozen, IdentityCheckFailed, Poly, _exact
 
 
@@ -36,13 +34,6 @@ class JacobiContext(Frozen):
         for value in (alpha, beta, alpha + beta):
             if value.denominator == 1 and value <= -1:
                 raise ValueError(f"parameter {value} is a forbidden negative integer")
-
-    def theta(self, n) -> Fraction:
-        n = _exact(n)
-        return n * (n + self.alpha + self.beta + 1)
-
-    def sigma(self, n) -> Fraction:
-        return 2 * _exact(n) + self.alpha + self.beta - 1
 
 
 _POLY_CACHE: dict = {}

@@ -80,7 +80,4 @@ def predicted_order(cfg) -> int:
     """deg(Xi) + 2 (beta-weighted rank of M + alpha-weighted rank of N + 1)."""
     wr_m = weighted_rank(cfg.beta, cfg.M).value
     wr_n = weighted_rank(cfg.alpha, cfg.N).value
-    total = cfg.xi.degree + 2 * (wr_m + wr_n + 1)
-    if Fraction(total).denominator != 1:
-        raise ValueError("order prediction is not an integer")
-    return int(total)
+    return int(cfg.xi.degree + 2 * (wr_m + wr_n + 1))

@@ -29,7 +29,7 @@ from fractions import Fraction
 from operator import add, mul
 from typing import List, Tuple
 
-from .exactmath import ONE, Frozen, Poly, involute, rat_rows, rat_str
+from .exactmath import ONE, Frozen, NotInvariantError, Poly, rat_rows, rat_str, to_theta_basis
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 
@@ -72,8 +72,10 @@ class SobolevConfig(Frozen):
             raise TypeError(f"xi must be a Poly, got {xi!r}")
         if xi.is_zero:
             raise ValueError("xi must be nonzero")
-        if involute(xi, alpha + beta - m1 - m2 - 1) != xi:
-            raise ValueError("xi must be invariant under x -> -(x + alpha+beta-m)")
+        try:  # x -> -(x+s+1) with s = alpha+beta-m-1, read from the parity of xi
+            to_theta_basis(xi, alpha + beta - m1 - m2 - 1, 0)
+        except NotInvariantError:
+            raise ValueError("xi must be invariant under x -> -(x + alpha+beta-m)") from None
         for name, value in zip(self._fields, (alpha, beta, m1, m2, M, N, xi)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_gram", ((), 1))

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -16,6 +17,17 @@ from jacobisobolev import (
     casorati_lambda,
 )
 from jacobisobolev.exactmath import X, pochhammer
+
+# Hypothesis' pytest plugin imports this module when a test fails. Where libcst is
+# installed, that import raises a DeprecationWarning from mypy_extensions, which
+# -W error turns into an internal error that ends the session. Importing it once
+# here, with that warning ignored for this one import, keeps a failing run whole.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is absent: the plugin takes the same path
+        pass
 
 # Shapes (alpha, beta, m1, m2) exercised throughout the suite.
 STANDARD_SHAPES = [(2, 1, 1, 1), (2, 2, 1, 1), (3, 2, 2, 1), (3, 3, 2, 2)]

@@ -13,15 +13,19 @@ Lambda's polynomial Casorati matrix. It builds the z_l of the mass point +1
 as those of -1 for the mirrored problem, each z_l, Y_l and Pochhammer product
 as one int-list product or combination, takes the weight moments from their
 Pearson recurrence and the Sobolev form B(p, x^j) as ints over one lcm of the
-moment and mass denominators. Its weighted rank
+moment and mass denominators. It takes the anti-difference from one triangular
+solve on ints, and reads reflection symmetry from the parity of a polynomial in
+y = x + (s+1)/2. Its weighted rank
 carries one echelon basis through each scan. Its cross-checks evaluate R_l(n)
 as a Sobolev form and sum the combinatorial identities as rationals. These
 are the plain algorithms it replaced (both blocks of z_l written out from
 Fraction products, one factor at a time; B as the weighted integral of p q
 plus the jets against the masses; each moment from its expanded integrand; Omega and the M_h from the xi-weighted
-entries, one rational determinant each; one Sobolev form per x^j; two fresh
-eliminations per span test); the differential tests require exact equality
-with them.
+entries, one rational determinant each; one Sobolev form per x^j; the
+anti-difference one top monomial at a time; the reflection x -> -(x+s+1) by
+substitution, `involute`; two fresh eliminations per span test); the
+differential tests require exact equality with them. Every determinant here is
+the Leibniz sum `reference_det`, never the package's `_linalg.det`.
 """
 
 import functools
@@ -211,6 +215,24 @@ def reference_det(matrix):
     return total
 
 
+def reference_anti_difference(f: Poly) -> Poly:
+    """The g with g(x) - g(x-1) = f(x) and g(0) = 0, one top term at a time: each
+    step adds the monomial whose difference cancels the remainder's lead."""
+    g = ZERO
+    r = f
+    while not r.is_zero:
+        k = int(r.degree) + 1
+        term = Poly.monomial(k, r.lead / k)
+        g = g + term
+        r = r - (term - term.shift(-1))
+    return g
+
+
+def involute(f: Poly, shift) -> Poly:
+    """Substitute x -> -(x + shift + 1); an exact involution."""
+    return f(Poly([-(Fraction(shift) + 1), -1]))
+
+
 def _reference_rank(rows) -> int:
     """Rank of a rational matrix by a fresh Gauss-Jordan elimination."""
     return len(_linalg._reduce(rows, len(rows[0]))[1]) if rows else 0
@@ -314,12 +336,12 @@ def reference_casorati_lambda(sys, cfg, n: int) -> Fraction:
         matrix = [
             [sys.rho[h][j](n) * sys.z[h](n - j) for j in range(1, m + 1)] for h in range(m)
         ]
-        return _linalg.det(matrix) / (sys.p(n) * sys.q(n))
+        return reference_det(matrix) / (sys.p(n) * sys.q(n))
     matrix = [
         [sys.rho[h][j].as_poly() * sys.z[h].shift(-j) for j in range(1, m + 1)]
         for h in range(m)
     ]
-    return RationalFunction(_linalg.det(matrix), sys.p * sys.q)(n)
+    return RationalFunction(reference_det(matrix), sys.p * sys.q)(n)
 
 
 def reference_sobolev_poly(sys, cfg, n: int) -> Poly:
@@ -330,7 +352,7 @@ def reference_sobolev_poly(sys, cfg, n: int) -> Poly:
         pq = sys.p(n) * sys.q(n)
         rows = [[sys.rho[h][j](n) * sys.z[h](n - j) for j in range(m + 1)] for h in range(m)]
         values = [
-            _linalg.det([[row[r] for r in range(m + 1) if r != j] for row in rows]) / pq
+            reference_det([[row[r] for r in range(m + 1) if r != j] for row in rows]) / pq
             for j in range(m + 1)
         ]
     else:
@@ -343,7 +365,7 @@ def reference_sobolev_poly(sys, cfg, n: int) -> Poly:
             if j > n:
                 values.append(Fraction(0))
                 continue
-            minor = _linalg.det([[row[r] for r in range(m + 1) if r != j] for row in entries])
+            minor = reference_det([[row[r] for r in range(m + 1) if r != j] for row in entries])
             values.append((minor / RationalFunction(sys.p * sys.q))(n))
     result = ZERO
     for j in range(m + 1):
@@ -496,7 +518,7 @@ def reference_mh(cfg, sys, S: RationalFunction) -> list:
     for h in range(1, m + 1):
         total = RationalFunction(ZERO)
         for j in range(1, m + 1):
-            minor = _linalg.det(
+            minor = reference_det(
                 [
                     [
                         xi(ctx, m1, l, m - r).shift(j - r) * RationalFunction(sys.z[l - 1].shift(j - r))
@@ -530,7 +552,7 @@ def reference_p_from_y_tuple(alpha, beta, m1: int, m2: int, ys) -> tuple:
             else:
                 row.append(y_at)
         rows.append(row)
-    det = _linalg.det(rows)
+    det = reference_det(rows)
     if not isinstance(det, Poly):
         det = Poly.constant(det)
     result = det.div_exact(build_p(alpha, beta, m1, m2) * build_q(alpha, beta, m))

@@ -471,10 +471,18 @@ class TestVerify:
             "status": "fail", "reason": "assumption sigma_factorization failed: M_1 is not a polynomial",
         }
 
-    def test_invalid_custom_s_exits_3(self, config_path, tmp_path):
+    def test_invalid_custom_s_exits_3(self, config_path, tmp_path, capsys):
+        # S = (1 + x) / (x + x^2) = 1/x: S*Omega keeps the pole at 0
         s_path = write_json(tmp_path / "s.json", {"num": ["1", "1"], "den": ["0", "1", "1"]})
         code = main(["verify", "--config", config_path, "--nmax", "4", "--custom-s", s_path])
         assert code == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["assumption_status"]["s_omega_polynomial"] is False
+        assert report["eigen"] == {
+            "status": "fail", "reason": "assumption s_omega_polynomial failed: S*Omega has a nontrivial denominator",
+        }
+        assert main(["operator", "--config", config_path, "--nmax", "4", "--custom-s", s_path]) == 3
+        assert json.loads(capsys.readouterr().out)["assumption_failed"] == "s_omega_polynomial"
 
 
 class TestAssumptionFailures:
@@ -514,6 +522,9 @@ class TestAssumptionFailures:
             "reason": "assumption sigma_factorization failed: "
             "M_1: polynomial is not skew invariant under x -> -(x+s+1)",
         }
+        code, report = self.run(capsys, "operator", config_path, "--custom-s", s_path)
+        assert code == cli.EXIT_VERIFY
+        assert report["assumption_failed"] == "sigma_factorization"
 
 
 class TestReportPaths:
@@ -743,6 +754,16 @@ class TestStartup:
         added = set(json.loads(done.stdout))
         assert "jacobisobolev.cli" in added
         assert not added & {"dataclasses", "inspect"}
+
+
+class TestReadme:
+    def test_library_example_runs(self):
+        # optimize=0 keeps the example's own assert under python -O
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = text.split("```python\n")[1:]
+        assert blocks
+        for block in blocks:
+            exec(compile(block.split("```")[0], "README.md", "exec", optimize=0), {})
 
 
 RATIONALS =st.sampled_from(["1", "-1", "0", "2", "-2", "1/2", "-3/2", "1/0", "-3/0"])

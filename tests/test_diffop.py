@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernel_reference import (
+    involute,
     reference_apply,
     reference_compose,
+    reference_det,
     reference_mh,
     reference_omega_entries,
     reference_op_poly,
@@ -43,7 +45,6 @@ from jacobisobolev.exactmath import (
     Poly,
     RationalFunction,
     X,
-    involute,
     pochhammer,
     theta_poly,
 )
@@ -177,7 +178,7 @@ class TestCompose:
         op2 = compose(classical_operator(c), classical_operator(c))
         for n in range(7):
             jn = jacobi_poly(c, n)
-            assert op2.apply(jn) == c.theta(n) ** 2 * jn
+            assert op2.apply(jn) == theta_poly(2, 1)(n) ** 2 * jn
 
     def test_agrees_with_sequential_application(self):
         a = DiffOp([X, ONE])
@@ -374,7 +375,7 @@ class TestOmegaAndMinors:
         cfg = random_configs(shape, count=1)[0]
         sys_z = build_z(cfg)
         bundle = cached_bundle(cfg)
-        assert bundle.Omega == _linalg.det(reference_omega_entries(cfg, sys_z))
+        assert bundle.Omega == reference_det(reference_omega_entries(cfg, sys_z))
         assert [RationalFunction(mh) for mh in bundle.Mh] == reference_mh(cfg, sys_z, bundle.S)
 
     def test_custom_s_matches_rebuilt_minors(self):
@@ -388,7 +389,7 @@ class TestOmegaAndMinors:
         cfg = two_jet_config(2)
         sys_z = build_z(cfg)
         custom = build_bundle(cfg, sys_z, two_jet_lowered_s(cfg, cached_bundle(cfg).Omega))
-        assert custom.Omega == _linalg.det(reference_omega_entries(cfg, sys_z))
+        assert custom.Omega == reference_det(reference_omega_entries(cfg, sys_z))
         assert [RationalFunction(mh) for mh in custom.Mh] == reference_mh(cfg, sys_z, custom.S)
 
     def test_second_bundle_reuses_held_minors(self, monkeypatch):
@@ -421,7 +422,7 @@ class TestOmegaAndMinors:
         assert _omega(cfg, cold) is omega
         assert build_bundle(cfg, cold).Omega is omega
         assert not rf_dets
-        assert omega == _linalg.det(reference_omega_entries(cfg, cold))
+        assert omega == reference_det(reference_omega_entries(cfg, cold))
 
 
 class TestEigenProperty:
@@ -499,6 +500,17 @@ class TestCustomS:
         with pytest.raises(AssumptionFailed) as info:
             build_bundle(cfg, sys_z, RationalFunction(X, X + 1))
         assert info.value.which == "s_omega_polynomial"
+
+    def test_skew_failure_names_m1(self):
+        # S = (1 + 25x)/6 keeps M_1 a polynomial, but not a skew one under x -> -(x+s+1)
+        cfg = scalar_example_config(1)
+        s = RationalFunction(Poly([Fraction(1, 2), Fraction(25, 2)]), Poly([3]))
+        with pytest.raises(AssumptionFailed) as info:
+            build_bundle(cfg, build_z(cfg), s)
+        assert info.value.which == "sigma_factorization"
+        assert str(info.value) == (
+            "assumption sigma_factorization failed: M_1: polynomial is not skew invariant under x -> -(x+s+1)"
+        )
 
     @pytest.mark.parametrize(
         "cfg", [scalar_example_config(1), baseline_config((3, 3, 2, 1))], ids=["scalar-1", "baseline-3321"]
@@ -615,3 +627,15 @@ class TestDegreeLaw:
     def test_full_config_check(self):
         cfg = random_configs((3, 2, 2, 1), count=1)[0]
         assert degree_of_P_check(cfg, build_z(cfg))
+
+    @pytest.mark.parametrize("shape, degree, lead", [((1, 1, 1, 1), 4, 4), ((2, 1, 1, 1), 6, 2)])
+    def test_exact_branch(self, shape, degree, lead):
+        # one row per block, so the generic lead is nonzero and the law is exact
+        cfg = baseline_config(shape)
+        sys_z = build_z(cfg)
+        assert (sys_z.P.degree, sys_z.P.lead) == (degree, lead)
+        assert degree_of_P_check(cfg, sys_z)
+        # z_1 doubled with Y_1 kept doubles P but not the lead the law reads off Y
+        doubled = ZSystem(z=(2 * sys_z.z[0],) + sys_z.z[1:], Y=sys_z.Y, p=sys_z.p, q=sys_z.q, rho=sys_z.rho)
+        assert doubled.P == 2 * sys_z.P
+        assert not degree_of_P_check(cfg, doubled)

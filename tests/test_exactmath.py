@@ -10,7 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernel_reference import (
+    involute,
     reference_add,
+    reference_anti_difference,
     reference_derivative,
     reference_det,
     reference_divmod,
@@ -43,7 +45,6 @@ from jacobisobolev.exactmath import (
     anti_difference,
     divide_skew_by_sigma,
     falling_binomial,
-    involute,
     pochhammer,
     rat,
     rat_str,
@@ -347,7 +348,7 @@ class TestOperandProtocol:
             lambda: pochhammer(0.1, 2),
             lambda: falling_binomial(0.1, 2),
             lambda: theta_poly(0.1, 0),
-            lambda: involute(X, 0.1),
+            lambda: RationalFunction(X, X + 1).shift(0.5),
             lambda: to_theta_basis(ONE, 0, 0.1),
             lambda: divide_skew_by_sigma(ZERO, 0.1, 0),
             lambda: rat_str(0.1),
@@ -426,7 +427,7 @@ class TestMaximalMinors:
     @settings(max_examples=60, deadline=None)
     @given(wide_matrices)
     def test_matches_det_without_each_column(self, rows):
-        expected = [_linalg.det([row[:j] + row[j + 1 :] for row in rows]) for j in range(len(rows) + 1)]
+        expected = [reference_det([row[:j] + row[j + 1 :] for row in rows]) for j in range(len(rows) + 1)]
         assert _linalg.maximal_minors(rows) == expected
 
     def test_shape_checked(self):
@@ -622,6 +623,15 @@ class TestAntiDifference:
         assert g - g.shift(-1) == f
         assert g.coeff(0) == 0
         assert anti_difference(f + f) == g + g
+
+    # degree 0..25 with wide coefficients; zero comes from the example
+    @given(st.lists(wide_rationals, min_size=1, max_size=26).map(Poly))
+    @example(Poly())
+    @settings(max_examples=80, deadline=None)
+    def test_triangular_solve_matches_reference(self, f):
+        g = anti_difference(f)
+        assert g == reference_anti_difference(f)
+        assert g - g.shift(-1) == f and g(0) == 0
 
 
 class TestInvolute:

@@ -4,11 +4,11 @@ import copy
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import mass_configs
-from kernel_reference import reference_bilinear
+from kernel_reference import involute, reference_bilinear
 
 from jacobisobolev.certify import endpoint_jet, gram_orthogonal_oracle, jet
 from jacobisobolev.exactmath import ONE, ZERO, Poly, X
@@ -56,6 +56,30 @@ class TestConfig:
     def test_xi_invariance_enforced(self):
         with pytest.raises(ValueError):
             SobolevConfig(alpha=2, beta=2, m1=1, m2=1, M=[[1]], N=[[1]], xi=X)
+
+    @given(
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.lists(rationals, min_size=1, max_size=4).map(Poly),
+        st.sampled_from(["invariant", "skew", "invariant + x", "any"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_xi_accepted_exactly_when_involute_fixes_it(self, a, b, m1, m2, g, kind):
+        # the parity test in y = x + (s+1)/2 against the substitution x -> -(x+s+1), s = alpha+beta-m-1
+        assume(m1 + m2 >= 1)
+        alpha, beta = a + m2, b + m1
+        s = alpha + beta - m1 - m2 - 1
+        theta = X * (X + s + 1)
+        xi = {"invariant": g(theta), "skew": Poly([s + 1, 2]) * g(theta), "invariant + x": g(theta) + X, "any": g}[kind]
+        assume(not xi.is_zero)
+        masses = {"M": [[0] * m1] * m1, "N": [[0] * m2] * m2}
+        if involute(xi, s) == xi:
+            assert SobolevConfig(alpha, beta, m1, m2, xi=xi, **masses).xi == xi
+        else:
+            with pytest.raises(ValueError, match=r"^xi must be invariant under x -> -\(x \+ alpha\+beta-m\)$"):
+                SobolevConfig(alpha, beta, m1, m2, xi=xi, **masses)
 
     @pytest.mark.parametrize("xi", [Poly([]), Poly([0])])
     def test_zero_xi_rejected(self, xi):
