@@ -1,14 +1,14 @@
-"""Small exact linear algebra helpers over the rationals (and generic rings).
+"""Determinants and maximal minors over any commutative ring.
 
-Matrices are lists of row lists. Everything is deterministic: no pivoting
-heuristics are needed because the arithmetic is exact.
+Matrices are lists of row lists. Every minor comes from one dynamic program
+over column subsets, so entries need only +, - and *.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 
 def det(matrix: Sequence[Sequence]) -> object:
@@ -62,25 +62,3 @@ def _subset_minors(rows: Sequence[Sequence], n: int) -> dict:
         minors = new
     return minors
 
-
-def _reduce(rows: Sequence[Sequence[Fraction]], ncols: int) -> Tuple[List[List[Fraction]], List[int]]:
-    """Gauss-Jordan elimination over the first ncols columns: the reduced rows
-    and the pivot columns, the k-th pivot in row k."""
-    work = [[Fraction(c) for c in row] for row in rows]
-    pivots: List[int] = []
-    for col in range(ncols):
-        r = len(pivots)
-        if r == len(work):
-            break
-        pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [c * inv for c in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-    return work, pivots

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from . import _linalg
 from .construct import ZSystem, build_p, build_q, build_z, rho_table
 from .exactmath import X, Poly, _exact, falling_binomial, pochhammer, theta_poly
 from .jacobi import JacobiContext, jacobi_poly
@@ -160,11 +159,32 @@ def gram_orthogonal_oracle(cfg: SobolevConfig, n: int) -> Optional[Poly]:
     """
     columns = [bilinear_monomials(cfg, Poly.monomial(j), n) for j in range(n + 1)]
     rows = [[columns[j][i] for j in range(n)] + [-columns[n][i]] for i in range(n)]
-    work, pivots = _linalg._reduce(rows, n)
+    work, pivots = _reduce(rows, n)
     if len(pivots) < n:
         return None
     q = Poly([row[n] for row in work] + [1])
     return None if bilinear(cfg, q, q) == 0 else q
+
+
+def _reduce(rows: Sequence[Sequence[Fraction]], ncols: int) -> Tuple[List[List[Fraction]], List[int]]:
+    """Gauss-Jordan elimination over the first ncols columns: the reduced rows
+    and the pivot columns, the k-th pivot in row k."""
+    work = [[Fraction(c) for c in row] for row in rows]
+    pivots: List[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = 1 / work[r][col]
+        work[r] = [c * inv for c in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                factor = work[i][col]
+                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+    return work, pivots
 
 
 def jet(p: Poly, point, k: int) -> Tuple[Fraction, ...]:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .construct import DegenerateConfigError, build_z, casorati_lambda, sobolev_poly
-from .diffop import AssumptionFailed, EigenMismatch, _omega, build_bundle, operator_order, verify_eigen
+from .diffop import ASSUMPTIONS, AssumptionFailed, EigenMismatch, _omega, build_bundle, operator_order, verify_eigen
 from .exactmath import IdentityCheckFailed, Poly, RationalFunction, rat, rat_rows, rat_str
 from .rank import predicted_order, weighted_rank
 from .sobolev import SobolevConfig, bilinear, bilinear_monomials
@@ -32,9 +32,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_DEGENERATE = 2
 EXIT_VERIFY = 3
-
-# the three structural assumptions that build_bundle checks
-ASSUMPTIONS = ("s_omega_polynomial", "sigma_factorization", "eigenvalue_generator")
 
 
 class InputError(ValueError):
@@ -135,15 +132,15 @@ def cmd_verify(cfg: SobolevConfig, system, n_max: int, custom_s) -> Tuple[int, d
     failed = first_failure is not None
     report["orthogonality"] = {"status": "fail" if failed else "pass", "first_failure": first_failure}
 
-    assumption_status = dict.fromkeys(ASSUMPTIONS, True)
     try:
         bundle = build_bundle(cfg, system, custom_s)
     except AssumptionFailed as exc:
-        assumption_status[exc.which] = False
-        report["assumption_status"] = assumption_status
+        # the checks after the failed one never ran: null, not passed
+        k = ASSUMPTIONS.index(exc.which)
+        report["assumption_status"] = {a: None if i > k else i < k for i, a in enumerate(ASSUMPTIONS)}
         report["eigen"] = {"status": "fail", "reason": str(exc)}
         return EXIT_VERIFY, report
-    report["assumption_status"] = assumption_status
+    report["assumption_status"] = dict.fromkeys(ASSUMPTIONS, True)
 
     try:
         eigenvalues = verify_eigen(bundle, cfg, system, n_max)
@@ -154,8 +151,8 @@ def cmd_verify(cfg: SobolevConfig, system, n_max: int, custom_s) -> Tuple[int, d
         failed = True
 
     report["measured_order"] = operator_order(bundle)
-    report["predicted_order"] = bundle.predicted_order
-    if custom_s is None and report["measured_order"] != bundle.predicted_order:
+    report["predicted_order"] = predicted_order(cfg)
+    if custom_s is None and report["measured_order"] != report["predicted_order"]:
         report["order_check"] = "fail"
         failed = True
     else:
@@ -179,7 +176,7 @@ def cmd_operator(cfg: SobolevConfig, system, n_max: int, custom_s) -> Tuple[int,
         "config": cfg.to_json(),
         "operator": bundle.D.to_json(),
         "order": operator_order(bundle),
-        "predicted_order": bundle.predicted_order,
+        "predicted_order": predicted_order(cfg),
         "assumptions": dict.fromkeys(ASSUMPTIONS, True),
         "eigen_checked_to": n_max,
     }

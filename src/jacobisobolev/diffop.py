@@ -66,13 +66,18 @@ from .exactmath import (
     to_theta_basis,
 )
 from .jacobi import JacobiContext
-from .rank import predicted_order
+
+
+# the three structural assumptions, in the order that build_bundle checks them
+ASSUMPTIONS = ("s_omega_polynomial", "sigma_factorization", "eigenvalue_generator")
 
 
 class AssumptionFailed(ValueError):
     """One of the three structural assumptions failed for the supplied S."""
 
     def __init__(self, which: str, detail: str = ""):
+        if which not in ASSUMPTIONS:
+            raise ValueError(f"unknown assumption {which!r}")
         super().__init__(f"assumption {which} failed" + (f": {detail}" if detail else ""))
         self.which = which
 
@@ -287,7 +292,6 @@ class OperatorBundle(NamedTuple):
     lam: Poly  # discrete primitive of S*Omega
     PS: Poly  # eigenvalue polynomial, in theta
     D: DiffOp
-    predicted_order: int
 
 
 def _omega(cfg, sys) -> RationalFunction:
@@ -374,7 +378,6 @@ def build_bundle(cfg, sys, custom_s: Optional[RationalFunction] = None) -> Opera
         lam=lam,
         PS=ps,
         D=op,
-        predicted_order=predicted_order(cfg),
     )
 
 

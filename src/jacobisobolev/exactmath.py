@@ -568,9 +568,9 @@ def _pseudo_divide(a: Sequence[int], b: Sequence[int]) -> tuple:
 class RationalFunction(Frozen):
     """Reduced quotient of two polynomials with a monic denominator.
 
-    Each result is reduced once: a product cross-cancels its operands and a
-    sum divides out only gcd(t, g), g the gcd of the denominators (Henrici's
-    method, as in `fractions.Fraction`), so neither runs the constructor's gcd.
+    The constructor reduces, and a sum or a quotient is reduced there. A product
+    cross-cancels its reduced operands, so it is reduced as it stands and skips
+    the constructor's gcd.
     """
 
     __slots__ = ("num", "den")
@@ -610,17 +610,7 @@ class RationalFunction(Frozen):
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b, c, d = self.num, self.den, other.num, other.den
-        g = b.gcd(d)
-        if g.degree == 0:
-            t = a * d + c * b
-        else:
-            b = b.div_exact(g)
-            t = a * d.div_exact(g) + c * b
-            g = t.gcd(g)  # only a factor of g can be common to t and the denominator b d / g
-            if g.degree != 0:
-                t, d = t.div_exact(g), d.div_exact(g)
-        return _wrap_rf(t, b * d) if t else RationalFunction(ZERO)
+        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
@@ -659,11 +649,7 @@ class RationalFunction(Frozen):
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        # the swapped pair is still reduced; only its denominator needs making monic
-        lead = other.num.lead
-        return self * _wrap_rf(other.den / lead, other.num / lead)
+        return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other) -> "RationalFunction":
         other = _as_rf(other)

@@ -33,8 +33,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from jacobisobolev import _linalg
-from jacobisobolev.certify import integrate_against_weight, jet
+from jacobisobolev.certify import _reduce, integrate_against_weight, jet
 from jacobisobolev.construct import build_p, build_q, build_z
 from jacobisobolev.diffop import DiffOp
 from jacobisobolev.exactmath import (
@@ -235,7 +234,7 @@ def involute(f: Poly, shift) -> Poly:
 
 def _reference_rank(rows) -> int:
     """Rank of a rational matrix by a fresh Gauss-Jordan elimination."""
-    return len(_linalg._reduce(rows, len(rows[0]))[1]) if rows else 0
+    return len(_reduce(rows, len(rows[0]))[1]) if rows else 0
 
 
 def _reference_in_span(vectors, candidate) -> bool:

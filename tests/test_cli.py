@@ -464,11 +464,17 @@ class TestVerify:
         code = main(["verify", "--config", path, "--nmax", "4", "--custom-s", s_path, "--out", str(out)])
         assert code == cli.EXIT_VERIFY
         report = json.loads(out.read_text())
+        # the eigenvalue generator is never checked once sigma_factorization fails
         assert report["assumption_status"] == {
-            "s_omega_polynomial": True, "sigma_factorization": False, "eigenvalue_generator": True,
+            "s_omega_polynomial": True, "sigma_factorization": False, "eigenvalue_generator": None,
         }
         assert report["eigen"] == {
             "status": "fail", "reason": "assumption sigma_factorization failed: M_1 is not a polynomial",
+        }
+        code = main(["operator", "--config", path, "--nmax", "4", "--custom-s", s_path, "--out", str(out)])
+        assert code == cli.EXIT_VERIFY
+        assert json.loads(out.read_text()) == {
+            "config": SobolevConfig.from_json(config).to_json(), "assumption_failed": "sigma_factorization",
         }
 
     def test_invalid_custom_s_exits_3(self, config_path, tmp_path, capsys):
@@ -477,7 +483,10 @@ class TestVerify:
         code = main(["verify", "--config", config_path, "--nmax", "4", "--custom-s", s_path])
         assert code == 3
         report = json.loads(capsys.readouterr().out)
-        assert report["assumption_status"]["s_omega_polynomial"] is False
+        # neither later assumption ran: null, not passed
+        assert report["assumption_status"] == {
+            "s_omega_polynomial": False, "sigma_factorization": None, "eigenvalue_generator": None,
+        }
         assert report["eigen"] == {
             "status": "fail", "reason": "assumption s_omega_polynomial failed: S*Omega has a nontrivial denominator",
         }
@@ -515,7 +524,7 @@ class TestAssumptionFailures:
         code, report = self.run(capsys, "verify", config_path, "--custom-s", s_path)
         assert code == cli.EXIT_VERIFY
         assert report["assumption_status"] == {
-            "s_omega_polynomial": True, "sigma_factorization": False, "eigenvalue_generator": True,
+            "s_omega_polynomial": True, "sigma_factorization": False, "eigenvalue_generator": None,
         }
         assert report["eigen"] == {
             "status": "fail",
@@ -569,8 +578,8 @@ class TestReportPaths:
         assert "operator" not in report
 
     def test_verify_reports_order_mismatch(self, config_path, capsys, monkeypatch):
-        real = diffop.predicted_order
-        monkeypatch.setattr(diffop, "predicted_order", lambda cfg: real(cfg) + 1)
+        real = cli.predicted_order
+        monkeypatch.setattr(cli, "predicted_order", lambda cfg: real(cfg) + 1)
         assert main(["verify", "--config", config_path, "--nmax", "4"]) == cli.EXIT_VERIFY
         report = json.loads(capsys.readouterr().out)
         assert report["eigen"] == {"status": "pass"}

@@ -23,6 +23,7 @@ from jacobisobolev import _linalg, diffop
 from jacobisobolev.certify import degree_of_P_check, p_from_y_tuple
 from jacobisobolev.construct import ZSystem, build_z, sobolev_poly
 from jacobisobolev.diffop import (
+    ASSUMPTIONS,
     AssumptionFailed,
     _apply_band,
     _band,
@@ -511,6 +512,13 @@ class TestCustomS:
         assert str(info.value) == (
             "assumption sigma_factorization failed: M_1: polynomial is not skew invariant under x -> -(x+s+1)"
         )
+
+    def test_unknown_assumption_name_rejected(self):
+        # the CLI reports each assumption by its place in ASSUMPTIONS, so a name outside it is a defect
+        with pytest.raises(ValueError, match="unknown assumption 'sigma'") as info:
+            AssumptionFailed("sigma", "M_1 is not a polynomial")
+        assert type(info.value) is ValueError
+        assert [AssumptionFailed(name).which for name in ASSUMPTIONS] == list(ASSUMPTIONS)
 
     @pytest.mark.parametrize(
         "cfg", [scalar_example_config(1), baseline_config((3, 3, 2, 1))], ids=["scalar-1", "baseline-3321"]

@@ -547,17 +547,17 @@ class TestRationalFunctionArithmetic:
     @pytest.mark.parametrize(
         "f, g, expected",
         [
-            # denominators with gcd 1
+            # coprime denominators: nothing cancels
             (RationalFunction(ONE, X), RationalFunction(ONE, X + 1), RationalFunction(2 * X + 1, X * X + X)),
-            # gcd x of the denominators, and gcd(t, x) = 1
+            # a shared factor x of the denominators stays in the sum's denominator once
             (RationalFunction(ONE, X * (X + 1)), RationalFunction(ONE, X), RationalFunction(X + 2, X * (X + 1))),
-            # gcd x of the denominators, and gcd(t, x) = x
+            # the sum's numerator takes the shared factor x, and the sum is a polynomial
             (RationalFunction(ONE, X), RationalFunction(X - 1, X), RationalFunction(ONE)),
             # cancellation to zero
             (RationalFunction(ONE, X + 1), RationalFunction(-ONE, X + 1), RationalFunction(ZERO)),
         ],
     )
-    def test_sum_branches_pinned(self, f, g, expected):
+    def test_sum_cases_pinned(self, f, g, expected):
         total = f + g
         assert (total.num, total.den) == (expected.num, expected.den)
         assert (f - (-g)) == total == g + f
