@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -86,7 +87,17 @@ def _load_custom_s(path: Optional[str], cfg: SobolevConfig, sys_z) -> Optional[R
 def _emit(payload: dict, out: Optional[str]) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if not out:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # fd 1 goes to the null device, so that the interpreter's final flush of what stdout
+            # still buffers cannot fail again and make the exit code 120 (the signal module's
+            # recipe for SIGPIPE)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise InputError(f"cannot write stdout: {exc}") from exc
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
@@ -247,7 +258,3 @@ def main(argv=None) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     return code
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -2,11 +2,14 @@
 
 import ast
 import contextlib
+import errno
+import gc
 import hashlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 from kernel_reference import reference_omega_entries, reference_orthogonality_failure
 
 import jacobisobolev
+from jacobisobolev import __main__ as entry
 from jacobisobolev import _linalg, cli, construct, diffop
 from jacobisobolev.cli import main
 from jacobisobolev.diffop import DiffOp
@@ -58,6 +62,12 @@ GOLDEN_WEIGHT_SHA256 = "11e854892941518c3bf2a42257acb1efa79342f891f6c27cb53e3586
 @pytest.fixture
 def config_path(tmp_path):
     return write_json(tmp_path / "config.json", EXAMPLE_CONFIG)
+
+
+def package_env():
+    """The environment of a child interpreter that imports this package."""
+    src = str(Path(jacobisobolev.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 class TestConstruct:
@@ -729,8 +739,6 @@ class TestOptimizedInterpreter:
         verify_config = write_json(tmp_path / "v.json", GOLDEN_VERIFY_CONFIG)
         s_path = write_json(tmp_path / "s.json", GOLDEN_VERIFY_S)
         weight_config = write_json(tmp_path / "w.json", GOLDEN_WEIGHT_CONFIG)
-        src = str(Path(jacobisobolev.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         runs = [
             (["operator", "--config", config, "--nmax", "8"], GOLDEN_OPERATOR_SHA256),
             (["construct", "--config", config, "--nmax", "32"], GOLDEN_CONSTRUCT_SHA256),
@@ -740,7 +748,7 @@ class TestOptimizedInterpreter:
         for argv, want in runs:
             done = subprocess.run(
                 [sys.executable, "-O", "-m", "jacobisobolev", *argv],
-                capture_output=True, env=env, check=False,
+                capture_output=True, env=package_env(), check=False,
             )
             assert done.returncode == 0, done.stderr
             assert hashlib.sha256(done.stdout).hexdigest() == want
@@ -750,19 +758,100 @@ class TestStartup:
     def test_cli_import_loads_no_dataclasses_or_inspect(self):
         # every cold command pays this import; dataclasses pulls in inspect, ast, dis and tokenize.
         # Only the modules that the import adds count, so what site preloads does not.
-        src = str(Path(jacobisobolev.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         probe = (
             "import json, sys\n"
             "before = set(sys.modules)\n"
             "import jacobisobolev.cli\n"
             "print(json.dumps(sorted(set(sys.modules) - before)))\n"
         )
-        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, check=False)
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=package_env(), check=False)
         assert done.returncode == 0, done.stderr
         added = set(json.loads(done.stdout))
         assert "jacobisobolev.cli" in added
         assert not added & {"dataclasses", "inspect"}
+
+
+class TestEntryPoint:
+    """One process entry, `__main__.run`, freezes the collector once the command has returned;
+    `cli.main`, the in-process runner, never touches it."""
+
+    def test_main_leaves_the_collector_alone(self, config_path, capsys):
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert main(["construct", "--config", config_path, "--nmax", "3"]) == 0
+        assert main(["rank", "--gamma", "3", "--matrix", "not json"]) == 1
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_run_freezes_after_main_returns(self, monkeypatch):
+        events = []
+        monkeypatch.setattr(entry, "main", lambda: events.append("main") or 3)
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        assert entry.run() == 3
+        assert events == ["main", "freeze"]
+
+    @pytest.mark.parametrize("case", ["operator-golden", "malformed", "degenerate", "verification-failure"])
+    def test_process_entries_match_main(self, case, tmp_path, capsys):
+        if case == "operator-golden":
+            argv, want = ["operator", "--config", write_json(tmp_path / "c.json", GOLDEN_OPERATOR_CONFIG)], 0
+        elif case == "malformed":
+            (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
+            argv, want = ["construct", "--config", str(tmp_path / "bad.json")], 1
+        elif case == "degenerate":
+            argv, want = ["verify", "--config", write_json(tmp_path / "c.json", TestReportPaths.DEGENERATE_CONFIG)], 2
+        else:  # S = (1 + x) / (x + x^2) = 1/x: S*Omega keeps the pole at 0
+            s_path = write_json(tmp_path / "s.json", {"num": ["1", "1"], "den": ["0", "1", "1"]})
+            argv = ["verify", "--config", write_json(tmp_path / "c.json", EXAMPLE_CONFIG), "--custom-s", s_path]
+            want = 3
+        argv += ["--nmax", "8"]
+        assert main(argv) == want
+        expected = capsys.readouterr()
+        if case == "operator-golden":
+            assert hashlib.sha256(expected.out.encode("utf-8")).hexdigest() == GOLDEN_OPERATOR_SHA256
+        # the [project.scripts] target, called as the installed script calls it
+        pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+        module, func = re.search(r'^\[project\.scripts\]\njacobisobolev = "([\w.]+):(\w+)"', pyproject, re.M).groups()
+        assert (module, func) == ("jacobisobolev.__main__", "run")
+        script = f"import sys; from {module} import {func}; sys.exit({func}())"
+        for process in (["-m", "jacobisobolev"], ["-c", script]):
+            done = subprocess.run([sys.executable, *process, *argv], capture_output=True, env=package_env(), check=False)
+            assert (done.returncode, done.stdout.decode(), done.stderr.decode()) == (want, expected.out, expected.err)
+
+
+class TestUnwritableStdout:
+    """A report that stdout cannot take exits 1 with one stderr line, as an unwritable --out does."""
+
+    RANK = ["rank", "--gamma", "3", "--matrix", "[[1,0],[0,2]]"]
+
+    def run(self, argv, stdout, env):
+        done = subprocess.run(
+            [sys.executable, "-m", "jacobisobolev", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, check=False
+        )
+        return done.returncode, done.stderr.decode()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["rank", "construct"])
+    def test_full_device(self, config_path, command, unbuffered):
+        # the rank report fits stdout's buffer and fails at the flush; the construct one
+        # outgrows it and fails in the write
+        argv = self.RANK if command == "rank" else ["construct", "--config", config_path, "--nmax", "32"]
+        env = package_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w", encoding="utf-8") as full:
+            code, err = self.run(argv, full, env)
+        assert code == 1
+        assert err == f"error: cannot write stdout: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+    def test_closed_pipe(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            code, err = self.run(self.RANK, write, package_env())
+        finally:
+            os.close(write)
+        assert code == 1
+        assert err == f"error: cannot write stdout: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
 
 
 class TestReadme:

@@ -1,0 +1,301 @@
+"""Stage timings, report digests and the cold-process budget of the CLI.
+
+    python3 tools/stages.py --out BENCH.json [--label NAME] [--m-max M] [--repeats N] [--src DIR]
+
+Run it from anywhere; ``--src`` (default: the ``src`` beside this directory)
+names the package tree to measure, so one copy of this script can time two
+trees. It writes three parts under ``--label`` in ``--out``, keeping the
+other labels already there, so that one file holds a before and an after:
+
+- ``shapes``: each shape of ``SHAPES`` with m <= ``--m-max`` (4..10, default
+  8), on the baseline masses M[i][j] = (i+2j)%3-1, N[i][j] = (2i+j)%3-1, runs
+  in a fresh process. The stages ``build_z``, ``C``, ``P``, ``quotients``,
+  ``cofactors``, ``q_0..8``, ``bundle`` and ``eigen`` (``verify_eigen`` to
+  n = 8) run once each, in that order, and record wall time, CPU time and the
+  largest numerator or denominator bit length of what they build (of D for
+  ``bundle``; a ``Poly`` counts as stored, int numerators over one
+  denominator). Then ``cli.main`` writes the ``construct --nmax 32``,
+  ``verify`` and ``operator --nmax 8`` reports, whose exit codes and sha256
+  are recorded, and the process's peak RSS.
+- ``budget``: ``--repeats`` cold processes each of one construct-deep op
+  (``construct --nmax 32`` at (3,2,2,1)) and one operator-high-order op
+  (``operator --nmax 8`` at (4,3,2,1), order 22), run as ``python -m
+  jacobisobolev`` runs them, with ``cli.main`` wrapped to read the clock. The
+  wall time splits into start-up plus import (spawn to ``main``), ``main``,
+  and exit (``main`` returned to process end, through ``sys.exit``). Child CPU
+  time and peak RSS come from ``wait4``. Medians and every run are recorded.
+- ``mismatches``: the reports whose sha256 differs from the one in
+  ``RECORDED``, taken on the tree before the changes they guard. The file is
+  written either way, and the run exits 1 unless the list is empty.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# (alpha, beta, m1, m2) by m = m1 + m2: the shapes of the stage table in ROADMAP.md
+SHAPES = [(3, 3, 2, 2), (4, 4, 3, 2), (4, 4, 3, 3), (5, 5, 4, 3), (6, 6, 4, 4), (6, 6, 5, 4), (7, 7, 5, 5)]
+REPORTS = {
+    "construct": ["construct", "--nmax", "32"],
+    "verify": ["verify"],
+    "operator": ["operator", "--nmax", "8"],
+}
+BUDGET_OPS = {
+    "construct-deep": ((3, 2, 2, 1), ["construct", "--nmax", "32"]),
+    "operator-high-order": ((4, 3, 2, 1), ["operator", "--nmax", "8"]),
+}
+
+# sha256 of each report, recorded on 30f53e2, before the entry point froze the collector
+RECORDED = {
+    "3,3,2,2": {
+        "construct": "68c06a4fee020b42c65b748fe0975e60dfa1940b3246b762de61d428918ac8ce",
+        "verify": "56694304310509addced07c2b11c9c5b14c59c45a142855c4495014019b6fa8f",
+        "operator": "8ee3227587a1a25c2a2485906fa2828f9379461214833093c5aadb278db831dd",
+    },
+    "4,4,3,2": {
+        "construct": "ccb45dde80b79107f47ebd874481000e16e255c92ebda5fcddff6a7295eb713a",
+        "verify": "d2fb0d65b016fee7f93bc51e90dc43d7ed6b4ff61df188f8955cab7106bb05e3",
+        "operator": "48388831be6a49c4a2597ed002d027780c3e2b82cb829fd190b2c223afcb63f9",
+    },
+    "4,4,3,3": {
+        "construct": "3197f129e7ecc8e6df474303363b529bf9b0053c93935dfd11a060fc8dd2b45f",
+        "verify": "5f62fafdc85b0e6f6187e1c8d42d79c4bc3cef90af956d57cca2e616115fc361",
+        "operator": "484d3b15c59406ecad9cf92096916c09c367c0ce15080aefaa810e0299959b37",
+    },
+    "5,5,4,3": {
+        "construct": "d7e702408830bb1817a84664b2dfa946813b7ad268a5cb6843c1840d6aef4b17",
+        "verify": "bd2eafac4e36bd10e6519fd415c2e20926b868c279621fd9aaf7b4022f2c92dd",
+        "operator": "1340d5f066701f771c3a4dd8c15d2c18a0aeb12d2d6fe34f20e353e91e9e43c0",
+    },
+    "6,6,4,4": {
+        "construct": "7bc3e887a6828a3749da645df09a297d6d36bbfa473a65d3368b56cc60c2a56a",
+        "verify": "795def5d7749660d6ba319c5befd895b3c66870d1e1e03b59112401af2d17338",
+        "operator": "2bc7c4474075979225449ae302431fc10f2853ba6c1b28a84af37b6f693f6320",
+    },
+    "6,6,5,4": {
+        "construct": "4b66d70ebfd12cea7722188fca15d0c10626814a04e096e76b60c890781a83c0",
+        "verify": "366de751799b5a8a301bbbf1e4ad6d5c367f11febda8a38b2a055585b56aff36",
+        "operator": "8299dafd53d7ef2b39bd545671873418923d2afb7cb56f1517d7d7fc7501c130",
+    },
+    "7,7,5,5": {
+        "construct": "42ee3ad99bf6c9b2b8cb4e38ee0c8ab568daa11f8a176a813a47724d7bdafc92",
+        "verify": "cc2fc9c52ba1bddba84d13d135d167ea172f83c4d566403bd6931c1b1e98f56c",
+        "operator": "03f08feb8571fbb7cdac39aeb0f95d6afd32e64d7003144b3059500b6d2b5ce8",
+    },
+}
+
+# Run as `python -c PROBE TIMES ARGV...`: the same runpy path as `python -m jacobisobolev`,
+# with cli.main wrapped to write CLOCK_MONOTONIC (one clock for every process) at its entry
+# and return to TIMES.
+PROBE = """
+import runpy, sys, time
+times = sys.argv.pop(1)
+import jacobisobolev.cli as cli
+inner = cli.main
+def main(argv=None):
+    start = time.clock_gettime_ns(time.CLOCK_MONOTONIC)
+    code = inner(argv)
+    end = time.clock_gettime_ns(time.CLOCK_MONOTONIC)
+    with open(times, "w", encoding="utf-8") as fh:
+        fh.write(f"{start} {end}")
+    return code
+cli.main = main
+runpy.run_module("jacobisobolev", run_name="__main__", alter_sys=True)
+"""
+
+
+def baseline_config(shape) -> dict:
+    alpha, beta, m1, m2 = shape
+    return {
+        "alpha": alpha, "beta": beta, "m1": m1, "m2": m2,
+        "M": [[str((i + 2 * j) % 3 - 1) for j in range(m1)] for i in range(m1)],
+        "N": [[str((2 * i + j) % 3 - 1) for j in range(m2)] for i in range(m2)],
+    }
+
+
+def key(shape) -> str:
+    return ",".join(map(str, shape))
+
+
+def bits(value) -> int:
+    """The largest numerator or denominator bit length in a value built from exact scalars."""
+    from fractions import Fraction
+
+    from jacobisobolev import DiffOp, Poly, RationalFunction, ZSystem
+
+    if isinstance(value, int):
+        return abs(value).bit_length()
+    if isinstance(value, Fraction):
+        return max(abs(value.numerator).bit_length(), value.denominator.bit_length())
+    if isinstance(value, Poly):  # as stored: int numerators over one denominator
+        return max(abs(c).bit_length() for c in (value.den, *value.nums))
+    if isinstance(value, RationalFunction):
+        return max(bits(value.num), bits(value.den))
+    if isinstance(value, DiffOp):
+        return bits(value.coeffs)
+    if isinstance(value, ZSystem):
+        return bits((value.z, value.Y, value.p, value.q, value.rho))
+    return max(map(bits, value), default=0)
+
+
+def measure_shape(shape) -> dict:
+    """Every stage once, in order, then the three reports, in this (fresh) process."""
+    from jacobisobolev import SobolevConfig, build_bundle, build_z, operator_order, sobolev_poly, verify_eigen
+    from jacobisobolev.cli import main
+
+    config = baseline_config(shape)
+    cfg = SobolevConfig.from_json(config)
+    stages = {}
+
+    def stage(name, build, output=lambda value: value):
+        wall, cpu = time.perf_counter(), time.process_time()
+        value = build()
+        wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+        stages[name] = {"wall_s": round(wall, 6), "cpu_s": round(cpu, 6), "bits": bits(output(value))}
+        return value
+
+    system = stage("build_z", lambda: build_z(cfg))
+    stage("C", lambda: system.C)
+    stage("P", lambda: system.P)
+    stage("quotients", lambda: system.quotients)
+    stage("cofactors", lambda: system.cofactors)
+    stage("q_0..8", lambda: [sobolev_poly(system, cfg, n) for n in range(9)])
+    bundle = stage("bundle", lambda: build_bundle(cfg, system), lambda b: b.D)
+    stage("eigen", lambda: verify_eigen(bundle, cfg, system, 8))
+
+    reports = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        for name, argv in REPORTS.items():
+            out = os.path.join(tmp, f"{name}.json")
+            code = main(argv + ["--config", path, "--out", out])
+            with open(out, "rb") as fh:
+                reports[name] = {"exit": code, "sha256": hashlib.sha256(fh.read()).hexdigest()}
+    return {
+        "m": cfg.m,
+        "stages": stages,
+        "order": operator_order(bundle),
+        "reports": reports,
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+    }
+
+
+def child_env(src: str) -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def run_shape(shape, src: str) -> dict:
+    argv = [sys.executable, os.path.abspath(__file__), "--shape", key(shape)]
+    done = subprocess.run(argv, env=child_env(src), capture_output=True, text=True, check=False)
+    if done.returncode != 0:
+        raise SystemExit(f"stages: shape {key(shape)} exited {done.returncode}\n{done.stderr[-2000:]}")
+    return json.loads(done.stdout)
+
+
+def cold_op(argv, src: str, tmp: str) -> dict:
+    """One cold `python -m jacobisobolev` op, timed from spawn to process end."""
+    times = os.path.join(tmp, "times")
+    args = [sys.executable, "-c", PROBE, times, *argv]
+    actions = [
+        (os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0),
+        (os.POSIX_SPAWN_OPEN, 2, os.path.join(tmp, "err"), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644),
+    ]
+    env = child_env(src)
+    spawned = time.clock_gettime_ns(time.CLOCK_MONOTONIC)
+    pid = os.posix_spawn(sys.executable, args, env, file_actions=actions)
+    _, status, usage = os.wait4(pid, 0)
+    ended = time.clock_gettime_ns(time.CLOCK_MONOTONIC)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        with open(os.path.join(tmp, "err"), encoding="utf-8", errors="replace") as fh:
+            raise SystemExit(f"stages: {' '.join(argv)} exited {code}\n{fh.read()[-2000:]}")
+    with open(times, encoding="utf-8") as fh:
+        start, end = map(int, fh.read().split())
+    return {
+        "startup_import_s": (start - spawned) / 1e9,
+        "main_s": (end - start) / 1e9,
+        "exit_s": (ended - end) / 1e9,
+        "wall_s": (ended - spawned) / 1e9,
+        "cpu_s": usage.ru_utime + usage.ru_stime,
+        "peak_rss_mb": usage.ru_maxrss / 1024.0,
+    }
+
+
+def budget(src: str, repeats: int) -> dict:
+    result = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (shape, argv) in BUDGET_OPS.items():
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(baseline_config(shape), fh)
+            full = argv + ["--config", path, "--out", os.path.join(tmp, "report.json")]
+            runs = [cold_op(full, src, tmp) for _ in range(repeats)]
+            result[name] = {
+                "argv": argv,
+                "shape": list(shape),
+                "median": {field: round(statistics.median(r[field] for r in runs), 6) for field in runs[0]},
+                "runs": [{field: round(value, 6) for field, value in r.items()} for r in runs],
+            }
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", help="the JSON file to write (other labels in it are kept)")
+    parser.add_argument("--label", default="run", help="the key of this run in --out")
+    parser.add_argument("--m-max", type=int, default=8, choices=range(4, 11))
+    parser.add_argument("--repeats", type=int, default=10, help="cold processes per budget op (0: none)")
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="the package tree to measure")
+    parser.add_argument("--shape", help=argparse.SUPPRESS)  # one shape, in this process: JSON on stdout
+    args = parser.parse_args(argv)
+    if args.shape:
+        print(json.dumps(measure_shape(tuple(map(int, args.shape.split(","))))))
+        return 0
+    if not args.out:
+        parser.error("--out is required")
+
+    src = os.path.abspath(args.src)
+    result = {"python": sys.version.split()[0], "shapes": {}, "mismatches": []}
+    for shape in SHAPES:
+        if sum(shape[2:]) > args.m_max:
+            continue
+        record = result["shapes"][key(shape)] = run_shape(shape, src)
+        line = " ".join(f"{name} {s['wall_s']:.3f}s/{s['bits']}b" for name, s in record["stages"].items())
+        print(f"{key(shape)} m={record['m']}: {line}", flush=True)
+        for name, report in record["reports"].items():
+            if RECORDED[key(shape)][name] != report["sha256"]:
+                result["mismatches"].append(f"{key(shape)} {name}")
+    if args.repeats:
+        result["budget"] = budget(src, args.repeats)
+        for name, b in result["budget"].items():
+            print(f"{name}: " + " ".join(f"{field} {value:.4f}" for field, value in b["median"].items()), flush=True)
+
+    runs = {}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as fh:
+            runs = json.load(fh)
+    runs[args.label] = result
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(runs, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    if result["mismatches"]:
+        print("report digests differ from RECORDED: " + ", ".join(result["mismatches"]), file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
