@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .construct import ZSystem, build_p, build_q, build_z, rho_table
+from .construct import ZSystem, _assemble, build_z
 from .exactmath import X, Poly, _exact, falling_binomial, pochhammer, theta_poly
 from .jacobi import JacobiContext, jacobi_poly
 from .sobolev import SobolevConfig, bilinear, bilinear_monomials
@@ -111,18 +111,10 @@ def p_from_y_tuple(alpha, beta, m1: int, m2: int, ys: Sequence[Poly]) -> Tuple[P
     degree tuples.
     """
     a, b = _exact(alpha), _exact(beta)
-    m = m1 + m2
-    if len(ys) != m:
+    if len(ys) != m1 + m2:
         raise ValueError("need one Y polynomial per row")
     theta = theta_poly(a, b)
-    system = ZSystem(
-        z=tuple(y(theta) for y in ys),
-        Y=tuple(ys),
-        p=build_p(a, b, m1, m2),
-        q=build_q(a, b, m),
-        rho=rho_table(a, b, m1, m),
-    )
-    return (system.P,) + _degree_law(m1, ys)
+    return (_assemble(a, b, m1, m2, [y(theta) for y in ys], ys).P,) + _degree_law(m1, ys)
 
 
 def _degree_law(m1: int, ys: Sequence[Poly]) -> Tuple[int, Fraction]:

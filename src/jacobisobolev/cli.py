@@ -47,13 +47,18 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _load_config(path: str) -> SobolevConfig:
+def _parse(what: str, read):
+    """read(), with any failure to read or parse the input as one exit-1 line. A JSONDecodeError
+    is a ValueError, and JSON nested past the recursion limit raises RecursionError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_float=Fraction)
-        return SobolevConfig.from_json(data)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"bad config {path}: {exc}") from exc
+        return read()
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise InputError(f"bad {what}: {exc}") from exc
+
+
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, parse_float=Fraction)
 
 
 def _load_custom_s(path: Optional[str], cfg: SobolevConfig, sys_z) -> Optional[RationalFunction]:
@@ -62,16 +67,15 @@ def _load_custom_s(path: Optional[str], cfg: SobolevConfig, sys_z) -> Optional[R
     precompute themselves. S must be nonzero."""
     if path is None:
         return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_float=Fraction)
+
+    def read():
+        data = _read_json(path)
         unknown = sorted(set(data) - {"num", "den"})
         if unknown:
             raise ValueError(f"unknown keys {unknown}")
-        num = Poly.from_json(data["num"])
-        den = data["den"]
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"bad custom S {path}: {exc}") from exc
+        return Poly.from_json(data["num"]), data["den"]
+
+    num, den = _parse(f"custom S {path}", read)
     if den == "auto-omega":
         custom_s = RationalFunction(num) / _omega(cfg, sys_z)
     else:
@@ -194,11 +198,11 @@ def cmd_operator(cfg: SobolevConfig, system, n_max: int, custom_s) -> Tuple[int,
 
 
 def cmd_rank(gamma: str, matrix_json: str) -> Tuple[int, dict]:
-    try:
+    def read():
         gamma_value = rat(gamma)
-        trace = weighted_rank(gamma_value, rat_rows(json.loads(matrix_json, parse_float=Fraction)))
-    except (ValueError, TypeError, json.JSONDecodeError) as exc:
-        raise InputError(f"bad rank input: {exc}") from exc
+        return gamma_value, weighted_rank(gamma_value, rat_rows(json.loads(matrix_json, parse_float=Fraction)))
+
+    gamma_value, trace = _parse("rank input", read)
     return EXIT_OK, {
         "gamma": rat_str(gamma_value),
         "eta": [rat_str(e) for e in trace.eta],
@@ -237,7 +241,7 @@ def main(argv=None) -> int:
         if args.command == "rank":
             code, payload = cmd_rank(args.gamma, args.matrix)
         else:
-            cfg = _load_config(args.config)
+            cfg = _parse(f"config {args.config}", lambda: SobolevConfig.from_json(_read_json(args.config)))
             if args.nmax < 0:
                 raise InputError("--nmax must be nonnegative")
             system = build_z(cfg)

@@ -19,16 +19,15 @@ its blocks over the lcm of its weights' denominators; the weights are int
 pairs read off the mass rows. p and q are checked at n = 0..deg against a
 scalar evaluation of their shifted-factorial and sigma forms.
 
-Lambda(n) = P(n) for one polynomial P per configuration: the determinant of
-the polynomial Casorati matrix C divided by p(x) q(x), exactness checked. P
-is also q_n's j = 0 minor. Its other minors are plain rationals for n >= m;
-for n < m they may be 0/0 at integer points, so they are reduced against
-p(x) q(x) symbolically first. C also gives `diffop` Omega and the M_h
-cofactors: all of them come from one Casorati matrix.
-
-The `ZSystem` of a configuration owns every value derived from it. C, P, the
-n < m minor quotients (which do not depend on n), Omega and the M_h cofactors
-are cached attributes, each built once on first use; q_n is held per degree.
+q_n's weights are the maximal minors of one bordered Casorati matrix
+[rho^h_{x,r} z_h(x-r)], r = 0..m, minor j without column j. Its columns 1..m
+are the polynomial Casorati matrix C, and Lambda(n) = P(n) with P = det C
+(minor 0) / (p q), exactness checked. For n >= m the other minors are plain
+rationals over the rows evaluated at n; for n < m they may be 0/0 at integer
+points, so they are reduced against p q symbolically first. C also gives
+`diffop` Omega and the M_h cofactors. The `ZSystem` of a configuration holds
+the bordered matrix, C, P, the n < m quotients, Omega and the cofactors as
+cached attributes, each built once on first use, and q_n per degree.
 
 This module holds only what the CLI commands run; the cross-checks of the
 paper's identities (the R_l integral route, the combinatorial families and the
@@ -86,10 +85,20 @@ class ZSystem(Frozen):
         object.__setattr__(self, "q_polys", {})  # q_n by degree, filled by `sobolev_poly`
 
     @cached_property
-    def C(self) -> Tuple[Tuple[Poly, ...], ...]:
-        """C[h-1][j-1] = rho^h_{x,j} z_h(x-j), h, j = 1..m: Lambda's polynomial Casorati matrix."""
+    def bordered(self) -> Tuple[tuple, ...]:
+        """bordered[h-1][r] = rho^h_{x,r} z_h(x-r), h = 1..m, r = 0..m: q_n's bordered Casorati
+        matrix. Column 0 holds reduced RationalFunctions; columns 1..m are the Polys of C."""
         m = len(self.z)
-        return tuple(tuple(self.rho[h][j].as_poly() * self.z[h].shift(-j) for j in range(1, m + 1)) for h in range(m))
+        return tuple(
+            (rho[0] * RationalFunction(z), *(rho[j].as_poly() * z.shift(-j) for j in range(1, m + 1)))
+            for rho, z in zip(self.rho, self.z)
+        )
+
+    @cached_property
+    def C(self) -> Tuple[Tuple[Poly, ...], ...]:
+        """C[h-1][j-1] = rho^h_{x,j} z_h(x-j), h, j = 1..m: Lambda's polynomial Casorati matrix,
+        the columns 1..m of the bordered matrix."""
+        return tuple(row[1:] for row in self.bordered)
 
     @cached_property
     def P(self) -> Poly:
@@ -102,13 +111,10 @@ class ZSystem(Frozen):
     @cached_property
     def quotients(self) -> Tuple[RationalFunction, ...]:
         """quotients[j-1] = minor j / (p q), j = 1..m-1: q_n's minors for n < m, where
-        minor j leaves column j out of [rho^h_{x,r} z_h(x-r)], r = 0..m, whose columns 1..m are C."""
-        m = len(self.z)
-        first = [rho[0] * RationalFunction(z) for rho, z in zip(self.rho, self.z)]
-        entries = [[f, *map(RationalFunction, row)] for f, row in zip(first, self.C)]
+        minor j leaves column j out of the bordered matrix."""
         pq = RationalFunction(self.p * self.q)
         return tuple(
-            _linalg.det([[row[r] for r in range(m + 1) if r != j] for row in entries]) / pq for j in range(1, m)
+            _linalg.det([row[:j] + row[j + 1 :] for row in self.bordered]) / pq for j in range(1, len(self.z))
         )
 
     @cached_property
@@ -238,6 +244,12 @@ def rho_table(a, b, m1: int, m: int) -> Tuple[Tuple[RationalFunction, ...], ...]
     return (tuple(first),) * m1 + (ones,) * (m - m1)
 
 
+def _assemble(alpha, beta, m1: int, m2: int, zs, ys) -> ZSystem:
+    """The ZSystem of the z_l and Y_l with the p, q and rho of (alpha, beta, m1, m2)."""
+    p, q = build_p(alpha, beta, m1, m2), build_q(alpha, beta, m1 + m2)
+    return ZSystem(z=tuple(zs), Y=tuple(ys), p=p, q=q, rho=rho_table(alpha, beta, m1, m1 + m2))
+
+
 _ZSYS_CACHE: Dict[SobolevConfig, ZSystem] = {}
 
 
@@ -282,7 +294,7 @@ def build_z(cfg: SobolevConfig) -> ZSystem:
     cached = _ZSYS_CACHE.get(cfg)
     if cached is not None:
         return cached
-    m1, m2, m = cfg.m1, cfg.m2, cfg.m
+    m1, m2 = cfg.m1, cfg.m2
     mirrored = [[(-1) ** (i + k) * c for k, c in enumerate(row)] for i, row in enumerate(cfg.N)]
     zs, ys = _endpoint_block(cfg.alpha, cfg.beta, m1, m2, cfg.M)
     z_plus, y_plus = _endpoint_block(cfg.beta, cfg.alpha, m2, m1, mirrored)
@@ -291,13 +303,7 @@ def build_z(cfg: SobolevConfig) -> ZSystem:
     for z, y in zip(zs, ys):
         if y(theta) != z:
             raise IdentityCheckFailed("build_z", "the theta-basis form Y_l(theta_x) = z_l(x)")
-    system = ZSystem(
-        z=tuple(zs),
-        Y=tuple(ys),
-        p=build_p(cfg.alpha, cfg.beta, m1, m2),
-        q=build_q(cfg.alpha, cfg.beta, m),
-        rho=rho_table(cfg.alpha, cfg.beta, m1, m),
-    )
+    system = _assemble(cfg.alpha, cfg.beta, m1, m2, zs, ys)
     _ZSYS_CACHE[cfg] = system
     return system
 
@@ -330,12 +336,8 @@ def sobolev_poly(sys: ZSystem, cfg: SobolevConfig, n: int) -> Poly:
     values = [lam]  # the j = 0 minor quotient is P
     if n >= m:
         pq = sys.p(n) * sys.q(n)  # every root of p and of q is below m
-        # column j >= 1 is C[h][j-1](n) = rho^h_{n,j} z_h(n-j)
-        rows = [[sys.rho[h][0](n) * sys.z[h](n)] + [c(n) for c in sys.C[h]] for h in range(m)]
-        values += [
-            _linalg.det([[row[r] for r in range(m + 1) if r != j] for row in rows]) / pq
-            for j in range(1, m + 1)
-        ]
+        rows = [[entry(n) for entry in row] for row in sys.bordered]
+        values += [_linalg.det([row[:j] + row[j + 1 :] for row in rows]) / pq for j in range(1, m + 1)]
     else:
         for j in range(1, n + 1):  # a minor j > n would multiply the zero polynomial
             try:

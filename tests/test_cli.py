@@ -907,6 +907,50 @@ class TestFuzz:
         assert err.getvalue().count("\n") <= 1
 
 
+class TestDeeplyNestedJson:
+    """JSON nested past the recursion limit is malformed input: exit 1 and one stderr line."""
+
+    @staticmethod
+    def run(argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err and err.count("\n") == 1
+        return err
+
+    @staticmethod
+    def nested(depth):
+        return "[" * depth + "]" * depth
+
+    def test_config(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(self.nested(100_000), encoding="utf-8")
+        assert self.run(["construct", "--config", str(path)], capsys).startswith(f"error: bad config {path}:")
+
+    def test_custom_s_numerator(self, tmp_path, capsys):
+        config = write_json(tmp_path / "c.json", EXAMPLE_CONFIG)
+        path = tmp_path / "s.json"
+        path.write_text('{"num": ' + self.nested(100_000) + ', "den": ["1"]}', encoding="utf-8")
+        err = self.run(["verify", "--config", config, "--custom-s", str(path)], capsys)
+        assert err.startswith(f"error: bad custom S {path}:")
+
+    def test_rank_matrix(self, capsys):
+        err = self.run(["rank", "--gamma", "3", "--matrix", self.nested(5000)], capsys)
+        assert err.startswith("error: bad rank input:")
+
+    def test_auto_omega_check_failure_is_not_input(self, tmp_path, capsys, monkeypatch):
+        # Omega is built outside the parse wrapper: a failed identity check there exits 3
+        real_det = _linalg.det
+        monkeypatch.setattr(construct, "_ZSYS_CACHE", {})
+        monkeypatch.setattr(_linalg, "det", lambda rows: real_det(rows) + 1)
+        config = write_json(tmp_path / "c.json", EXAMPLE_CONFIG)
+        s_path = write_json(tmp_path / "s.json", {"num": ["1"], "den": "auto-omega"})
+        assert main(["verify", "--config", config, "--custom-s", s_path]) == cli.EXIT_VERIFY
+        assert capsys.readouterr().err == (
+            "verification failure: casorati_lambda: check failed: p q divides the Casorati determinant\n"
+        )
+
+
 class TestRank:
     def test_trace_output(self, capsys):
         code = main(["rank", "--gamma", "3", "--matrix", "[[1,0],[0,2]]"])

@@ -26,10 +26,10 @@ from jacobisobolev.construct import (
     rho_table,
     sobolev_poly,
 )
-from jacobisobolev.exactmath import IdentityCheckFailed, Poly, RationalFunction, X, pochhammer, theta_poly
+from jacobisobolev.exactmath import IdentityCheckFailed, Poly, RationalFunction, X, pochhammer, rat_str, theta_poly
 from jacobisobolev.sobolev import SobolevConfig, bilinear
 
-from conftest import STANDARD_SHAPES, baseline_config, cold_copy, mass_configs, random_configs
+from conftest import STANDARD_SHAPES, baseline_config, cold_copy, degree_law_cases, mass_configs, random_configs
 from kernel_reference import (
     GammaProduct,
     reference_build_z,
@@ -84,11 +84,35 @@ GOLDEN_BUILD_Z_SHA256 = {
 }
 
 
+def bundle_digest(shape) -> str:
+    """sha256 of the canonical JSON of the cofactors of C, and of the default-S bundle's M_h and D."""
+    cfg = baseline_config(shape)
+    system = cold_copy(build_z(cfg))
+    bundle = diffop.build_bundle(cfg, system)
+    record = {
+        "cofactors": [[c.to_json() for c in row] for row in system.cofactors],
+        "Mh": [mh.to_json() for mh in bundle.Mh],
+        "D": bundle.D.to_json(),
+    }
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+
+
+# recorded before q_n's bordered Casorati matrix was held on the ZSystem
+GOLDEN_BUNDLE_SHA256 = {
+    (4, 4, 3, 3): "cb90d6988e8db65f5afa2d0507c3deb6935822cd9aa44a4d35e53e9bbc991b2f",
+    (5, 5, 4, 3): "c325137d8ce005fbbb0cdc9bc9b599638e12a03db163bdd5823be6e0c32bf5ff",
+}
+
+
 class TestGoldenDigest:
     @pytest.mark.parametrize("shape", list(GOLDEN_BUILD_Z_SHA256), ids=str)
     def test_build_z_c_and_p_digest(self, shape):
         construct._ZSYS_CACHE.pop(baseline_config(shape), None)  # built here, not by an earlier test
         assert build_z_digest(shape) == GOLDEN_BUILD_Z_SHA256[shape]
+
+    @pytest.mark.parametrize("shape", list(GOLDEN_BUNDLE_SHA256), ids=str)
+    def test_cofactors_mh_and_d_digest(self, shape):
+        assert bundle_digest(shape) == GOLDEN_BUNDLE_SHA256[shape]
 
     def test_digests_under_python_O(self):
         # no identity check or value may hang on __debug__
@@ -323,7 +347,7 @@ class TestSobolevPoly:
         assert (info.value.stage, info.value.identity) == ("sobolev_poly", "deg q_5 = 5")
 
 
-CACHED = ("C", "P", "quotients", "clearing", "omega", "cofactors")  # the ZSystem values built on first use
+CACHED = ("bordered", "C", "P", "quotients", "clearing", "omega", "cofactors")  # the ZSystem values built on first use
 
 
 class TestPerConfigMemos:
@@ -425,12 +449,50 @@ class TestPerConfigMemos:
             assert len(rows) == cfg.m - 1
             assert all(row is other for row, other in zip(rows, held[:h] + held[h + 1 :]))
 
+    def test_quotients_and_q_n_read_the_held_bordered_rows(self, monkeypatch):
+        # the n < m quotients take their minors over slices of the held bordered rows, and the
+        # n >= m minor values over those rows evaluated at n; C is the held columns 1..m
+        cfg = SobolevConfig(alpha=3, beta=2, m1=2, m2=1, M=[[1, 0], [2, 1]], N=[[1]])
+        system, m = cold_copy(build_z(cfg)), cfg.m
+        real_det = _linalg.det
+        dets = []
+
+        def det(rows):
+            dets.append(rows)
+            return real_det(rows)
+
+        monkeypatch.setattr(_linalg, "det", det)
+        system.quotients
+        held = system.bordered
+        assert len(dets) == m - 1
+        for j, rows in enumerate(dets, 1):
+            assert [list(map(id, row)) for row in rows] == [list(map(id, row[:j] + row[j + 1 :])) for row in held]
+        assert [list(map(id, row)) for row in system.C] == [list(map(id, row[1:])) for row in held]
+        assert all(isinstance(row[0], RationalFunction) for row in held)
+        for n in (m, m + 3):
+            dets.clear()
+            sobolev_poly(system, cfg, n)
+            at_n = [[entry(n) for entry in row] for row in held]
+            assert [row[0] for row in at_n] == [rho[0](n) * z(n) for rho, z in zip(system.rho, system.z)]
+            minors = [[list(row) for row in rows] for rows in dets if isinstance(rows[0][0], Fraction)]
+            assert minors == [[row[:j] + row[j + 1 :] for row in at_n] for j in range(1, m + 1)]
+
+    def test_p_from_y_tuple_unchanged_on_criterion_10_cases(self):
+        # P and the degree law of every criterion-10 Y-tuple, recorded before `certify` built its
+        # system through `construct`'s assembly routine
+        record = []
+        for m1, m2, ys in degree_law_cases():
+            p, d, lead = certify.p_from_y_tuple(Fraction(5), Fraction(4), m1, m2, ys)
+            record.append([p.to_json(), d, rat_str(lead)])
+        digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+        assert digest == "01314da9d70ae150384705106a29a5526f63758173fb20668a8dcaaf01b023ab"
+
     def test_system_holds_only_fields_and_cached_values(self):
         cfg = SobolevConfig(alpha=3, beta=2, m1=2, m2=1, M=[[1, 0], [2, 1]], N=[[1]])
         system = cold_copy(build_z(cfg))
         fields = {"z", "Y", "p", "q", "rho", "q_polys"}
         bundle = diffop.build_bundle(cfg, system)
-        assert set(vars(system)) == fields | {"C", "P", "clearing", "omega", "cofactors"}
+        assert set(vars(system)) == fields | {"bordered", "C", "P", "clearing", "omega", "cofactors"}
         diffop.verify_eigen(bundle, cfg, system, cfg.m + 1)
         assert set(vars(system)) == fields | set(CACHED)
 

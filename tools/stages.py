@@ -14,9 +14,11 @@ other labels already there, so that one file holds a before and an after:
   n = 8) run once each, in that order, and record wall time, CPU time and the
   largest numerator or denominator bit length of what they build (of D for
   ``bundle``; a ``Poly`` counts as stored, int numerators over one
-  denominator). Then ``cli.main`` writes the ``construct --nmax 32``,
-  ``verify`` and ``operator --nmax 8`` reports, whose exit codes and sha256
-  are recorded, and the process's peak RSS.
+  denominator). ``C`` builds the whole bordered matrix of q_n
+  (``ZSystem.bordered``, whose columns 1..m are C; its bits are C's), so
+  ``quotients`` times only its determinants. Then ``cli.main`` writes the
+  ``construct --nmax 32``, ``verify`` and ``operator --nmax 8`` reports,
+  whose exit codes and sha256 are recorded, and the process's peak RSS.
 - ``budget``: ``--repeats`` cold processes each of one construct-deep op
   (``construct --nmax 32`` at (3,2,2,1)) and one operator-high-order op
   (``operator --nmax 8`` at (4,3,2,1), order 22), run as ``python -m
