@@ -20,12 +20,11 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Optional, Tuple
 
 from .construct import DegenerateConfigError, build_z, casorati_lambda, sobolev_poly
 from .diffop import ASSUMPTIONS, AssumptionFailed, EigenMismatch, _omega, build_bundle, operator_order, verify_eigen
-from .exactmath import IdentityCheckFailed, Poly, RationalFunction, rat, rat_rows, rat_str
+from .exactmath import IdentityCheckFailed, Poly, RationalFunction, _digit_limit, rat, rat_rows, rat_str
 from .rank import predicted_order, weighted_rank
 from .sobolev import SobolevConfig, bilinear, bilinear_monomials
 
@@ -58,13 +57,12 @@ def _parse(what: str, read):
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_float=Fraction)
+        return json.load(fh, parse_float=rat)
 
 
-def _load_custom_s(path: Optional[str], cfg: SobolevConfig, sys_z) -> Optional[RationalFunction]:
-    """Parse {num: coeffs, den: "auto-omega" | coeffs}; "auto-omega" puts the
-    Casorati determinant in the denominator, which users cannot easily
-    precompute themselves. S must be nonzero."""
+def _read_custom_s(path: Optional[str]) -> Optional[Tuple[Poly, object]]:
+    """The (num, den) of a {num: coeffs, den: "auto-omega" | coeffs} file, den a Poly or
+    "auto-omega"; None without a file."""
     if path is None:
         return None
 
@@ -73,19 +71,34 @@ def _load_custom_s(path: Optional[str], cfg: SobolevConfig, sys_z) -> Optional[R
         unknown = sorted(set(data) - {"num", "den"})
         if unknown:
             raise ValueError(f"unknown keys {unknown}")
-        return Poly.from_json(data["num"]), data["den"]
+        den = data["den"]
+        return Poly.from_json(data["num"]), den if den == "auto-omega" else Poly.from_json(den)
 
-    num, den = _parse(f"custom S {path}", read)
+    return _parse(f"custom S {path}", read)
+
+
+def _load_custom_s(path: Optional[str], parts, cfg: SobolevConfig, sys_z) -> Optional[RationalFunction]:
+    """S = num / den from `_read_custom_s`; "auto-omega" puts the Casorati determinant in
+    the denominator, which users cannot easily precompute themselves. S must be nonzero."""
+    if parts is None:
+        return None
+    num, den = parts
     if den == "auto-omega":
         custom_s = RationalFunction(num) / _omega(cfg, sys_z)
     else:
         try:
-            custom_s = RationalFunction(num, Poly.from_json(den))
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            custom_s = RationalFunction(num, den)
+        except ZeroDivisionError as exc:
             raise InputError(f"bad custom S denominator: {exc}") from exc
     if custom_s.is_zero:
         raise InputError(f"bad custom S {path}: S must be nonzero")
     return custom_s
+
+
+def _set_digit_limit(limit: int) -> None:
+    """Set the interpreter's int-string digit limit (0: off), where it has one."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(limit)
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
@@ -197,12 +210,17 @@ def cmd_operator(cfg: SobolevConfig, system, n_max: int, custom_s) -> Tuple[int,
     }
 
 
-def cmd_rank(gamma: str, matrix_json: str) -> Tuple[int, dict]:
+def _read_rank_input(gamma: str, matrix_json: str):
+    """gamma and the weighted-rank trace of the matrix; a non-square matrix is malformed input."""
+
     def read():
         gamma_value = rat(gamma)
-        return gamma_value, weighted_rank(gamma_value, rat_rows(json.loads(matrix_json, parse_float=Fraction)))
+        return gamma_value, weighted_rank(gamma_value, rat_rows(json.loads(matrix_json, parse_float=rat)))
 
-    gamma_value, trace = _parse("rank input", read)
+    return _parse("rank input", read)
+
+
+def cmd_rank(gamma_value, trace) -> Tuple[int, dict]:
     return EXIT_OK, {
         "gamma": rat_str(gamma_value),
         "eta": [rat_str(e) for e in trace.eta],
@@ -236,19 +254,28 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
+    """Run one command. Its inputs are parsed under the interpreter's int-string digit limit;
+    the command and its report run without it, so every report is written whatever the size
+    of its numbers, and the limit is left as it was found."""
+    limit = _digit_limit()
     try:
         args = _PARSER.parse_args(argv)
         if args.command == "rank":
-            code, payload = cmd_rank(args.gamma, args.matrix)
+            rank_input = _read_rank_input(args.gamma, args.matrix)
+            _set_digit_limit(0)
+            code, payload = cmd_rank(*rank_input)
         else:
             cfg = _parse(f"config {args.config}", lambda: SobolevConfig.from_json(_read_json(args.config)))
             if args.nmax < 0:
                 raise InputError("--nmax must be nonnegative")
+            custom_path = getattr(args, "custom_s", None)
+            custom_parts = _read_custom_s(custom_path)
+            _set_digit_limit(0)
             system = build_z(cfg)
             if args.command == "construct":
                 code, payload = cmd_construct(cfg, system, args.nmax)
             else:
-                custom_s = _load_custom_s(args.custom_s, cfg, system)
+                custom_s = _load_custom_s(custom_path, custom_parts, cfg, system)
                 command = cmd_verify if args.command == "verify" else cmd_operator
                 code, payload = command(cfg, system, args.nmax, custom_s)
         _emit(payload, args.out)
@@ -261,4 +288,6 @@ def main(argv=None) -> int:
     except IdentityCheckFailed as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    finally:
+        _set_digit_limit(limit)
     return code

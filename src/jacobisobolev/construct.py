@@ -1,8 +1,8 @@
 """Casorati-determinant construction of the Sobolev-orthogonal family.
 
 From a `SobolevConfig` this module builds the sequence functions z_l (as
-polynomials in x) together with their theta-basis counterparts Y_l, the
-normalizing polynomials p and q, the rho weights, the Casorati determinant
+polynomials in x), reads off each Y_l with z_l(x) = Y_l(theta_x), and builds
+the normalizing polynomials p and q, the rho weights, the Casorati determinant
 Lambda(n) that certifies existence of the orthogonal polynomial q_n, and
 q_n itself as an explicit combination of m+1 consecutive Jacobi polynomials.
 
@@ -12,12 +12,14 @@ the -1 block of the problem mirrored by x -> -x, which swaps alpha and beta,
 m1 and m2, and sends N to ((-1)^(i+k) N[i][k]).
 
 With alpha and beta integers, every factor of the Pochhammer blocks behind
-z_l and Y_l, and of p, q and the rho entries, is a linear polynomial with an
-int constant. Each of these products is one int-list product
-(`exactmath._int_product`), and each z_l and Y_l is one int combination of
-its blocks over the lcm of its weights' denominators; the weights are int
-pairs read off the mass rows. p and q are checked at n = 0..deg against a
-scalar evaluation of their shifted-factorial and sigma forms.
+z_l, and of p, q and the rho entries, is a linear polynomial with an int
+constant. Each of these products is one int-list product
+(`exactmath._int_product`), and each z_l is one int combination of its blocks
+over the lcm of its weights' denominators; the weights are int pairs read off
+the mass rows. Y_l is read from z_l by the parity test of
+`exactmath.to_theta_basis`, which also checks that z_l is a polynomial in
+theta_x. p and q are checked at n = 0..deg against a scalar evaluation of
+their shifted-factorial and sigma forms.
 
 q_n's weights are the maximal minors of one bordered Casorati matrix
 [rho^h_{x,r} z_h(x-r)], r = 0..m, minor j without column j. Its columns 1..m
@@ -47,6 +49,7 @@ from .exactmath import (
     X,
     Frozen,
     IdentityCheckFailed,
+    NotInvariantError,
     Poly,
     RationalFunction,
     _exact,
@@ -54,7 +57,7 @@ from .exactmath import (
     _num_den,
     _wrap_rf,
     pochhammer,
-    theta_poly,
+    to_theta_basis,
 )
 from .jacobi import JacobiContext, jacobi_poly
 from .sobolev import SobolevConfig
@@ -176,15 +179,11 @@ def _combination(terms) -> Poly:
     return Poly._from_ints(acc, den)
 
 
-def _u_polys(alpha: int, beta: int, lam: int, j: int) -> Tuple[Poly, Poly]:
-    """The degree-2j building block (x+a-lam+1)_j (x+b+lam-j+1)_j.
-
-    Returns the polynomial both in x and in theta; the theta form follows
-    from the factorization into factors (a-lam+i)(b+lam-i+1) + theta_x.
-    """
-    u_x = _linear_product([alpha - lam + 1 + k for k in range(j)] + [beta + lam - j + 1 + k for k in range(j)])
-    u_t = _linear_product([(alpha - lam + i) * (beta + lam - i + 1) for i in range(1, j + 1)])
-    return u_x, u_t
+def _u_polys(alpha: int, beta: int, lam: int, j: int) -> Poly:
+    """The degree-2j building block (x+a-lam+1)_j (x+b+lam-j+1)_j, in x: one int-list
+    product. It is the product of the theta_x + (a-lam+i)(b+lam-i+1), i = 1..j, so it
+    and every combination of such blocks is a polynomial in theta_x."""
+    return _linear_product([alpha - lam + 1 + k for k in range(j)] + [beta + lam - j + 1 + k for k in range(j)])
 
 
 def build_p(alpha, beta, m1: int, m2: int) -> Poly:
@@ -253,8 +252,8 @@ def _assemble(alpha, beta, m1: int, m2: int, zs, ys) -> ZSystem:
 _ZSYS_CACHE: Dict[SobolevConfig, ZSystem] = {}
 
 
-def _endpoint_block(alpha: int, beta: int, m1: int, m2: int, masses) -> Tuple[List[Poly], List[Poly]]:
-    """z_l and Y_l, l = 1..m1: the rows of the m1 jets at -1 against the mass matrix;
+def _endpoint_block(alpha: int, beta: int, m1: int, m2: int, masses) -> List[Poly]:
+    """z_l, l = 1..m1: the rows of the m1 jets at -1 against the mass matrix;
     called on the mirrored problem, the rows of the jets at +1.
 
     z_l = front_l u(alpha, m1-l) + sum_i w_li u(0, beta+i), with u(lam, j) the `_u_polys`
@@ -279,30 +278,27 @@ def _endpoint_block(alpha: int, beta: int, m1: int, m2: int, masses) -> Tuple[Li
         weights.append(row)
     shared = [_u_polys(alpha, beta, 0, beta + i) if any(row[i][0] for row in weights) else None for i in range(m1)]
     zs: List[Poly] = []
-    ys: List[Poly] = []
     for l, row in enumerate(weights, 1):
         front = 2 ** (alpha + beta - m1 + l) * math.factorial(beta - m1 + l - 1), math.factorial(m1 - l)
-        terms = [(front, _u_polys(alpha, beta, alpha, m1 - l))]
-        terms += [(w, u) for w, u in zip(row, shared) if w[0]]
-        zs.append(_combination([(n, d, u_x) for (n, d), (u_x, _) in terms]))
-        ys.append(_combination([(n, d, u_t) for (n, d), (_, u_t) in terms]))
-    return zs, ys
+        terms = [(*front, _u_polys(alpha, beta, alpha, m1 - l))]
+        zs.append(_combination(terms + [(n, d, u) for (n, d), u in zip(row, shared) if n]))
+    return zs
 
 
 def build_z(cfg: SobolevConfig) -> ZSystem:
-    """Assemble z_l, Y_l, p, q and the rho table for a configuration."""
+    """Assemble z_l, Y_l, p, q and the rho table for a configuration. Each Y_l is read
+    off z_l by the parity test of `to_theta_basis`, which raises unless z_l is a
+    polynomial in theta_x."""
     cached = _ZSYS_CACHE.get(cfg)
     if cached is not None:
         return cached
     m1, m2 = cfg.m1, cfg.m2
     mirrored = [[(-1) ** (i + k) * c for k, c in enumerate(row)] for i, row in enumerate(cfg.N)]
-    zs, ys = _endpoint_block(cfg.alpha, cfg.beta, m1, m2, cfg.M)
-    z_plus, y_plus = _endpoint_block(cfg.beta, cfg.alpha, m2, m1, mirrored)
-    zs, ys = zs + z_plus, ys + y_plus
-    theta = theta_poly(cfg.alpha, cfg.beta)
-    for z, y in zip(zs, ys):
-        if y(theta) != z:
-            raise IdentityCheckFailed("build_z", "the theta-basis form Y_l(theta_x) = z_l(x)")
+    zs = _endpoint_block(cfg.alpha, cfg.beta, m1, m2, cfg.M) + _endpoint_block(cfg.beta, cfg.alpha, m2, m1, mirrored)
+    try:
+        ys = [to_theta_basis(z, cfg.alpha, cfg.beta) for z in zs]
+    except NotInvariantError as exc:
+        raise IdentityCheckFailed("build_z", "z_l is a polynomial in theta_x") from exc
     system = _assemble(cfg.alpha, cfg.beta, m1, m2, zs, ys)
     _ZSYS_CACHE[cfg] = system
     return system

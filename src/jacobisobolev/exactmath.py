@@ -26,6 +26,7 @@ deletion and gives ``==`` (same class only), ``hash`` and the repr
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Union
 
@@ -85,17 +86,30 @@ class Frozen:
         return f"{type(self).__name__}({fields})"
 
 
+def _digit_limit() -> int:
+    """The interpreter's int-string digit limit: 0 when it is off, or on an interpreter without one."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
+
+
 def rat(value: Union[int, str, Fraction]) -> Fraction:
-    """Parse a rational from an int, a Fraction or a canonical "p/q" string.
+    """Parse a rational from an int, a Fraction or a string: "p/q" or a decimal
+    literal, with or without an exponent. It is also the ``parse_float`` hook
+    that reads JSON numbers exactly.
 
     A bool is rejected: JSON true would otherwise be read as 1. A float is
-    refused by `_exact`; JSON numbers are read with ``parse_float=Fraction``."""
+    refused by `_exact`. A literal whose exponent exceeds the interpreter's
+    int-string digit limit, when that limit is on, is malformed as a literal of
+    that many digits is: its value would take seconds or hours to build."""
     if isinstance(value, bool):
         raise TypeError(f"a rational must be an integer, a fraction or a string, got {value!r}")
     if isinstance(value, Fraction):
         return value
     if not isinstance(value, str):
         return _exact(value)
+    exponent, limit = value.lower().partition("e")[2].strip().lstrip("+-"), _digit_limit()
+    if limit and exponent.isdecimal() and int(exponent) > limit:
+        raise ValueError(f"the exponent of a rational exceeds {limit}, the interpreter's digit limit")
     try:
         return Fraction(value)
     except ZeroDivisionError:

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from jacobisobolev import __main__ as entry
 from jacobisobolev import _linalg, cli, construct, diffop
 from jacobisobolev.cli import main
 from jacobisobolev.diffop import DiffOp
-from jacobisobolev.exactmath import ONE, Poly, RationalFunction, X, pochhammer
+from jacobisobolev.exactmath import ONE, Poly, RationalFunction, X, pochhammer, theta_poly
 from jacobisobolev.sobolev import SobolevConfig, bilinear_monomials
 
 EXAMPLE_CONFIG = {
@@ -659,7 +660,7 @@ class TestIdentityChecks:
     @pytest.mark.parametrize("command", ["verify", "operator"])
     def test_difference_identity_exits_3(self, config_path, capsys, monkeypatch, command):
         # lambda + theta_x passes the theta-basis check and fails the P_S difference identity
-        theta = construct.theta_poly(1, 1)
+        theta = theta_poly(1, 1)
         real = diffop.anti_difference
         monkeypatch.setattr(diffop, "anti_difference", lambda g: real(g) + theta)
         code = main([command, "--config", config_path, "--nmax", "3"])
@@ -678,8 +679,9 @@ class TestIdentityChecks:
         monkeypatch.setattr(construct, "_ZSYS_CACHE", {})
 
     def test_theta_basis_mismatch_exits_3(self, config_path, capsys, monkeypatch, fresh_caches):
-        wrong_theta = construct.theta_poly(1, 1) + 1
-        monkeypatch.setattr(construct, "theta_poly", lambda a, b: wrong_theta)
+        # a block plus x is no polynomial in theta_x, so neither is its z_l
+        real = construct._u_polys
+        monkeypatch.setattr(construct, "_u_polys", lambda *args: real(*args) + X)
         code = main(["construct", "--config", config_path, "--nmax", "3"])
         self.assert_one_line_exit_3(code, capsys, "build_z")
 
@@ -951,7 +953,85 @@ class TestDeeplyNestedJson:
         )
 
 
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default int-string digit limit, 4300, set for the test; the limit
+    found is restored after it."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-string digit limit")
+    found = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(found)
+
+
+class TestNumberSize:
+    """Reports are written whatever the size of their numbers; a literal past the interpreter's
+    digit limit is malformed input, with or without an exponent."""
+
+    BIG = "1" + "0" * 3000  # accepted: under the 4300-digit default
+    BIG_CONFIG = {"alpha": 2, "beta": 1, "m1": 1, "m2": 1, "M": [[BIG]], "N": [[BIG]]}
+
+    @staticmethod
+    def run_malformed(argv, capsys):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 1 and elapsed < 1.0
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    # each report used to exit 1 with a traceback from rat_str or Poly.to_json
+    @pytest.mark.parametrize("command", ["construct", "verify", "operator"])
+    def test_big_masses_report_written(self, tmp_path, capsys, digit_limit, command):
+        path = write_json(tmp_path / "c.json", self.BIG_CONFIG)
+        assert main([command, "--config", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert sys.get_int_max_str_digits() == digit_limit
+        assert max(map(len, re.findall(r"\d+", captured.out))) > digit_limit
+        if command == "construct":
+            cfg = SobolevConfig.from_json(self.BIG_CONFIG)
+            system = construct.build_z(cfg)
+            sys.set_int_max_str_digits(0)  # the fixture restores it
+            for entry in json.loads(captured.out)["polynomials"]:
+                assert Poly.from_json(entry["coeffs"]) == construct.sobolev_poly(system, cfg, entry["n"])
+
+    def test_limit_left_as_found(self, capsys, digit_limit):
+        sys.set_int_max_str_digits(4400)
+        # gamma + 1 has 4402 digits
+        assert main(["rank", "--gamma", "999e4399", "--matrix", "[[1, 0], [0, 1]]"]) == 0
+        assert json.loads(capsys.readouterr().out)["eta"][0] == "999" + "0" * 4398 + "1"
+        assert sys.get_int_max_str_digits() == 4400
+        self.run_malformed(["rank", "--gamma", "1" + "0" * 5000, "--matrix", "[[1]]"], capsys)
+        assert sys.get_int_max_str_digits() == 4400
+
+    def test_long_literal_exits_1(self, tmp_path, capsys, digit_limit):
+        path = write_json(tmp_path / "c.json", dict(self.BIG_CONFIG, M=[["1" + "0" * 5000]]))
+        assert self.run_malformed(["construct", "--config", path], capsys).startswith(f"error: bad config {path}:")
+        assert sys.get_int_max_str_digits() == digit_limit
+
+    # each of these parsed 10^30000000 and ran past a 20 s timeout
+    @pytest.mark.parametrize("form", ["rank", "json-number", "json-string"])
+    def test_huge_exponent_exits_1(self, tmp_path, capsys, digit_limit, form):
+        if form == "rank":
+            argv = ["rank", "--gamma", "1e30000000", "--matrix", "[[1]]"]
+        else:
+            mass = "1e30000000" if form == "json-number" else '"1e30000000"'
+            path = tmp_path / "c.json"
+            path.write_text(f'{{"alpha": 2, "beta": 1, "m1": 1, "m2": 1, "M": [[{mass}]], "N": [[1]]}}', encoding="utf-8")
+            argv = ["construct", "--config", str(path)]
+        assert "exponent" in self.run_malformed(argv, capsys)
+        assert sys.get_int_max_str_digits() == digit_limit
+
+
 class TestRank:
+    def test_non_square_matrix_exits_1(self, capsys):
+        assert main(["rank", "--gamma", "3", "--matrix", "[[1, 2]]"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: bad rank input: weighted rank is defined for square")
+
     def test_trace_output(self, capsys):
         code = main(["rank", "--gamma", "3", "--matrix", "[[1,0],[0,2]]"])
         assert code == 0

@@ -547,6 +547,39 @@ class TestCombIdentities:
     def test_vacuous_case(self):
         assert verify_comb_identities(Fraction(5, 3), Fraction(7, 2), 1, 0)
 
+    @staticmethod
+    def perturbed_calls(monkeypatch, first=None, falling=False):
+        """The first arguments of every `_inverse_binomial` call, that at (first, k=1, l=0)
+        doubled; with falling, C(l-k, l) is made 1 where it is 0 (0 <= l-k < l)."""
+        real, real_falling, calls = certify._inverse_binomial, certify.falling_binomial, []
+
+        def inverse_binomial(a, b, k, l):
+            calls.append(a)
+            value = real(a, b, k, l)
+            return 2 * value if (a, k, l) == (first, 1, 0) else value
+
+        monkeypatch.setattr(certify, "_inverse_binomial", inverse_binomial)
+        if falling:
+            monkeypatch.setattr(certify, "falling_binomial", lambda t, k: real_falling(t, k) or int(0 <= t < k))
+        return calls
+
+    @pytest.mark.parametrize("side", ["alpha", "beta"])
+    def test_perturbed_gamma_factor_fails(self, monkeypatch, side):
+        alpha, beta = Fraction(1, 2), Fraction(1, 3)
+        assert verify_comb_identities(alpha, beta, 3, 2)
+        calls = self.perturbed_calls(monkeypatch, first=alpha if side == "alpha" else beta)
+        assert not verify_comb_identities(alpha, beta, 3, 2)
+        # the beta-side factors enter the second family only: it was reached, and it failed.
+        # The alpha-side one fails there too, since every first-family term has a zero
+        # integer factor: C(h, m1-l) = 0 for l < m1-h, and C(l-k, l) = 0 for l > k >= 1
+        assert beta in calls
+
+    def test_first_family_fails(self, monkeypatch):
+        alpha, beta = Fraction(1, 2), Fraction(1, 3)
+        calls = self.perturbed_calls(monkeypatch, falling=True)
+        assert not verify_comb_identities(alpha, beta, 3, 2)
+        assert calls and beta not in calls  # it returned before the second family
+
     @pytest.mark.parametrize(
         "call",
         [

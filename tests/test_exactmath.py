@@ -3,6 +3,7 @@
 import math
 import operator
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -203,6 +204,21 @@ class TestPoly:
                 rat(value)
         assert rat("1e-400") == Fraction(1, 10**400)
         assert rat(Fraction("12345678901234567891.0")) == 12345678901234567891
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-string digit limit")
+    def test_rat_refuses_an_exponent_past_the_digit_limit(self):
+        # 10^e with e past the limit would take seconds to hours to build, as a literal of e digits
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            assert rat("1e4300") == 10**4300 and rat("-2.5E-4300") == Fraction(-1, 4 * 10**4299)
+            for value in ("1e4301", "1E-4301", "1e+30000000", " 5e30000000 "):
+                with pytest.raises(ValueError, match="exponent"):
+                    rat(value)
+            sys.set_int_max_str_digits(0)  # with the limit off, nothing is refused
+            assert rat("1e4301") == 10**4301
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def value_instances():
@@ -415,6 +431,11 @@ class TestDeterminant:
         for matrix, expected in (([[2, 1], [1, 3]], 5), ([[7]], 7), ([], 1)):
             value = _linalg.det(matrix)
             assert type(value) is Fraction and value == expected
+
+    def test_non_square_rejected(self):
+        for matrix in ([[1, 2]], [[1], [2]], [[1, 2], [3]]):
+            with pytest.raises(ValueError, match="non-square"):
+                _linalg.det(matrix)
 
     def test_rational_function_entries(self):
         f = RationalFunction(X + 1, X - 2)

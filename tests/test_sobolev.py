@@ -44,6 +44,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SobolevConfig(alpha=2, beta=2, m1=2, m2=1, M=[[1]], N=[[1]])
 
+    @pytest.mark.parametrize("alpha, beta", [(-1, 2), (2, -1), (-1, -1)])
+    def test_negative_parameter_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="alpha and beta must be nonnegative"):
+            SobolevConfig(alpha=alpha, beta=beta, m1=1, m2=0, M=[[1]])
+
     def test_parameter_bounds(self):
         with pytest.raises(ParameterOutOfRangeError, match="beta - m1 = -1"):
             SobolevConfig(alpha=1, beta=0, m1=1, m2=1, M=[[1]], N=[[1]])

@@ -8,8 +8,10 @@ trees. It writes three parts under ``--label`` in ``--out``, keeping the
 other labels already there, so that one file holds a before and an after:
 
 - ``shapes``: each shape of ``SHAPES`` with m <= ``--m-max`` (4..10, default
-  8), on the baseline masses M[i][j] = (i+2j)%3-1, N[i][j] = (2i+j)%3-1, runs
-  in a fresh process. The stages ``build_z``, ``C``, ``P``, ``quotients``,
+  8) runs in a fresh process on the baseline masses M[i][j] = (i+2j)%3-1,
+  N[i][j] = (2i+j)%3-1, keyed by the shape, and, for m <= 8, in another on
+  seeded random masses (`random_config`), keyed by the shape plus
+  ``/random``. The stages ``build_z``, ``C``, ``P``, ``quotients``,
   ``cofactors``, ``q_0..8``, ``bundle`` and ``eigen`` (``verify_eigen`` to
   n = 8) run once each, in that order, and record wall time, CPU time and the
   largest numerator or denominator bit length of what they build (of D for
@@ -26,8 +28,8 @@ other labels already there, so that one file holds a before and an after:
   wall time splits into start-up plus import (spawn to ``main``), ``main``,
   and exit (``main`` returned to process end, through ``sys.exit``). Child CPU
   time and peak RSS come from ``wait4``. Medians and every run are recorded.
-- ``mismatches``: the reports whose sha256 differs from the one in
-  ``RECORDED``, taken on the tree before the changes they guard. The file is
+- ``mismatches``: the reports whose exit code or sha256 differs from the one
+  in ``RECORDED``, taken on the tree before the changes they guard. The file is
   written either way, and the run exits 1 unless the list is empty.
 """
 
@@ -37,17 +39,21 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import resource
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # (alpha, beta, m1, m2) by m = m1 + m2: the shapes of the stage table in ROADMAP.md
 SHAPES = [(3, 3, 2, 2), (4, 4, 3, 2), (4, 4, 3, 3), (5, 5, 4, 3), (6, 6, 4, 4), (6, 6, 5, 4), (7, 7, 5, 5)]
+# the shapes up to this m also run on random masses (`random_config`)
+RANDOM_M_MAX = 8
 REPORTS = {
     "construct": ["construct", "--nmax", "32"],
     "verify": ["verify"],
@@ -58,42 +64,68 @@ BUDGET_OPS = {
     "operator-high-order": ((4, 3, 2, 1), ["operator", "--nmax", "8"]),
 }
 
-# sha256 of each report, recorded on 30f53e2, before the entry point froze the collector
+# (exit code, sha256) of each report; the baseline-mass ones recorded on 30f53e2, before the
+# entry point froze the collector, the random-mass ones on 73ca9db, before z_l was built in x alone
 RECORDED = {
     "3,3,2,2": {
-        "construct": "68c06a4fee020b42c65b748fe0975e60dfa1940b3246b762de61d428918ac8ce",
-        "verify": "56694304310509addced07c2b11c9c5b14c59c45a142855c4495014019b6fa8f",
-        "operator": "8ee3227587a1a25c2a2485906fa2828f9379461214833093c5aadb278db831dd",
+        "construct": (0, "68c06a4fee020b42c65b748fe0975e60dfa1940b3246b762de61d428918ac8ce"),
+        "verify": (0, "56694304310509addced07c2b11c9c5b14c59c45a142855c4495014019b6fa8f"),
+        "operator": (0, "8ee3227587a1a25c2a2485906fa2828f9379461214833093c5aadb278db831dd"),
+    },
+    "3,3,2,2/random": {
+        "construct": (0, "b75dd2011ee8a10e05a7c4a5e8f10b8a7c0038912580fff524aa239c7ac2366c"),
+        "verify": (0, "80835f8ce21889e448f0b7f73eb643184864840c915fe991835977f77e90d108"),
+        "operator": (0, "072799a39ae786cf4b99f13fc8d5123a427f7fcfaad44e0d69696738f5628198"),
     },
     "4,4,3,2": {
-        "construct": "ccb45dde80b79107f47ebd874481000e16e255c92ebda5fcddff6a7295eb713a",
-        "verify": "d2fb0d65b016fee7f93bc51e90dc43d7ed6b4ff61df188f8955cab7106bb05e3",
-        "operator": "48388831be6a49c4a2597ed002d027780c3e2b82cb829fd190b2c223afcb63f9",
+        "construct": (0, "ccb45dde80b79107f47ebd874481000e16e255c92ebda5fcddff6a7295eb713a"),
+        "verify": (0, "d2fb0d65b016fee7f93bc51e90dc43d7ed6b4ff61df188f8955cab7106bb05e3"),
+        "operator": (0, "48388831be6a49c4a2597ed002d027780c3e2b82cb829fd190b2c223afcb63f9"),
+    },
+    "4,4,3,2/random": {
+        "construct": (0, "a083338a088bfef075987f226cd55aa4481765a7aa339e2e000bad6803a5c48c"),
+        "verify": (0, "5c638388bcf952219aec5786b5e9adc04d7867d492559ec3cac79216ac8874a5"),
+        "operator": (0, "d19b957e4dd5af8e53769306d334d3780d641d3aeefb3cf0b4c625afba9f53df"),
     },
     "4,4,3,3": {
-        "construct": "3197f129e7ecc8e6df474303363b529bf9b0053c93935dfd11a060fc8dd2b45f",
-        "verify": "5f62fafdc85b0e6f6187e1c8d42d79c4bc3cef90af956d57cca2e616115fc361",
-        "operator": "484d3b15c59406ecad9cf92096916c09c367c0ce15080aefaa810e0299959b37",
+        "construct": (0, "3197f129e7ecc8e6df474303363b529bf9b0053c93935dfd11a060fc8dd2b45f"),
+        "verify": (0, "5f62fafdc85b0e6f6187e1c8d42d79c4bc3cef90af956d57cca2e616115fc361"),
+        "operator": (0, "484d3b15c59406ecad9cf92096916c09c367c0ce15080aefaa810e0299959b37"),
+    },
+    "4,4,3,3/random": {
+        "construct": (0, "561d43008e4758db3f66de5d69fc5bae12358051caf757bcc8eca0c785bf811b"),
+        "verify": (0, "6d447c6edc4f3fda38814d25350692bdeccc70ce36698220e331cf9d1b1cc74b"),
+        "operator": (0, "1e3dc45196e65a299a41a8a3510882d4b4ad70316cbd836e1cbc4582dba5322e"),
     },
     "5,5,4,3": {
-        "construct": "d7e702408830bb1817a84664b2dfa946813b7ad268a5cb6843c1840d6aef4b17",
-        "verify": "bd2eafac4e36bd10e6519fd415c2e20926b868c279621fd9aaf7b4022f2c92dd",
-        "operator": "1340d5f066701f771c3a4dd8c15d2c18a0aeb12d2d6fe34f20e353e91e9e43c0",
+        "construct": (0, "d7e702408830bb1817a84664b2dfa946813b7ad268a5cb6843c1840d6aef4b17"),
+        "verify": (0, "bd2eafac4e36bd10e6519fd415c2e20926b868c279621fd9aaf7b4022f2c92dd"),
+        "operator": (0, "1340d5f066701f771c3a4dd8c15d2c18a0aeb12d2d6fe34f20e353e91e9e43c0"),
+    },
+    "5,5,4,3/random": {
+        "construct": (0, "70edecc9c4edd04df464d4d7648855cb9563342858702fa28eb9b7fa8189274d"),
+        "verify": (0, "f214ada81352311a7d259dac004a76eb2b44a2c5714880b6b974b4f9095127bd"),
+        "operator": (0, "5590948529bd8433d8f7162e8e4a7ded7e48cec08afdd91f3dc4818bfcde769e"),
     },
     "6,6,4,4": {
-        "construct": "7bc3e887a6828a3749da645df09a297d6d36bbfa473a65d3368b56cc60c2a56a",
-        "verify": "795def5d7749660d6ba319c5befd895b3c66870d1e1e03b59112401af2d17338",
-        "operator": "2bc7c4474075979225449ae302431fc10f2853ba6c1b28a84af37b6f693f6320",
+        "construct": (0, "7bc3e887a6828a3749da645df09a297d6d36bbfa473a65d3368b56cc60c2a56a"),
+        "verify": (0, "795def5d7749660d6ba319c5befd895b3c66870d1e1e03b59112401af2d17338"),
+        "operator": (0, "2bc7c4474075979225449ae302431fc10f2853ba6c1b28a84af37b6f693f6320"),
+    },
+    "6,6,4,4/random": {
+        "construct": (0, "552b0dc58d2eab12cea96d4524a726775a3fc065bf6a9558bee06fe204978fba"),
+        "verify": (0, "eb09bf72ca2481da42ecc13fd91f897bbdd47575c4f057fd07d5319efccde89f"),
+        "operator": (0, "b2ec3ff0da5638cebad659ff29cbb54e722c409c99a799506fbe946e25013baf"),
     },
     "6,6,5,4": {
-        "construct": "4b66d70ebfd12cea7722188fca15d0c10626814a04e096e76b60c890781a83c0",
-        "verify": "366de751799b5a8a301bbbf1e4ad6d5c367f11febda8a38b2a055585b56aff36",
-        "operator": "8299dafd53d7ef2b39bd545671873418923d2afb7cb56f1517d7d7fc7501c130",
+        "construct": (0, "4b66d70ebfd12cea7722188fca15d0c10626814a04e096e76b60c890781a83c0"),
+        "verify": (0, "366de751799b5a8a301bbbf1e4ad6d5c367f11febda8a38b2a055585b56aff36"),
+        "operator": (0, "8299dafd53d7ef2b39bd545671873418923d2afb7cb56f1517d7d7fc7501c130"),
     },
     "7,7,5,5": {
-        "construct": "42ee3ad99bf6c9b2b8cb4e38ee0c8ab568daa11f8a176a813a47724d7bdafc92",
-        "verify": "cc2fc9c52ba1bddba84d13d135d167ea172f83c4d566403bd6931c1b1e98f56c",
-        "operator": "03f08feb8571fbb7cdac39aeb0f95d6afd32e64d7003144b3059500b6d2b5ce8",
+        "construct": (0, "42ee3ad99bf6c9b2b8cb4e38ee0c8ab568daa11f8a176a813a47724d7bdafc92"),
+        "verify": (0, "cc2fc9c52ba1bddba84d13d135d167ea172f83c4d566403bd6931c1b1e98f56c"),
+        "operator": (0, "03f08feb8571fbb7cdac39aeb0f95d6afd32e64d7003144b3059500b6d2b5ce8"),
     },
 }
 
@@ -126,14 +158,43 @@ def baseline_config(shape) -> dict:
     }
 
 
+def random_config(shape) -> dict:
+    """The shape with masses u/v, u in [-2, 2] and v in 1..3, drawn from a generator seeded
+    by the shape, so that every run and every tree reads the same config."""
+    alpha, beta, m1, m2 = shape
+    rng = random.Random(f"stages {key(shape)}")
+
+    def mass():
+        return str(Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+
+    return {
+        "alpha": alpha, "beta": beta, "m1": m1, "m2": m2,
+        "M": [[mass() for _ in range(m1)] for _ in range(m1)],
+        "N": [[mass() for _ in range(m2)] for _ in range(m2)],
+    }
+
+
 def key(shape) -> str:
     return ",".join(map(str, shape))
 
 
+def labels(m_max: int):
+    """Each shape with m <= m_max under its key, its baseline masses, then, for
+    m <= RANDOM_M_MAX, under its key plus "/random", its random masses."""
+    for shape in SHAPES:
+        if sum(shape[2:]) <= m_max:
+            yield key(shape)
+            if sum(shape[2:]) <= RANDOM_M_MAX:
+                yield f"{key(shape)}/random"
+
+
+def config_of(label: str) -> dict:
+    shape = tuple(map(int, label.partition("/")[0].split(",")))
+    return random_config(shape) if label.endswith("/random") else baseline_config(shape)
+
+
 def bits(value) -> int:
     """The largest numerator or denominator bit length in a value built from exact scalars."""
-    from fractions import Fraction
-
     from jacobisobolev import DiffOp, Poly, RationalFunction, ZSystem
 
     if isinstance(value, int):
@@ -151,12 +212,11 @@ def bits(value) -> int:
     return max(map(bits, value), default=0)
 
 
-def measure_shape(shape) -> dict:
+def measure(config: dict) -> dict:
     """Every stage once, in order, then the three reports, in this (fresh) process."""
     from jacobisobolev import SobolevConfig, build_bundle, build_z, operator_order, sobolev_poly, verify_eigen
     from jacobisobolev.cli import main
 
-    config = baseline_config(shape)
     cfg = SobolevConfig.from_json(config)
     stages = {}
 
@@ -199,11 +259,11 @@ def child_env(src: str) -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def run_shape(shape, src: str) -> dict:
-    argv = [sys.executable, os.path.abspath(__file__), "--shape", key(shape)]
+def run_config(label: str, src: str) -> dict:
+    argv = [sys.executable, os.path.abspath(__file__), "--shape", label]
     done = subprocess.run(argv, env=child_env(src), capture_output=True, text=True, check=False)
     if done.returncode != 0:
-        raise SystemExit(f"stages: shape {key(shape)} exited {done.returncode}\n{done.stderr[-2000:]}")
+        raise SystemExit(f"stages: config {label} exited {done.returncode}\n{done.stderr[-2000:]}")
     return json.loads(done.stdout)
 
 
@@ -261,25 +321,23 @@ def main(argv=None) -> int:
     parser.add_argument("--m-max", type=int, default=8, choices=range(4, 11))
     parser.add_argument("--repeats", type=int, default=10, help="cold processes per budget op (0: none)")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="the package tree to measure")
-    parser.add_argument("--shape", help=argparse.SUPPRESS)  # one shape, in this process: JSON on stdout
+    parser.add_argument("--shape", help=argparse.SUPPRESS)  # one config, in this process: JSON on stdout
     args = parser.parse_args(argv)
     if args.shape:
-        print(json.dumps(measure_shape(tuple(map(int, args.shape.split(","))))))
+        print(json.dumps(measure(config_of(args.shape))))
         return 0
     if not args.out:
         parser.error("--out is required")
 
     src = os.path.abspath(args.src)
     result = {"python": sys.version.split()[0], "shapes": {}, "mismatches": []}
-    for shape in SHAPES:
-        if sum(shape[2:]) > args.m_max:
-            continue
-        record = result["shapes"][key(shape)] = run_shape(shape, src)
+    for label in labels(args.m_max):
+        record = result["shapes"][label] = run_config(label, src)
         line = " ".join(f"{name} {s['wall_s']:.3f}s/{s['bits']}b" for name, s in record["stages"].items())
-        print(f"{key(shape)} m={record['m']}: {line}", flush=True)
+        print(f"{label} m={record['m']}: {line}", flush=True)
         for name, report in record["reports"].items():
-            if RECORDED[key(shape)][name] != report["sha256"]:
-                result["mismatches"].append(f"{key(shape)} {name}")
+            if RECORDED.get(label, {}).get(name) != (report["exit"], report["sha256"]):
+                result["mismatches"].append(f"{label} {name}")
     if args.repeats:
         result["budget"] = budget(src, args.repeats)
         for name, b in result["budget"].items():
@@ -294,7 +352,7 @@ def main(argv=None) -> int:
         json.dump(runs, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if result["mismatches"]:
-        print("report digests differ from RECORDED: " + ", ".join(result["mismatches"]), file=sys.stderr)
+        print("report exit codes or digests differ from RECORDED: " + ", ".join(result["mismatches"]), file=sys.stderr)
         return 1
     return 0
 
