@@ -170,12 +170,7 @@ def _reduce(rows: Sequence[Sequence[Fraction]], ncols: int) -> Tuple[List[List[F
 
 def jet(p: Poly, point, k: int) -> Tuple[Fraction, ...]:
     """The vector (p, p', ..., p^(k-1)) evaluated at the point."""
-    values = []
-    q = p
-    for _ in range(k):
-        values.append(q(point))
-        q = q.derivative()
-    return tuple(values)
+    return tuple([p.derivative(i)(point) for i in range(k)])
 
 
 def integrate_against_weight(p: Poly, a: int, b: int) -> Fraction:

@@ -123,10 +123,11 @@ def _as_list(items, what: str):
     return items
 
 
-def rat_rows(rows) -> List[List[Fraction]]:
+def rat_rows(rows, what: str = "a matrix") -> List[List[Fraction]]:
     """Parse a list of rows of rationals; a string or a mapping, as the matrix or as one of
-    its rows, is rejected, not read as its characters or keys."""
-    return [[rat(c) for c in _as_list(row, "a matrix row")] for row in _as_list(rows, "a matrix")]
+    its rows, is rejected, not read as its characters or keys. ``what`` names the matrix
+    in that error."""
+    return [[rat(c) for c in _as_list(row, f"{what} row")] for row in _as_list(rows, what)]
 
 
 def rat_str(value: Scalar) -> str:
@@ -285,14 +286,7 @@ class Poly(Frozen):
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return math.prod([self] * n, start=ONE)
 
     def __divmod__(self, other: "Poly"):
         """Quotient and remainder by integer pseudo-division (`_pseudo_divide`)."""
@@ -364,35 +358,9 @@ class Poly(Frozen):
         return Poly._from_ints([nums[i] * math.perm(i, times) for i in range(times, len(nums))], self.den)
 
     def shift(self, c: Scalar) -> "Poly":
-        """Substitute x -> x + c.
-
-        For c = u/v, the numerators n_i become n_i v^(d-i), which makes the
-        polynomial one in y = v x; that one is shifted by the integer u in
-        place, and the coefficient of x^k comes back over den v^(d-k), that
-        is as a[k] v^k over den v^d.
-        """
+        """Substitute x -> x + c: the composition of this polynomial with x + c."""
         u, v = _num_den(c)
-        if not u or len(self.nums) < 2:
-            return self
-        a = list(self.nums)
-        d = len(a) - 1
-        scale = 1
-        if v != 1:
-            for i in range(d - 1, -1, -1):
-                scale *= v
-                a[i] *= scale
-        # Taylor shift by u: d passes of synthetic division by x - u
-        for i in range(d):
-            for j in range(d - 1, i - 1, -1):
-                a[j] += u * a[j + 1]
-        if v == 1:
-            # an integer shift is invertible over the integers: the content is kept
-            return _wrap(tuple(a), self.den)
-        power = 1
-        for k in range(1, d + 1):
-            power *= v
-            a[k] *= power
-        return Poly._from_ints(a, self.den * scale)
+        return self(_wrap((u, v), v)) if u else self
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -787,8 +755,4 @@ def falling_binomial(top, k: int) -> Fraction:
     """Generalized binomial C(top, k) for integer k >= 0 (0 for k < 0)."""
     if k < 0:
         return Fraction(0)
-    top = _exact(top)
-    result = Fraction(1)
-    for i in range(k):
-        result *= top - i
-    return result / math.factorial(k)
+    return pochhammer(_exact(top) - k + 1, k) / math.factorial(k)

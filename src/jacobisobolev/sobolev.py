@@ -39,7 +39,7 @@ class ParameterOutOfRangeError(ValueError):
 
 
 def _freeze_matrix(rows, size: int, name: str) -> Matrix:
-    rows = tuple(tuple(row) for row in rat_rows(rows))
+    rows = tuple(tuple(row) for row in rat_rows(rows, f"{name}: a matrix"))
     if len(rows) != size or any(len(row) != size for row in rows):
         raise ValueError(f"{name} must be a {size}x{size} matrix")
     return rows

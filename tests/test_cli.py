@@ -380,6 +380,23 @@ class TestInputValidation:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "a matrix must be a list" in captured.err
 
+    # a list-type error names the mass matrix at fault, as the size check does
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("M", {}, "M: a matrix must be a list, got {}"),
+            ("N", "", "N: a matrix must be a list, got ''"),
+            ("N", ["12"], "N: a matrix row must be a list, got '12'"),
+        ],
+        ids=["M-object", "N-string", "N-string-row"],
+    )
+    def test_list_type_error_names_the_matrix(self, tmp_path, capsys, name, value, message):
+        config = write_json(tmp_path / "c.json", dict(EXAMPLE_CONFIG, **{name: value}))
+        assert main(["construct", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad config {config}: {message}\n"
+
     # an empty block's matrix may still be empty or omitted
     @pytest.mark.parametrize("config", [dict(EMPTY_FIRST_BLOCK, M=[]), EMPTY_FIRST_BLOCK, EMPTY_SECOND_BLOCK])
     def test_empty_block_matrix_may_be_empty_or_omitted(self, tmp_path, capsys, config):
