@@ -7,15 +7,6 @@ assembles a finite-order differential operator having them as eigenfunctions,
 and predicts that operator's order from a weighted matrix rank.
 """
 
-from .certify import (
-    degree_of_P_check,
-    endpoint_jet,
-    gram_orthogonal_oracle,
-    integrate_against_weight,
-    jet,
-    rl_cross_check,
-    verify_comb_identities,
-)
 from .construct import DegenerateConfigError, ZSystem, build_z, casorati_lambda, sobolev_poly
 from .diffop import (
     AssumptionFailed,
@@ -55,19 +46,12 @@ __all__ = [
     "compose",
     "d_operators",
     "default_s",
-    "degree_of_P_check",
-    "endpoint_jet",
-    "gram_orthogonal_oracle",
-    "integrate_against_weight",
     "jacobi_poly",
-    "jet",
     "operator_order",
     "predicted_order",
     "rat",
     "rat_str",
-    "rl_cross_check",
     "sobolev_poly",
-    "verify_comb_identities",
     "verify_eigen",
     "weighted_rank",
 ]

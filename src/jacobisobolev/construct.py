@@ -71,9 +71,11 @@ class ZSystem(Frozen):
     """The sequence functions and normalizers of one configuration, and the
     Casorati values built from them. The cached attributes and the q_n memo
     are filled on first use, ignored by ==, hash and repr, and start empty
-    on a system built from another's fields."""
+    on a system built from another's fields. A system from `build_z` records
+    its configuration in ``config`` and refuses any other (`check_config`)."""
 
     _fields = ("z", "Y", "p", "q", "rho")
+    config = None  # set by `build_z`; a system built by hand takes any configuration
 
     def __init__(
         self,
@@ -86,6 +88,12 @@ class ZSystem(Frozen):
         for name, value in zip(self._fields, (z, Y, p, q, rho)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "q_polys", {})  # q_n by degree, filled by `sobolev_poly`
+
+    def check_config(self, cfg: SobolevConfig) -> None:
+        """Raise ValueError unless cfg is, or equals, the configuration `build_z` built this system for."""
+        built = self.config
+        if built is not None and built is not cfg and built != cfg:
+            raise ValueError(f"a system built for {built!r} was handed {cfg!r}")
 
     @cached_property
     def bordered(self) -> Tuple[tuple, ...]:
@@ -286,9 +294,9 @@ def _endpoint_block(alpha: int, beta: int, m1: int, m2: int, masses) -> List[Pol
 
 
 def build_z(cfg: SobolevConfig) -> ZSystem:
-    """Assemble z_l, Y_l, p, q and the rho table for a configuration. Each Y_l is read
-    off z_l by the parity test of `to_theta_basis`, which raises unless z_l is a
-    polynomial in theta_x."""
+    """Assemble z_l, Y_l, p, q and the rho table for a configuration, recorded on the
+    system as its ``config``. Each Y_l is read off z_l by the parity test of
+    `to_theta_basis`, which raises unless z_l is a polynomial in theta_x."""
     cached = _ZSYS_CACHE.get(cfg)
     if cached is not None:
         return cached
@@ -300,6 +308,7 @@ def build_z(cfg: SobolevConfig) -> ZSystem:
     except NotInvariantError as exc:
         raise IdentityCheckFailed("build_z", "z_l is a polynomial in theta_x") from exc
     system = _assemble(cfg.alpha, cfg.beta, m1, m2, zs, ys)
+    object.__setattr__(system, "config", cfg)
     _ZSYS_CACHE[cfg] = system
     return system
 
@@ -319,6 +328,7 @@ def sobolev_poly(sys: ZSystem, cfg: SobolevConfig, n: int) -> Poly:
     """q_n = sum_j (minor j quotient) J_(n-j), from the bordered determinant: one int `_combination`."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    sys.check_config(cfg)
     cached = sys.q_polys.get(n)
     if cached is not None:
         return cached

@@ -308,6 +308,7 @@ def default_s(cfg, sys) -> RationalFunction:
 
 def build_bundle(cfg, sys, custom_s: Optional[RationalFunction] = None) -> OperatorBundle:
     """Run the operator pipeline; verify the three assumptions exactly."""
+    sys.check_config(cfg)
     a, b = Fraction(cfg.alpha), Fraction(cfg.beta)
     m, m1 = cfg.m, cfg.m1
     ctx = JacobiContext(a, b)

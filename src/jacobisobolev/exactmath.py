@@ -3,8 +3,9 @@
 A ``Poly`` is a trimmed tuple of int numerators over one positive int
 denominator with no common factor, the layout of FLINT's ``fmpq_poly``, so
 every operation in this package is exact: there is no floating point
-anywhere. Each polynomial operation runs on Python ints and reduces its
-result once; the ``Fraction`` coefficients are built only when asked for.
+anywhere. Each polynomial operation runs on Python ints and reduces its result
+once, in ``Poly._from_ints`` (trim, divide by the content, make the denominator
+positive); the ``Fraction`` coefficients are built only when asked for.
 Division and the gcd share one kernel, the integer pseudo-division
 `_pseudo_divide` (Knuth, TAOCP vol. 2, 4.6.1).
 
@@ -240,48 +241,25 @@ class Poly(Frozen):
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.nums:
-            return self
-        return _sum(self.nums, self.den, [-c for c in other.nums], other.den)
+        return self + (-other)
 
     def __rsub__(self, other) -> "Poly":
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return _sum(other.nums, other.den, [-c for c in self.nums], self.den)
+        return other + (-self)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             u, v = _num_den(other)
-            return self._scaled(u, v)
+            return Poly._from_ints([c * u for c in self.nums], self.den * v)
         if not isinstance(other, Poly):
             return NotImplemented
-        na, da, nb, db = self.nums, self.den, other.nums, other.den
-        if not (na and nb):
+        if not (self.nums and other.nums):
             return ZERO
-        # cancel each denominator against the other operand's content first; by
-        # Gauss's lemma the product is then reduced as it stands
-        g = math.gcd(da, *nb)
-        if g != 1:
-            da //= g
-            nb = [c // g for c in nb]
-        g = math.gcd(db, *na)
-        if g != 1:
-            db //= g
-            na = [c // g for c in na]
-        # the leading product is nonzero, so the result needs no trimming
-        return _wrap(tuple(_convolve(na, nb)), da * db)
+        return Poly._from_ints(_convolve(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
-
-    def _scaled(self, u: int, v: int) -> "Poly":
-        """self * u / v for coprime ints u and v > 0."""
-        if not (u and self.nums):
-            return ZERO
-        g = math.gcd(u, self.den)
-        h = math.gcd(v, *self.nums)
-        u //= g
-        return _wrap(tuple([c // h * u for c in self.nums]), self.den // g * (v // h))
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -322,7 +300,7 @@ class Poly(Frozen):
             u, v = _num_den(other)
             if not u:
                 raise ZeroDivisionError("polynomial division by zero")
-            return self._scaled(-v, -u) if u < 0 else self._scaled(v, u)
+            return Poly._from_ints([c * v for c in self.nums], self.den * u)
         return NotImplemented
 
     # -- analysis -----------------------------------------------------------

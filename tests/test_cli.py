@@ -820,6 +820,19 @@ class TestStartup:
         assert "jacobisobolev.cli" in added
         assert not added & {"dataclasses", "inspect"}
 
+    def test_package_and_entry_import_leave_certify_unloaded(self):
+        # no command runs the cross-checks, so only an import of jacobisobolev.certify loads them
+        probe = (
+            "import sys\n"
+            "import jacobisobolev, jacobisobolev.__main__\n"
+            "print('jacobisobolev.certify' in sys.modules)\n"
+            "import jacobisobolev.certify\n"
+            "print('jacobisobolev.certify' in sys.modules)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=package_env(), check=False)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [b"False", b"True"]
+
 
 class TestEntryPoint:
     """One process entry, `__main__.run`, freezes the collector once the command has returned;

@@ -394,6 +394,23 @@ class TestPerConfigMemos:
         assert sys_a.q_polys[cfg_a.m - 1] != sys_b.q_polys[cfg_b.m - 1]
         assert sys_a.P != sys_b.P
 
+    def test_system_refuses_another_configuration(self, monkeypatch):
+        # a system from build_z is tied to its config: handed another, q_n and the bundle refuse
+        # before anything is computed or held, rather than build a q_4 orthogonal under neither form
+        monkeypatch.setattr(construct, "_ZSYS_CACHE", {})
+        a = SobolevConfig(alpha=2, beta=1, m1=1, m2=1, M=[[1]], N=[[2]])
+        b = SobolevConfig(alpha=3, beta=2, m1=1, m2=1, M=[[1]], N=[[2]])
+        for run in (lambda: sobolev_poly(build_z(a), b, 4), lambda: diffop.build_bundle(b, build_z(a))):
+            with pytest.raises(ValueError, match="a system built for .* was handed") as refused:
+                run()
+            assert type(refused.value) is ValueError
+        assert 4 not in build_z(a).q_polys
+        q4 = sobolev_poly(build_z(a), a, 4)
+        assert q4.degree == 4 and all(bilinear(a, q4, Poly.monomial(j)) == 0 for j in range(4))
+        # an equal config built separately, as each CLI run parses its own, is the same problem
+        twin = SobolevConfig(alpha=2, beta=1, m1=1, m2=1, M=[[1]], N=[[2]])
+        assert twin is not a and sobolev_poly(build_z(twin), twin, 4) is q4
+
     def test_swapped_rows_get_their_own_values(self):
         # z_1 and z_2 share their rho row, so swapping them negates every
         # Casorati determinant and minor

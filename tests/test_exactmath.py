@@ -345,6 +345,32 @@ class TestIntegerLayout:
         assert p.lead == Fraction(-3, 4) and p.coeff(0) == Fraction(1, 6) and p.coeff(5) == 0
         assert (ZERO.nums, ZERO.den) == ((), 1) and ZERO.coeffs == ()
 
+    def test_results_reduced_once_pinned(self):
+        # the full product over da * db, or the scaled numerators, share a factor with the
+        # denominator that one gcd in Poly._from_ints takes out
+        p = Poly([Fraction(2, 9), Fraction(4, 9)])  # (2 + 4x) / 9
+        q = Poly([Fraction(3, 4), Fraction(3, 2)])  # (3 + 6x) / 4
+        r = Poly([Fraction(1, 2), Fraction(1, 6)])  # (3 + x) / 6
+        s, t = Poly([0, Fraction(1, 2), 1]), Poly([Fraction(-1, 2), 0, 1])
+        third, neg, neg_div = Fraction(1, 3), Fraction(-3, 4), Fraction(-6, 5)
+        cases = [
+            (p * q, reference_mul(p, q), (1, 4, 4), 6),  # both denominators cancel
+            (r * Poly([6, 4]), reference_mul(r, Poly([6, 4])), (9, 9, 2), 3),  # one of them
+            (p * neg, reference_scale(p, neg), (-1, -2), 6),
+            (neg * p, reference_scale(p, neg), (-1, -2), 6),
+            (p / neg_div, reference_scalar_div(p, neg_div), (-5, -10), 27),
+            (p * 0, reference_scale(p, 0), (), 1),
+            (0 * p, reference_scale(p, 0), (), 1),
+            (third - p, reference_sub(Poly([third]), p), (1, -4), 9),
+            (s - t, reference_sub(s, t), (1, 1), 2),  # the leads cancel
+        ]
+        for got, reference, nums, den in cases:
+            assert assert_canonical(got) == reference
+            assert (got.nums, got.den) == (nums, den)
+        for zero in (0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError, match="division by zero"):
+                p / zero
+
 
 class TestOperandProtocol:
     """An unsupported operand gives Python's own TypeError, not an internal error."""
