@@ -123,6 +123,7 @@ def _degree_law(m1: int, ys: Sequence[Poly]) -> Tuple[int, Fraction]:
 def degree_of_P_check(cfg: SobolevConfig, sys: ZSystem) -> bool:
     """Degree law for the system's P: exact when the generic lead is nonzero
     (the block degrees are distinct)."""
+    sys.check_config(cfg)
     p = sys.P
     d, lead = _degree_law(cfg.m1, sys.Y)
     if lead == 0:

@@ -11,15 +11,14 @@ at +1. One routine, `_endpoint_block`, builds the -1 block; the +1 block is
 the -1 block of the problem mirrored by x -> -x, which swaps alpha and beta,
 m1 and m2, and sends N to ((-1)^(i+k) N[i][k]).
 
-With alpha and beta integers, every factor of the Pochhammer blocks behind
-z_l, and of p, q and the rho entries, is a linear polynomial with an int
-constant. Each of these products is one int-list product
-(`exactmath._int_product`), and each z_l is one int combination of its blocks
-over the lcm of its weights' denominators; the weights are int pairs read off
-the mass rows. Y_l is read from z_l by the parity test of
-`exactmath.to_theta_basis`, which also checks that z_l is a polynomial in
-theta_x. p and q are checked at n = 0..deg against a scalar evaluation of
-their shifted-factorial and sigma forms.
+The blocks behind z_l, p, q and the rho entries are products of Pochhammer
+symbols (x+c)_k, and (2x+c)_k for q, each one `exactmath.pochhammer` call, with
+their signs as scalar factors. Each z_l is one `exactmath._combination` of its
+blocks with Fraction weights read off the mass rows, and q_n one of the Jacobi
+polynomials with its minor values as weights. Y_l is read from z_l by the
+parity test of `exactmath.to_theta_basis`, which also checks that z_l is a
+polynomial in theta_x. p and q are checked at n = 0..deg against a scalar
+evaluation of their shifted-factorial and sigma forms.
 
 q_n's weights are the maximal minors of one bordered Casorati matrix
 [rho^h_{x,r} z_h(x-r)], r = 0..m, minor j without column j. Its columns 1..m
@@ -52,9 +51,7 @@ from .exactmath import (
     NotInvariantError,
     Poly,
     RationalFunction,
-    _exact,
-    _int_product,
-    _num_den,
+    _combination,
     _wrap_rf,
     pochhammer,
     to_theta_basis,
@@ -158,56 +155,27 @@ class ZSystem(Frozen):
         )
 
 
-def _scalar(value):
-    """An exact scalar as an int when it is integral, else as a Fraction; a float is refused."""
-    value = _exact(value)
-    return value.numerator if value.denominator == 1 else value
-
-
-def _linear_product(constants, lead: int = 1, sign: int = 1) -> Poly:
-    """sign * prod (lead x + c) over the rational constants c: for c = u/v the
-    factor is (lead v x + u) / v, so the product is one int-list product."""
-    factors, den = [], sign
-    for c in constants:
-        u, v = _num_den(c)
-        factors.append([u, lead * v])
-        den *= v
-    return _int_product(factors, den)
-
-
-def _combination(terms) -> Poly:
-    """sum n u / d over the (n, d, u) triples of ints n and d > 0 and Polys u: one
-    int linear combination over the lcm of the d u.den."""
-    den = math.lcm(*[d * u.den for _, d, u in terms])
-    acc = [0] * max(len(u.nums) for _, _, u in terms)
-    for n, d, u in terms:
-        k = n * (den // (d * u.den))
-        for i, c in enumerate(u.nums):
-            acc[i] += k * c
-    return Poly._from_ints(acc, den)
-
-
 def _u_polys(alpha: int, beta: int, lam: int, j: int) -> Poly:
-    """The degree-2j building block (x+a-lam+1)_j (x+b+lam-j+1)_j, in x: one int-list
-    product. It is the product of the theta_x + (a-lam+i)(b+lam-i+1), i = 1..j, so it
-    and every combination of such blocks is a polynomial in theta_x."""
-    return _linear_product([alpha - lam + 1 + k for k in range(j)] + [beta + lam - j + 1 + k for k in range(j)])
+    """The degree-2j building block (x+a-lam+1)_j (x+b+lam-j+1)_j, in x. It is the product
+    of the theta_x + (a-lam+i)(b+lam-i+1), i = 1..j, so it and every combination of such
+    blocks is a polynomial in theta_x."""
+    return pochhammer(X + (alpha - lam + 1), j) * pochhammer(X + (beta + lam - j + 1), j)
 
 
 def build_p(alpha, beta, m1: int, m2: int) -> Poly:
     """p = prod_{i=1}^{m1-1} (-1)^(m1-i) (x+a-m+1)_{m1-i} (x+b-m1+i)_{m1-i}, checked at
     n = 0..deg p against the shifted factorials (-1)^j (n-m2-i-j+a+1)_j (n-j+b)_j, j = m1-i."""
-    a, b, m = _scalar(alpha), _scalar(beta), m1 + m2
-    p = _linear_product(
-        [c + k for i in range(1, m1) for c in (a - m + 1, b - m1 + i) for k in range(m1 - i)],
-        sign=(-1) ** math.comb(m1, 2),
+    m = m1 + m2
+    p = (-1) ** math.comb(m1, 2) * math.prod(
+        (pochhammer(X + (alpha - m + 1), m1 - i) * pochhammer(X + (beta - m1 + i), m1 - i) for i in range(1, m1)),
+        start=ONE,
     )
 
     def at(n: int) -> Fraction:
         value = 1
         for i in range(1, m1):
             j = m1 - i
-            value *= (-1) ** j * pochhammer(n - m2 - i - j + a + 1, j) * pochhammer(n - j + b, j)
+            value *= (-1) ** j * pochhammer(n - m2 - i - j + alpha + 1, j) * pochhammer(n - j + beta, j)
         return value
 
     degree = m1 * (m1 - 1)
@@ -218,17 +186,18 @@ def build_p(alpha, beta, m1: int, m2: int) -> Poly:
 
 def build_q(alpha, beta, m: int) -> Poly:
     """q = (-1)^C(m,2) prod_{h=1}^{m-1} prod_{i=1}^h (2x+a+b-2m+i+h), checked at n = 0..deg q
-    against the sigma form prod sigma_{n-m+(i+h+1)/2}, sigma_y = 2y+a+b-1."""
-    a, b = _scalar(alpha), _scalar(beta)
+    against the sigma form prod sigma_{n-m+(i+h+1)/2}, sigma_y = 2y+a+b-1. The inner product
+    over i is (2x+a+b-2m+h+1)_h."""
+    s = alpha + beta
     sign = (-1) ** math.comb(m, 2)
-    q = _linear_product([a + b - 2 * m + i + h for h in range(1, m) for i in range(1, h + 1)], lead=2, sign=sign)
+    q = sign * math.prod((pochhammer(2 * X + (s - 2 * m + h + 1), h) for h in range(1, m)), start=ONE)
 
     def at(n: int) -> Fraction:
         value = sign
         for h in range(1, m):
             for i in range(1, h + 1):
                 two_y = 2 * (n - m) + i + h + 1  # sigma_y = 2y + a + b - 1
-                value *= two_y + a + b - 1
+                value *= two_y + s - 1
         return value
 
     degree = math.comb(m, 2)
@@ -242,11 +211,10 @@ def rho_table(a, b, m1: int, m: int) -> Tuple[Tuple[RationalFunction, ...], ...]
     (-1)^(m-j) Gamma(x+a-j+1) Gamma(x+b) / (Gamma(x+a-m+1) Gamma(x+b-j+1)), which telescopes
     to (-1)^(m-j) (x+a-m+1)_{m-j} (x+b-j+1)_{j-1} for j >= 1 and (-1)^m (x+a-m+1)_m / (x+b).
     Only the j = 0 entry has a denominator to reduce; the others are polynomials."""
-    a, b = _scalar(a), _scalar(b)
-    first = [RationalFunction(_linear_product([a - m + 1 + k for k in range(m)], sign=(-1) ** m), X + b)]
+    first = [RationalFunction((-1) ** m * pochhammer(X + (a - m + 1), m), X + b)]
     for j in range(1, m + 1):
-        constants = [a - m + 1 + k for k in range(m - j)] + [b - j + 1 + k for k in range(j - 1)]
-        first.append(_wrap_rf(_linear_product(constants, sign=(-1) ** (m - j)), ONE))
+        entry = (-1) ** (m - j) * pochhammer(X + (a - m + 1), m - j) * pochhammer(X + (b - j + 1), j - 1)
+        first.append(_wrap_rf(entry, ONE))
     ones = (RationalFunction(ONE),) * (m + 1)
     return (tuple(first),) * m1 + (ones,) * (m - m1)
 
@@ -266,30 +234,25 @@ def _endpoint_block(alpha: int, beta: int, m1: int, m2: int, masses) -> List[Pol
 
     z_l = front_l u(alpha, m1-l) + sum_i w_li u(0, beta+i), with u(lam, j) the `_u_polys`
     block, front_l = 2^(alpha+beta-m1+l) (beta-m1+l-1)! / (m1-l)! and
-    w_li = 2^m2 sum_j C(m2, j-l) (j-1)! M[i][j-1] / ((-2)^(i+j-l) (beta+i)!), j = l..min(l+m2, m1).
-    Each weight is an int pair, mass row i read as ints r_ik over their lcm L_i:
-    (-2)^-(i+j-l) = (-1)^(i+j-l) 2^(m1-j) / 2^(i+m1-l). The lam = 0 blocks do not
-    depend on l and are built once."""
-    rows = []
-    for masses_i in masses:
-        lcm = math.lcm(*[c.denominator for c in masses_i])
-        rows.append(([c.numerator * (lcm // c.denominator) for c in masses_i], lcm))
-    weights = []
-    for l in range(1, m1 + 1):
-        row = []
-        for i, (r, lcm) in enumerate(rows):
-            total = sum(
-                math.comb(m2, j - l) * math.factorial(j - 1) * (-1) ** (i + j - l) * 2 ** (m1 - j) * r[j - 1]
+    w_li = 2^m2 sum_j C(m2, j-l) (j-1)! M[i][j-1] / ((-2)^(i+j-l) (beta+i)!), j = l..min(l+m2, m1),
+    each weight a Fraction. The lam = 0 blocks do not depend on l and are built once."""
+    weights = [
+        [
+            sum(
+                Fraction(math.comb(m2, j - l) * math.factorial(j - 1) * 2**m2, (-2) ** (i + j - l)) * row[j - 1]
                 for j in range(l, min(l + m2, m1) + 1)
             )
-            row.append((2**m2 * total, lcm * 2 ** (i + m1 - l) * math.factorial(beta + i)))
-        weights.append(row)
-    shared = [_u_polys(alpha, beta, 0, beta + i) if any(row[i][0] for row in weights) else None for i in range(m1)]
+            / math.factorial(beta + i)
+            for i, row in enumerate(masses)
+        ]
+        for l in range(1, m1 + 1)
+    ]
+    shared = [_u_polys(alpha, beta, 0, beta + i) if any(row[i] for row in weights) else None for i in range(m1)]
     zs: List[Poly] = []
     for l, row in enumerate(weights, 1):
-        front = 2 ** (alpha + beta - m1 + l) * math.factorial(beta - m1 + l - 1), math.factorial(m1 - l)
-        terms = [(*front, _u_polys(alpha, beta, alpha, m1 - l))]
-        zs.append(_combination(terms + [(n, d, u) for (n, d), u in zip(row, shared) if n]))
+        front = Fraction(2 ** (alpha + beta - m1 + l) * math.factorial(beta - m1 + l - 1), math.factorial(m1 - l))
+        terms = [(front, _u_polys(alpha, beta, alpha, m1 - l))]
+        zs.append(_combination(terms + [(w, u) for w, u in zip(row, shared) if w]))
     return zs
 
 
@@ -321,11 +284,12 @@ def casorati_lambda(sys: ZSystem, cfg: SobolevConfig, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    sys.check_config(cfg)
     return sys.P(n)
 
 
 def sobolev_poly(sys: ZSystem, cfg: SobolevConfig, n: int) -> Poly:
-    """q_n = sum_j (minor j quotient) J_(n-j), from the bordered determinant: one int `_combination`."""
+    """q_n = sum_j (minor j quotient) J_(n-j), from the bordered determinant: one `_combination`."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     sys.check_config(cfg)
@@ -351,7 +315,7 @@ def sobolev_poly(sys: ZSystem, cfg: SobolevConfig, n: int) -> Poly:
             except ZeroDivisionError as exc:
                 what = f"the reduced minor {j} quotient is regular at n={n}"
                 raise IdentityCheckFailed("sobolev_poly", what) from exc
-    result = _combination([(v.numerator, v.denominator, jacobi_poly(ctx, n - j)) for j, v in enumerate(values) if v])
+    result = _combination([(v, jacobi_poly(ctx, n - j)) for j, v in enumerate(values) if v])
     if result.degree != n:
         raise IdentityCheckFailed("sobolev_poly", f"deg q_{n} = {n}")
     sys.q_polys[n] = result

@@ -296,11 +296,13 @@ class OperatorBundle(NamedTuple):
 
 def _omega(cfg, sys) -> RationalFunction:
     """Omega = det E = P p q / n2^m1, held on the system (see `construct.ZSystem.omega`)."""
+    sys.check_config(cfg)
     return sys.omega
 
 
 def default_s(cfg, sys) -> RationalFunction:
     """sigma_{x-(m-1)/2} Xi(x) ((x+beta-m+1)_{m-1})^m1 / (p(x) q(x))."""
+    sys.check_config(cfg)
     a, b, m = Fraction(cfg.alpha), Fraction(cfg.beta), cfg.m
     sigma = Poly([a + b - m, 2])  # 2x + a + b - m
     return RationalFunction(sigma * cfg.xi * sys.clearing, sys.p * sys.q)
@@ -308,7 +310,6 @@ def default_s(cfg, sys) -> RationalFunction:
 
 def build_bundle(cfg, sys, custom_s: Optional[RationalFunction] = None) -> OperatorBundle:
     """Run the operator pipeline; verify the three assumptions exactly."""
-    sys.check_config(cfg)
     a, b = Fraction(cfg.alpha), Fraction(cfg.beta)
     m, m1 = cfg.m, cfg.m1
     ctx = JacobiContext(a, b)

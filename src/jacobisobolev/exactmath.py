@@ -10,11 +10,12 @@ Division and the gcd share one kernel, the integer pseudo-division
 `_pseudo_divide` (Knuth, TAOCP vol. 2, 4.6.1).
 
 Beyond the basic rings this module provides the structural transforms the
-rest of the package is built on: Pochhammer products, the discrete
-anti-difference and the change of basis into powers of
-``theta_x = x (x + s + 1)``. Whether a polynomial is invariant or skew under
-the reflection ``x -> -(x + s + 1)`` is read from its parity in
-``y = x + (s + 1)/2``, in which the reflection is ``y -> -y``.
+rest of the package is built on: Pochhammer products, linear combinations
+with rational weights (`_combination`), the discrete anti-difference and the
+change of basis into powers of ``theta_x = x (x + s + 1)``. Whether a
+polynomial is invariant or skew under the reflection ``x -> -(x + s + 1)`` is
+read from its parity in ``y = x + (s + 1)/2``, in which the reflection is
+``y -> -y``.
 
 A float is refused wherever a scalar enters (`_exact`), not read as its
 binary value.
@@ -476,15 +477,6 @@ def _convolve(a, b) -> list:
     return out
 
 
-def _int_product(factors: Iterable[Sequence[int]], den: int) -> Poly:
-    """The polynomial prod(factors) / den, for nonempty int coefficient lists
-    and an int den != 0: one `_convolve` fold and one reduction."""
-    acc = [1]
-    for factor in factors:
-        acc = _convolve(acc, factor)
-    return Poly._from_ints(acc, den)
-
-
 def _primitive_ints(ints):
     """The integer list divided by its content (the gcd of its entries)."""
     g = math.gcd(*ints)
@@ -667,15 +659,31 @@ def pochhammer(base, count: int):
     if count < 0:
         raise ValueError("pochhammer count must be nonnegative")
     if isinstance(base, Poly):
-        # base + i = (nums + i den) / den: ints over one denominator den^count
+        # base + i = (nums + i den) / den: one int product over one denominator den^count
         nums, den = list(base.nums) or [0], base.den
-        return _int_product([[nums[0] + i * den, *nums[1:]] for i in range(count)], den**count)
+        acc = [1]
+        for i in range(count):
+            acc = _convolve(acc, [nums[0] + i * den, *nums[1:]])
+        return Poly._from_ints(acc, den**count)
     # base = u/v: the product of the u + i v over v^count
     u, v = _num_den(base)
     result = 1
     for i in range(count):
         result *= u + i * v
     return Fraction(result, v**count)
+
+
+def _combination(terms) -> Poly:
+    """sum w u over the (w, u) pairs of exact rational weights w and Polys u: one int
+    linear combination over the lcm of the products w.denominator * u.den, reduced once."""
+    scaled = [(*_num_den(w), u) for w, u in terms]
+    den = math.lcm(*[v * u.den for _, v, u in scaled])
+    acc = [0] * max(len(u.nums) for _, _, u in scaled)
+    for n, v, u in scaled:
+        k = n * (den // (v * u.den))
+        for i, c in enumerate(u.nums):
+            acc[i] += k * c
+    return Poly._from_ints(acc, den)
 
 
 def anti_difference(f: Poly) -> Poly:

@@ -227,15 +227,25 @@ class TestBuildZ:
         ids=["p", "q", "p at a = 7/2"],
     )
     def test_one_factor_constant_off_by_one_raises(self, monkeypatch, build, index):
-        # the scalar check does not share the product's factor list
-        real = construct._linear_product
+        # the scalar check at n = 0..deg does not go through the product's Poly-base
+        # pochhammer calls: shifting the base of the first or the last one by one must raise
+        real = construct.pochhammer
+        calls = []
 
-        def off_by_one(constants, *args, **kwargs):
-            constants = list(constants)
-            constants[index] += 1
-            return real(constants, *args, **kwargs)
+        def counting(base, count):
+            calls.append(isinstance(base, Poly))
+            return real(base, count)
 
-        monkeypatch.setattr(construct, "_linear_product", off_by_one)
+        monkeypatch.setattr(construct, "pochhammer", counting)
+        build()
+        target = [k for k, poly_base in enumerate(calls) if poly_base][index]
+        calls.clear()
+
+        def off_by_one(base, count):
+            calls.append(isinstance(base, Poly))
+            return real(base + 1 if len(calls) - 1 == target else base, count)
+
+        monkeypatch.setattr(construct, "pochhammer", off_by_one)
         with pytest.raises(IdentityCheckFailed) as info:
             build()
         assert info.value.stage == "build_z"
@@ -410,6 +420,28 @@ class TestPerConfigMemos:
         # an equal config built separately, as each CLI run parses its own, is the same problem
         twin = SobolevConfig(alpha=2, beta=1, m1=1, m2=1, M=[[1]], N=[[2]])
         assert twin is not a and sobolev_poly(build_z(twin), twin, 4) is q4
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda system, cfg: casorati_lambda(system, cfg, 3),
+            lambda system, cfg: diffop._omega(cfg, system),
+            lambda system, cfg: diffop.default_s(cfg, system),
+            lambda system, cfg: certify.degree_of_P_check(cfg, system),
+        ],
+        ids=["casorati_lambda", "_omega", "default_s", "degree_of_P_check"],
+    )
+    def test_every_system_reader_refuses_another_configuration(self, monkeypatch, run):
+        # each would read a's values as b's: casorati_lambda(build_z(a), b, 3) returned a's 8320,
+        # where b's Lambda(3) is 1388288
+        monkeypatch.setattr(construct, "_ZSYS_CACHE", {})
+        a = SobolevConfig(alpha=2, beta=1, m1=1, m2=1, M=[[1]], N=[[2]])
+        b = SobolevConfig(alpha=3, beta=2, m1=1, m2=1, M=[[1]], N=[[2]])
+        with pytest.raises(ValueError) as refused:
+            run(build_z(a), b)
+        assert type(refused.value) is ValueError
+        assert str(refused.value) == f"a system built for {a!r} was handed {b!r}"
+        assert casorati_lambda(build_z(a), a, 3) == 8320 and casorati_lambda(build_z(b), b, 3) == 1388288
 
     def test_swapped_rows_get_their_own_values(self):
         # z_1 and z_2 share their rho row, so swapping them negates every

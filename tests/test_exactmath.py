@@ -43,6 +43,7 @@ from jacobisobolev.exactmath import (
     NotSkewError,
     Poly,
     RationalFunction,
+    _combination,
     anti_difference,
     divide_skew_by_sigma,
     falling_binomial,
@@ -287,6 +288,16 @@ class TestIntegerLayout:
         else:
             with pytest.raises(ZeroDivisionError):
                 p / c
+
+    @given(st.lists(st.tuples(scalars, kernel_operands), min_size=1, max_size=4))
+    @example([(Fraction(-3, 4), Poly([Fraction(2, 3), 1])), (Fraction(5, 6), Poly([Fraction(1, 5)])), (-2, ONE)])
+    @example([(Fraction(1, 2), Poly([1, 1])), (Fraction(-1, 2), Poly([1, 1]))])  # the terms cancel
+    @settings(max_examples=200, deadline=None)
+    def test_combination(self, terms):
+        want = ZERO
+        for w, u in terms:
+            want = reference_add(want, reference_scale(u, w))
+        assert assert_canonical(_combination(terms)) == want
 
     @given(kernel_operands, divisors)
     @example(Poly([-1, 0, 0, 0, 1]), Poly([-1, 0, 1]))  # quotient x^2 + 1: a zero step in the loop
