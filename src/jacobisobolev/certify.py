@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .construct import ZSystem, _assemble, build_z
+from .construct import ZSystem, _shape, build_z
 from .exactmath import X, Poly, _exact, falling_binomial, pochhammer, theta_poly
 from .jacobi import JacobiContext, jacobi_poly
 from .sobolev import SobolevConfig, bilinear, bilinear_monomials
@@ -103,7 +103,7 @@ def p_from_y_tuple(alpha, beta, m1: int, m2: int, ys: Sequence[Poly]) -> Tuple[P
     if len(ys) != m1 + m2:
         raise ValueError("need one Y polynomial per row")
     theta = theta_poly(a, b)
-    return (_assemble(a, b, m1, m2, [y(theta) for y in ys], ys).P,) + _degree_law(m1, ys)
+    return (_shape(a, b, m1, m2).assemble([y(theta) for y in ys], ys).P,) + _degree_law(m1, ys)
 
 
 def _degree_law(m1: int, ys: Sequence[Poly]) -> Tuple[int, Fraction]:

@@ -20,6 +20,14 @@ parity test of `exactmath.to_theta_basis`, which also checks that z_l is a
 polynomial in theta_x. p and q are checked at n = 0..deg against a scalar
 evaluation of their shifted-factorial and sigma forms.
 
+p, q, the rho table and the Pochhammer blocks depend only on the shape
+(alpha, beta, m1, m2); the masses enter only as the weights of the blocks.
+`_ZSYS_CACHE` holds one `_Shape` per shape, which builds p, q and rho once,
+each block on first request, and holds the shape's systems by configuration.
+These parts are immutable and every system of the shape shares them by
+identity. Per configuration `build_z` computes only the mass weights, the
+combinations, the parity test of each z_l and the system itself.
+
 q_n's weights are the maximal minors of one bordered Casorati matrix
 [rho^h_{x,r} z_h(x-r)], r = 0..m, minor j without column j. Its columns 1..m
 are the polynomial Casorati matrix C, and Lambda(n) = P(n) with P = det C
@@ -219,23 +227,47 @@ def rho_table(a, b, m1: int, m: int) -> Tuple[Tuple[RationalFunction, ...], ...]
     return (tuple(first),) * m1 + (ones,) * (m - m1)
 
 
-def _assemble(alpha, beta, m1: int, m2: int, zs, ys) -> ZSystem:
-    """The ZSystem of the z_l and Y_l with the p, q and rho of (alpha, beta, m1, m2)."""
-    p, q = build_p(alpha, beta, m1, m2), build_q(alpha, beta, m1 + m2)
-    return ZSystem(z=tuple(zs), Y=tuple(ys), p=p, q=q, rho=rho_table(alpha, beta, m1, m1 + m2))
+class _Shape:
+    """The parts shared by every system of one shape (alpha, beta, m1, m2): p, q and the rho
+    table, built once, the `_u_polys` blocks by (a, b, lam, j), each built on first request,
+    and the shape's systems by configuration."""
+
+    def __init__(self, alpha, beta, m1: int, m2: int):
+        self.p, self.q = build_p(alpha, beta, m1, m2), build_q(alpha, beta, m1 + m2)
+        self.rho = rho_table(alpha, beta, m1, m1 + m2)
+        self.blocks: Dict[tuple, Poly] = {}
+        self.systems: Dict[SobolevConfig, ZSystem] = {}
+
+    def block(self, a, b, lam: int, j: int) -> Poly:
+        block = self.blocks.get((a, b, lam, j))
+        if block is None:
+            block = self.blocks[a, b, lam, j] = _u_polys(a, b, lam, j)
+        return block
+
+    def assemble(self, zs, ys) -> ZSystem:
+        """The ZSystem of the z_l and Y_l with this shape's p, q and rho."""
+        return ZSystem(z=tuple(zs), Y=tuple(ys), p=self.p, q=self.q, rho=self.rho)
 
 
-_ZSYS_CACHE: Dict[SobolevConfig, ZSystem] = {}
+_ZSYS_CACHE: Dict[tuple, _Shape] = {}
 
 
-def _endpoint_block(alpha: int, beta: int, m1: int, m2: int, masses) -> List[Poly]:
+def _shape(alpha, beta, m1: int, m2: int) -> _Shape:
+    """The `_ZSYS_CACHE` entry of (alpha, beta, m1, m2), built on first request."""
+    shape = _ZSYS_CACHE.get((alpha, beta, m1, m2))
+    if shape is None:
+        shape = _ZSYS_CACHE[alpha, beta, m1, m2] = _Shape(alpha, beta, m1, m2)
+    return shape
+
+
+def _endpoint_block(shape: _Shape, alpha: int, beta: int, m1: int, m2: int, masses) -> List[Poly]:
     """z_l, l = 1..m1: the rows of the m1 jets at -1 against the mass matrix;
     called on the mirrored problem, the rows of the jets at +1.
 
     z_l = front_l u(alpha, m1-l) + sum_i w_li u(0, beta+i), with u(lam, j) the `_u_polys`
     block, front_l = 2^(alpha+beta-m1+l) (beta-m1+l-1)! / (m1-l)! and
     w_li = 2^m2 sum_j C(m2, j-l) (j-1)! M[i][j-1] / ((-2)^(i+j-l) (beta+i)!), j = l..min(l+m2, m1),
-    each weight a Fraction. The lam = 0 blocks do not depend on l and are built once."""
+    each weight a Fraction. The blocks come from the shape's entry."""
     weights = [
         [
             sum(
@@ -247,32 +279,34 @@ def _endpoint_block(alpha: int, beta: int, m1: int, m2: int, masses) -> List[Pol
         ]
         for l in range(1, m1 + 1)
     ]
-    shared = [_u_polys(alpha, beta, 0, beta + i) if any(row[i] for row in weights) else None for i in range(m1)]
+    shared = [shape.block(alpha, beta, 0, beta + i) if any(row[i] for row in weights) else None for i in range(m1)]
     zs: List[Poly] = []
     for l, row in enumerate(weights, 1):
         front = Fraction(2 ** (alpha + beta - m1 + l) * math.factorial(beta - m1 + l - 1), math.factorial(m1 - l))
-        terms = [(front, _u_polys(alpha, beta, alpha, m1 - l))]
+        terms = [(front, shape.block(alpha, beta, alpha, m1 - l))]
         zs.append(_combination(terms + [(w, u) for w, u in zip(row, shared) if w]))
     return zs
 
 
 def build_z(cfg: SobolevConfig) -> ZSystem:
     """Assemble z_l, Y_l, p, q and the rho table for a configuration, recorded on the
-    system as its ``config``. Each Y_l is read off z_l by the parity test of
-    `to_theta_basis`, which raises unless z_l is a polynomial in theta_x."""
-    cached = _ZSYS_CACHE.get(cfg)
+    system as its ``config``; p, q, rho and the blocks come from the shape's entry. Each
+    Y_l is read off z_l by the parity test of `to_theta_basis`, which raises unless z_l
+    is a polynomial in theta_x."""
+    alpha, beta, m1, m2 = cfg.alpha, cfg.beta, cfg.m1, cfg.m2
+    shape = _shape(alpha, beta, m1, m2)
+    cached = shape.systems.get(cfg)
     if cached is not None:
         return cached
-    m1, m2 = cfg.m1, cfg.m2
     mirrored = [[(-1) ** (i + k) * c for k, c in enumerate(row)] for i, row in enumerate(cfg.N)]
-    zs = _endpoint_block(cfg.alpha, cfg.beta, m1, m2, cfg.M) + _endpoint_block(cfg.beta, cfg.alpha, m2, m1, mirrored)
+    zs = _endpoint_block(shape, alpha, beta, m1, m2, cfg.M) + _endpoint_block(shape, beta, alpha, m2, m1, mirrored)
     try:
-        ys = [to_theta_basis(z, cfg.alpha, cfg.beta) for z in zs]
+        ys = [to_theta_basis(z, alpha, beta) for z in zs]
     except NotInvariantError as exc:
         raise IdentityCheckFailed("build_z", "z_l is a polynomial in theta_x") from exc
-    system = _assemble(cfg.alpha, cfg.beta, m1, m2, zs, ys)
+    system = shape.assemble(zs, ys)
     object.__setattr__(system, "config", cfg)
-    _ZSYS_CACHE[cfg] = system
+    shape.systems[cfg] = system
     return system
 
 

@@ -661,9 +661,12 @@ class TestIdentityChecks:
 
     def test_module_level_caches_pinned(self):
         # every per-config value lives on its ZSystem or, for the Gram table of
-        # the form B, on its SobolevConfig; the Jacobi family cache is keyed by
-        # (alpha, beta) and shared across configs, and the weight moments that
-        # the table needs come from their recurrence, uncached
+        # the form B, on its SobolevConfig; the systems cache is keyed by shape
+        # (alpha, beta, m1, m2), and each entry holds the shape's p, q, rho and
+        # Pochhammer blocks, shared by its configs, and its systems by config;
+        # the Jacobi family cache is keyed by (alpha, beta) and shared across
+        # configs, and the weight moments that the table needs come from their
+        # recurrence, uncached
         package = Path(jacobisobolev.__file__).parent
         found = set()
         for path in sorted(package.glob("*.py")):

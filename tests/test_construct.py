@@ -106,8 +106,8 @@ GOLDEN_BUNDLE_SHA256 = {
 
 class TestGoldenDigest:
     @pytest.mark.parametrize("shape", list(GOLDEN_BUILD_Z_SHA256), ids=str)
-    def test_build_z_c_and_p_digest(self, shape):
-        construct._ZSYS_CACHE.pop(baseline_config(shape), None)  # built here, not by an earlier test
+    def test_build_z_c_and_p_digest(self, shape, monkeypatch):
+        monkeypatch.setattr(construct, "_ZSYS_CACHE", {})  # built here, shape parts too, not by an earlier test
         assert build_z_digest(shape) == GOLDEN_BUILD_Z_SHA256[shape]
 
     @pytest.mark.parametrize("shape", list(GOLDEN_BUNDLE_SHA256), ids=str)
@@ -358,6 +358,51 @@ class TestSobolevPoly:
 
 
 CACHED = ("bordered", "C", "P", "quotients", "clearing", "omega", "cofactors")  # the ZSystem values built on first use
+
+
+SHAPE_BUILDERS = ("build_p", "build_q", "rho_table", "_u_polys")  # what only the shape decides
+# two configs of the shape (3, 2, 2, 1); every mass row of the first is nonzero, so it asks for every block
+FIRST = SobolevConfig(alpha=3, beta=2, m1=2, m2=1, M=[[1, 2], [-1, 1]], N=[[2]])
+SECOND = SobolevConfig(alpha=3, beta=2, m1=2, m2=1, M=[[Fraction(1, 2), 0], [0, -2]], N=[[-1]])
+
+
+class TestShapeParts:
+    def test_second_config_of_a_shape_builds_no_shape_part(self, monkeypatch):
+        monkeypatch.setattr(construct, "_ZSYS_CACHE", {})
+        mirrored = SobolevConfig(alpha=2, beta=3, m1=1, m2=2, M=FIRST.N, N=FIRST.M)
+        sys_first = build_z(FIRST)
+        calls = []
+        for name in SHAPE_BUILDERS:
+            real = getattr(construct, name)
+            monkeypatch.setattr(construct, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        sys_second = build_z(SECOND)
+        assert calls == []
+        assert sys_second.p is sys_first.p and sys_second.q is sys_first.q and sys_second.rho is sys_first.rho
+        assert sys_second.z != sys_first.z
+        # the mirrored shape (beta, alpha, m2, m1) is another shape, with parts of its own
+        sys_mirrored = build_z(mirrored)
+        assert set(calls) == set(SHAPE_BUILDERS)
+        assert sys_mirrored.p is not sys_first.p and sys_mirrored.rho is not sys_first.rho
+        # each system equals one built from an empty cache
+        for cfg, system in ((FIRST, sys_first), (SECOND, sys_second), (mirrored, sys_mirrored)):
+            monkeypatch.setattr(construct, "_ZSYS_CACHE", {})
+            fresh = build_z(cfg)
+            assert fresh == system and fresh is not system
+
+    def test_warm_shape_still_checks_each_config(self, monkeypatch):
+        # a z_l plus x is no polynomial in theta_x: the parity test runs per config, not per shape
+        monkeypatch.setattr(construct, "_ZSYS_CACHE", {})
+        sys_good = build_z(FIRST)
+        real = construct._combination
+        perturbed = []
+        monkeypatch.setattr(construct, "_combination", lambda terms: perturbed.append(1) or real(terms) + X)
+        with pytest.raises(IdentityCheckFailed) as info:
+            build_z(SECOND)
+        assert perturbed and info.value.stage == "build_z"
+        assert set(construct._ZSYS_CACHE[3, 2, 2, 1].systems) == {FIRST}
+        assert build_z(FIRST) is sys_good
+        monkeypatch.setattr(construct, "_combination", real)
+        assert_z_matches_reference(SECOND)
 
 
 class TestPerConfigMemos:

@@ -4,7 +4,7 @@
 
 Run it from anywhere; ``--src`` (default: the ``src`` beside this directory)
 names the package tree to measure, so one copy of this script can time two
-trees. It writes three parts under ``--label`` in ``--out``, keeping the
+trees. It writes four parts under ``--label`` in ``--out``, keeping the
 other labels already there, so that one file holds a before and an after:
 
 - ``shapes``: each shape of ``SHAPES`` with m <= ``--m-max`` (4..10, default
@@ -21,6 +21,13 @@ other labels already there, so that one file holds a before and an after:
   ``quotients`` times only its determinants. Then ``cli.main`` writes the
   ``construct --nmax 32``, ``verify`` and ``operator --nmax 8`` reports,
   whose exit codes and sha256 are recorded, and the process's peak RSS.
+- ``screen``: each shape of ``SHAPES`` with m <= min(``--m-max``, 6) runs in
+  a fresh process that builds ``SCREEN_CONFIGS`` random-mass configs of the
+  shape (`random_config`, seeded by the shape and the config's index) and
+  Lambda(0..8) of each, as the set-up screen of the benchmark does. It records
+  the wall and CPU time of ``build_z`` and of Lambda(0..8) for the first config,
+  which builds the shape's parts, and their medians over the others, which
+  reuse them, and the sha256 of every config's P.
 - ``budget``: ``--repeats`` cold processes each of one construct-deep op
   (``construct --nmax 32`` at (3,2,2,1)) and one operator-high-order op
   (``operator --nmax 8`` at (4,3,2,1), order 22), run as ``python -m
@@ -28,9 +35,10 @@ other labels already there, so that one file holds a before and an after:
   wall time splits into start-up plus import (spawn to ``main``), ``main``,
   and exit (``main`` returned to process end, through ``sys.exit``). Child CPU
   time and peak RSS come from ``wait4``. Medians and every run are recorded.
-- ``mismatches``: the reports whose exit code or sha256 differs from the one
-  in ``RECORDED``, taken on the tree before the changes they guard. The file is
-  written either way, and the run exits 1 unless the list is empty.
+- ``mismatches``: the reports whose exit code or sha256, and the screens whose
+  sha256 of P, differ from the one in ``RECORDED``, taken on the tree before
+  the changes they guard. The file is written either way, and the run exits 1
+  unless the list is empty.
 """
 
 from __future__ import annotations
@@ -54,6 +62,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHAPES = [(3, 3, 2, 2), (4, 4, 3, 2), (4, 4, 3, 3), (5, 5, 4, 3), (6, 6, 4, 4), (6, 6, 5, 4), (7, 7, 5, 5)]
 # the shapes up to this m also run on random masses (`random_config`)
 RANDOM_M_MAX = 8
+# the screen part: the shapes up to this m, each with this many random-mass configs
+SCREEN_M_MAX = 6
+SCREEN_CONFIGS = 16
+SCREEN_NMAX = 8
 REPORTS = {
     "construct": ["construct", "--nmax", "32"],
     "verify": ["verify"],
@@ -65,8 +77,13 @@ BUDGET_OPS = {
 }
 
 # (exit code, sha256) of each report; the baseline-mass ones recorded on 30f53e2, before the
-# entry point froze the collector, the random-mass ones on 73ca9db, before z_l was built in x alone
+# entry point froze the collector, the random-mass ones on 73ca9db, before z_l was built in x alone.
+# Under "<shape>/screen", the sha256 of every P of the shape's screen, recorded on d5a14c4, before
+# p, q, rho and the Pochhammer blocks were built once per shape.
 RECORDED = {
+    "3,3,2,2/screen": "accc5f568a6b36a85fd3f101980262ffb4f4df496e71734685a20a04a0f7ab56",
+    "4,4,3,2/screen": "95e6900a1d80fe2ac1394add1ee540ea3cf6776e81495813ce4c0650500b2c61",
+    "4,4,3,3/screen": "7f892d4633a3677a403ee4517a9ce79431f4fcf49fb5e9ce6add3dffee93a300",
     "3,3,2,2": {
         "construct": (0, "68c06a4fee020b42c65b748fe0975e60dfa1940b3246b762de61d428918ac8ce"),
         "verify": (0, "56694304310509addced07c2b11c9c5b14c59c45a142855c4495014019b6fa8f"),
@@ -158,11 +175,12 @@ def baseline_config(shape) -> dict:
     }
 
 
-def random_config(shape) -> dict:
+def random_config(shape, index=None) -> dict:
     """The shape with masses u/v, u in [-2, 2] and v in 1..3, drawn from a generator seeded
-    by the shape, so that every run and every tree reads the same config."""
+    by the shape (and the screen's config index, if given), so that every run and every tree
+    reads the same config."""
     alpha, beta, m1, m2 = shape
-    rng = random.Random(f"stages {key(shape)}")
+    rng = random.Random(f"stages {key(shape)}" if index is None else f"stages screen {key(shape)} {index}")
 
     def mass():
         return str(Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
@@ -255,15 +273,49 @@ def measure(config: dict) -> dict:
     }
 
 
+def screen(shape) -> dict:
+    """build_z and Lambda(0..SCREEN_NMAX) of SCREEN_CONFIGS random-mass configs of one shape,
+    in this (fresh) process: the first builds the shape's parts, the others reuse them."""
+    from jacobisobolev import SobolevConfig, build_z, casorati_lambda
+
+    configs = [SobolevConfig.from_json(random_config(shape, i)) for i in range(SCREEN_CONFIGS)]
+    runs, digest = [], hashlib.sha256()
+    for cfg in configs:
+        times = {}
+        wall, cpu = time.perf_counter(), time.process_time()
+        system = build_z(cfg)
+        times["build_z"] = (time.perf_counter() - wall, time.process_time() - cpu)
+        wall, cpu = time.perf_counter(), time.process_time()
+        for n in range(SCREEN_NMAX + 1):
+            casorati_lambda(system, cfg, n)
+        times["lambda"] = (time.perf_counter() - wall, time.process_time() - cpu)
+        runs.append(times)
+        digest.update(json.dumps(system.P.to_json()).encode() + b"\n")
+
+    def timed(pairs):
+        return {"wall_s": round(pairs[0], 6), "cpu_s": round(pairs[1], 6)}
+
+    rest = runs[1:]
+    return {
+        "configs": SCREEN_CONFIGS,
+        "first": {stage: timed(pair) for stage, pair in runs[0].items()},
+        "rest_median": {
+            stage: timed([statistics.median(r[stage][i] for r in rest) for i in (0, 1)]) for stage in runs[0]
+        },
+        "sha256": digest.hexdigest(),
+    }
+
+
 def child_env(src: str) -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def run_config(label: str, src: str) -> dict:
-    argv = [sys.executable, os.path.abspath(__file__), "--shape", label]
+def run_child(flag: str, label: str, src: str) -> dict:
+    """The JSON that this script, run with ``flag label`` in a fresh process on src, prints."""
+    argv = [sys.executable, os.path.abspath(__file__), flag, label]
     done = subprocess.run(argv, env=child_env(src), capture_output=True, text=True, check=False)
     if done.returncode != 0:
-        raise SystemExit(f"stages: config {label} exited {done.returncode}\n{done.stderr[-2000:]}")
+        raise SystemExit(f"stages: {flag} {label} exited {done.returncode}\n{done.stderr[-2000:]}")
     return json.loads(done.stdout)
 
 
@@ -322,22 +374,34 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=10, help="cold processes per budget op (0: none)")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="the package tree to measure")
     parser.add_argument("--shape", help=argparse.SUPPRESS)  # one config, in this process: JSON on stdout
+    parser.add_argument("--screen", help=argparse.SUPPRESS)  # one shape's screen, in this process
     args = parser.parse_args(argv)
     if args.shape:
         print(json.dumps(measure(config_of(args.shape))))
+        return 0
+    if args.screen:
+        print(json.dumps(screen(tuple(map(int, args.screen.split(","))))))
         return 0
     if not args.out:
         parser.error("--out is required")
 
     src = os.path.abspath(args.src)
-    result = {"python": sys.version.split()[0], "shapes": {}, "mismatches": []}
+    result = {"python": sys.version.split()[0], "shapes": {}, "screen": {}, "mismatches": []}
     for label in labels(args.m_max):
-        record = result["shapes"][label] = run_config(label, src)
+        record = result["shapes"][label] = run_child("--shape", label, src)
         line = " ".join(f"{name} {s['wall_s']:.3f}s/{s['bits']}b" for name, s in record["stages"].items())
         print(f"{label} m={record['m']}: {line}", flush=True)
         for name, report in record["reports"].items():
             if RECORDED.get(label, {}).get(name) != (report["exit"], report["sha256"]):
                 result["mismatches"].append(f"{label} {name}")
+    for shape in SHAPES:
+        if sum(shape[2:]) <= min(args.m_max, SCREEN_M_MAX):
+            record = result["screen"][key(shape)] = run_child("--screen", key(shape), src)
+            first, rest = record["first"], record["rest_median"]
+            line = " ".join(f"{stage} {first[stage]['wall_s']:.4f}s/{rest[stage]['wall_s']:.4f}s" for stage in first)
+            print(f"{key(shape)} screen, first/rest median: {line}", flush=True)
+            if RECORDED.get(f"{key(shape)}/screen") != record["sha256"]:
+                result["mismatches"].append(f"{key(shape)} screen")
     if args.repeats:
         result["budget"] = budget(src, args.repeats)
         for name, b in result["budget"].items():
