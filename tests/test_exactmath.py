@@ -179,7 +179,16 @@ class TestPoly:
         assert ZERO.gcd(c) == c.gcd(ZERO) == reference_gcd(ZERO, c) == ONE
         assert ZERO.gcd(ZERO) == reference_gcd(ZERO, ZERO) == ZERO
 
-    @given(kernel_operands, st.one_of(rationals, wide_rationals, st.integers(-50, 50)))
+    @given(
+        # polys up to degree 25 too, and shifts u/v with v <= 8
+        st.one_of(kernel_operands, st.lists(wide_rationals, min_size=1, max_size=26).map(Poly)),
+        st.one_of(
+            rationals,
+            wide_rationals,
+            st.integers(-50, 50),
+            st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 8)),
+        ),
+    )
     @settings(max_examples=200, deadline=None)
     def test_shift_and_evaluation_match_horner(self, p, c):
         assert assert_canonical(p.shift(c)) == reference_shift(p, c)
@@ -191,6 +200,7 @@ class TestPoly:
     def test_shift_and_evaluation_pinned(self, c):
         p = Poly([Fraction(1, 3), -2, 0, Fraction(5, 4), 7])
         assert p.shift(c) == reference_shift(p, c)
+        assert (p.shift(c) is p) == (c == 0)
         assert p(c) == reference_eval(p, c)
         assert ZERO.shift(c) == ZERO
         assert ZERO(c) == Fraction(0) and isinstance(ZERO(c), Fraction)
@@ -500,12 +510,79 @@ class TestDeterminant:
         assert _linalg.det(matrix) == reference_det(matrix)
 
 
+# entries of a polynomial block: zero polynomials among small and wide ones, so the rows
+# scale by unrelated lcms and some minors vanish
+block_polys = st.one_of(st.just(ZERO), small_polys, st.lists(wide_rationals, max_size=3).map(Poly))
+# a column entry of the one-column expansion: some with denominator 1
+column_rfs = st.one_of(
+    small_polys.map(RationalFunction),
+    st.builds(RationalFunction, st.lists(rationals, max_size=3).map(Poly), small_polys.filter(bool)),
+)
+
+
+@st.composite
+def one_rf_column(draw):
+    """A k x k matrix, k = 1..5, of block_polys but for one column, at any position, of
+    column_rfs."""
+    k = draw(st.integers(1, 5))
+    c = draw(st.integers(0, k - 1))
+    rows = [draw(st.lists(block_polys, min_size=k, max_size=k)) for _ in range(k)]
+    for row in rows:
+        row[c] = draw(column_rfs)
+    return rows
+
+
+class TestColumnExpansion:
+    @settings(max_examples=40, deadline=None)
+    @given(one_rf_column())
+    def test_matches_leibniz(self, matrix):
+        value = _linalg.det(matrix)
+        assert type(value) is RationalFunction and value == reference_det(matrix)
+
+    @pytest.mark.parametrize("c", [0, 1, 2])
+    def test_pinned_column_positions(self, c):
+        # unrelated row denominators, a zero polynomial and a column entry with denominator 1
+        f = RationalFunction(X + 1, X - Fraction(1, 2))
+        polys = [
+            [Poly([Fraction(1, 3), 1]), ZERO],
+            [Poly([Fraction(5, 11), 0, 1]), Poly([Fraction(1, 13)])],
+            [ONE, Poly([0, Fraction(3, 5)])],
+        ]
+        column = [f, RationalFunction(X * X - 3), f * f]
+        matrix = [row[:c] + [entry] + row[c:] for row, entry in zip(polys, column)]
+        assert _linalg.det(matrix) == reference_det(matrix)
+
+
 class TestMaximalMinors:
     @settings(max_examples=60, deadline=None)
     @given(wide_matrices)
     def test_matches_det_without_each_column(self, rows):
         expected = [reference_det([row[:j] + row[j + 1 :] for row in rows]) for j in range(len(rows) + 1)]
         assert _linalg.maximal_minors(rows) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda k: st.lists(st.lists(block_polys, min_size=k + 1, max_size=k + 1), min_size=k, max_size=k)
+        )
+    )
+    def test_poly_rows_with_zero_entries(self, rows):
+        expected = [reference_det([row[:j] + row[j + 1 :] for row in rows]) for j in range(len(rows) + 1)]
+        minors = _linalg.maximal_minors(rows)
+        assert all(type(minor) is Poly for minor in minors) and minors == expected
+
+    def test_coefficients_at_the_packing_bound_unpack_exactly(self):
+        # the largest coefficient equals the product of the rows' 1-norms
+        assert _linalg.maximal_minors([[Poly([5]), ZERO]]) == [ZERO, Poly([5])]
+        assert _linalg.maximal_minors([[X, ZERO, ZERO], [ZERO, -X, ZERO]]) == [ZERO, ZERO, -X * X]
+        assert _linalg.det([[Poly([0, 0, -7]), ZERO], [ZERO, Poly([3])]]) == Poly([0, 0, -21])
+
+    def test_zero_column_leaves_only_its_own_minor(self):
+        # every term of a minor that keeps the zero column is skipped
+        rows = [[Poly([Fraction(1, 3), 1]), ZERO, Poly([2, Fraction(-1, 7)])], [X, ZERO, Poly([Fraction(5, 11)])]]
+        expected = [reference_det([row[:j] + row[j + 1 :] for row in rows]) for j in range(3)]
+        assert _linalg.maximal_minors(rows) == expected
+        assert expected[0] == expected[2] == 0 and expected[1] != 0
 
     def test_shape_checked(self):
         with pytest.raises(ValueError):
