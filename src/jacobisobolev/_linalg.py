@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exactmath import Poly
+from .exactmath import Poly, _pack, _unpack
 
 
 def det(matrix: Sequence[Sequence]) -> object:
@@ -70,8 +70,8 @@ def _poly_minors(rows: Sequence[Sequence[Poly]], n: int, masks: list) -> list:
     Row i, scaled to ints by the lcm of its denominators, has coefficient 1-norm
     s_i. A minor's coefficient is a sum of products of one entry per row, so it is
     at most the product of the s_i in absolute value. Evaluation at x = 2^B is a
-    ring map into the ints, and with B one bit past that bound `_unpack` inverts it
-    on every minor.
+    ring map into the ints, and with B one bit past that bound `exactmath._unpack`
+    inverts it on every minor.
     """
     int_rows, den, bound = [], 1, 1
     for row in rows:
@@ -82,26 +82,6 @@ def _poly_minors(rows: Sequence[Sequence[Poly]], n: int, masks: list) -> list:
     bits = bound.bit_length() + 1
     minors = _subset_minors([[_pack(nums, bits) for nums in row] for row in int_rows], n)
     return [Poly._from_ints(_unpack(minors[mask], bits), den) for mask in masks]
-
-
-def _pack(nums: Sequence[int], bits: int) -> int:
-    """sum nums[k] 2^(bits k), by Horner's rule."""
-    value = 0
-    for c in reversed(nums):
-        value = (value << bits) + c
-    return value
-
-
-def _unpack(value: int, bits: int) -> list:
-    """The ints c_k, |c_k| < 2^(bits-1), with value = sum c_k 2^(bits k), lowest first."""
-    nums, mask, half = [], (1 << bits) - 1, 1 << (bits - 1)
-    while value:
-        c = value & mask
-        if c >= half:
-            c -= mask + 1
-        nums.append(c)
-        value = (value - c) >> bits
-    return nums
 
 
 def _subset_minors(rows: Sequence[Sequence], n: int) -> dict:

@@ -20,22 +20,23 @@ polynomial in y = x + (s+1)/2 (`exactmath.to_theta_basis`,
 
 with D_cl the classical second-order operator.
 
-Omega, the M_h cofactors and the row clearing n2^m1, n2 = (x+beta-m+1)_{m-1},
-are read from the configuration's `construct.ZSystem`, which builds them
-from Lambda's polynomial Casorati matrix C: Omega's entry matrix E is C with
-its first m1 rows divided by n2, so Omega = P p q / n2^m1 and each minor of E
-is a minor of C over a power of n2: no det runs on rational functions.
+Omega, the M_h cofactors and the row clearing n2^m1, n2 = (x+beta-m+1)_{m-1}, are
+read from the configuration's `construct.ZSystem`, which builds them from Lambda's
+polynomial Casorati matrix C: Omega's entry matrix E is C with its first m1 rows
+divided by n2, so Omega = P p q / n2^m1 and each minor of E is a minor of C over a
+power of n2: no det runs on rational functions. Each M_h sums its m terms as packed
+ints over one multiple of their shifted denominators.
 
-Operators are applied, composed and evaluated at polynomials by one integer
-kernel on each operator's images of x^t (d^j x^t = t!/(t-j)! x^(t-j)), built
-once per product as ints over one common denominator and held as a band of
-diagonals from the lowest degree an image reaches. a.b takes the image of x^k
-as sum_t b(x^k)_t a(x^t) over b's nonzero diagonals, and p(d) runs Horner's
-rule on d's band, each step along whole diagonals. A product is recovered
-from its images of x^k, k up to its order bound: with a_j = c_j / (den j!) the
-image of x^k is sum_j C(k, j) c_j x^(k-j) / den, a triangular system whose
-solution c_j is again a list of ints. None of this assumes that the operators
-lie in the algebra: a degree-raising operator's band reaches above its diagonal.
+Operators are applied, composed and evaluated at polynomials by one integer kernel
+on each operator's images of x^t (d^j x^t = t!/(t-j)! x^(t-j)), built once per
+product as ints over one common denominator and held as a band of diagonals from the
+lowest degree an image reaches. a.b takes the image of x^k as sum_t b(x^k)_t a(x^t)
+over b's nonzero diagonals, and p(d) runs Horner's rule on d's band, each step along
+whole diagonals. A product of any number of factors is recovered once, from its
+images of x^k up to its order bound: with a_j = c_j / (den j!) the image of x^k is
+sum_j C(k, j) c_j x^(k-j) / den, a triangular system whose solution c_j is again a
+list of ints. None of this assumes that the operators lie in the algebra: a
+degree-raising operator's band reaches above its diagonal.
 
 The degree law of the Casorati polynomial P, which no command runs, is
 checked in `certify`.
@@ -60,6 +61,8 @@ from .exactmath import (
     Poly,
     RationalFunction,
     _exact,
+    _pack,
+    _unpack,
     anti_difference,
     divide_skew_by_sigma,
     theta_poly,
@@ -121,7 +124,7 @@ class DiffOp(Frozen):
         return ZERO
 
     def apply(self, p: Poly) -> Poly:
-        rows, den = _scaled_rows(self)
+        rows, den = _scaled_rows(self.coeffs)
         return _apply_band(_band(rows, len(p.nums)), den, p)
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
@@ -154,11 +157,10 @@ class DiffOp(Frozen):
         }
 
 
-def _scaled_rows(op: DiffOp):
-    """The coefficients of op as int lists over one common denominator."""
-    den = math.lcm(*[p.den for p in op.coeffs])
-    rows = [[c * (den // p.den) for c in p.nums] for p in op.coeffs]
-    return rows, den
+def _scaled_rows(polys: Sequence[Poly]):
+    """The polynomials as int lists over one common denominator."""
+    den = math.lcm(*[p.den for p in polys])
+    return [[c * (den // p.den) for c in p.nums] for p in polys], den
 
 
 def _band(rows: list, count: int):
@@ -227,19 +229,18 @@ def _from_images(low: int, diags: list, den: int) -> DiffOp:
     return DiffOp([Poly._from_ints(c, den * math.factorial(k)) for k, c in enumerate(found)])
 
 
-def compose(a: DiffOp, b: DiffOp) -> DiffOp:
-    """Operator product a . b, so (a.b)(p) = a(b(p)).
-
-    Recovered from the images a(b(x^k)) = sum_t b(x^k)_t a(x^t) for k <= ord a + ord b.
-    """
-    if not (a.coeffs and b.coeffs):
+def compose(a: DiffOp, b: DiffOp, *more: DiffOp) -> DiffOp:
+    """Operator product a . b . ..., so (a.b)(p) = a(b(p)), of two or more factors: the images
+    of x^k, k <= the sum of the orders, are built right to left, each factor's band on as many
+    columns as the product so far reaches, and the product is recovered from them once."""
+    factors = [_scaled_rows(f.coeffs) for f in (a, b, *more)]
+    if not all(rows for rows, _ in factors):
         return DiffOp()
-    ra, da = _scaled_rows(a)
-    rb, db = _scaled_rows(b)
-    count = len(ra) + len(rb) - 1
-    band_b = _band(rb, count)
-    band_a = _band(ra, count + band_b[0] + len(band_b[1]) - 1)
-    return _from_images(*_product(band_a, band_b, count), da * db)
+    count = sum(len(rows) - 1 for rows, _ in factors) + 1
+    band = _band(factors[-1][0], count)
+    for rows, _ in reversed(factors[:-1]):
+        band = _product(_band(rows, count + band[0] + len(band[1]) - 1), band, count)
+    return _from_images(*band, math.prod([den for _, den in factors]))
 
 
 def op_poly(p: Poly, d: DiffOp) -> DiffOp:
@@ -251,7 +252,7 @@ def op_poly(p: Poly, d: DiffOp) -> DiffOp:
     """
     if p.is_zero:
         return DiffOp()
-    rows, dd = _scaled_rows(d)
+    rows, dd = _scaled_rows(d.coeffs)
     cs, dp = p.nums, p.den
     count = (len(cs) - 1) * max(len(rows) - 1, 0) + 1
     rise = max([len(row) - 1 - j for j, row in enumerate(rows) if row] + [0])
@@ -308,6 +309,25 @@ def default_s(cfg, sys) -> RationalFunction:
     return RationalFunction(sigma * cfg.xi * sys.clearing, sys.p * sys.q)
 
 
+def _shift_multiple(q: Poly, m: int) -> Poly:
+    """A multiple of q(x+1), ..., q(x+m), maybe above their lcm, from one gcd G = gcd(q(x+1), q):
+    gcd(q(x+j), q(x+j-1)) = G(x+j-1), so with E = q(x+1) / G each q(x+j) divides q(x+1) E(x+1)...E(x+j-1)."""
+    first = q.shift(1)
+    step = first.div_exact(first.gcd(q))
+    return math.prod([step.shift(j - 1) for j in range(2, m + 1)], start=first)
+
+
+def _packed_sums(us: Sequence[Poly], rows: Sequence[Sequence[Poly]]) -> List[Poly]:
+    """sum_j us[j] row[j] for each row, one int product per term (`exactmath._pack`): over ints each
+    coefficient of a sum is at most sum_j |u_j|_1 |c_j|_1, and B is one bit past the largest."""
+    (ints, du), scaled = _scaled_rows(us), [_scaled_rows(row) for row in rows]
+    norms = [sum(map(abs, u)) for u in ints]
+    bits = max(sum(map(mul, norms, [sum(map(abs, c)) for c in cs])) for cs, _ in scaled).bit_length() + 1
+    packed = [_pack(u, bits) for u in ints]
+    sums = [(sum(map(mul, packed, [_pack(c, bits) for c in cs])), dc) for cs, dc in scaled]
+    return [Poly._from_ints(_unpack(value, bits), du * dc) for value, dc in sums]
+
+
 def build_bundle(cfg, sys, custom_s: Optional[RationalFunction] = None) -> OperatorBundle:
     """Run the operator pipeline; verify the three assumptions exactly."""
     a, b = Fraction(cfg.alpha), Fraction(cfg.beta)
@@ -328,30 +348,27 @@ def build_bundle(cfg, sys, custom_s: Optional[RationalFunction] = None) -> Opera
     mh_list: List[Poly] = []
     mh_tilde: List[Poly] = []
     # M_h = sum_j (S / n2^m1)(x+j) times the (h, j) cofactor of C, which does not depend on S,
-    # summed as polynomials over the monic lcm of the m shifted denominators
+    # each term lifted to one common multiple L of the m shifted denominators
     cleared = RationalFunction(S.num, S.den * sys.clearing)
-    s_shifted = [cleared.shift(j) for j in range(1, m + 1)]
-    lcm = ONE
-    for s_j in s_shifted:
-        lcm = lcm * divmod(s_j.den, lcm.gcd(s_j.den))[0]
-    lifted = [s_j.num * divmod(lcm, s_j.den)[0] for s_j in s_shifted]
-    for h, cofactors in enumerate(sys.cofactors, 1):
-        mh, rem = divmod(sum((u * cofactor for u, cofactor in zip(lifted, cofactors)), ZERO), lcm)
+    common = _shift_multiple(cleared.den, m)
+    shifted = [cleared.shift(j) for j in range(1, m + 1)]
+    lifts = [divmod(common, s_j.den) for s_j in shifted]
+    if any(rem for _, rem in lifts):
+        raise IdentityCheckFailed("build_bundle", "the denominator of (S / n2^m1)(x+j) divides L, j = 1..m")
+    lifted = [s_j.num * quot for s_j, (quot, _) in zip(shifted, lifts)]
+    for h, numerator in enumerate(_packed_sums(lifted, sys.cofactors), 1):
+        mh, rem = divmod(numerator, common)
         if not rem.is_zero:
             raise AssumptionFailed("sigma_factorization", f"M_{h} is not a polynomial")
         try:
             tilde = divide_skew_by_sigma(mh, a, b)
         except NotSkewError as exc:
             raise AssumptionFailed("sigma_factorization", f"M_{h}: {exc}") from exc
-        if h > m1:
-            tilde = -tilde  # the sigma sequence is negated for the second block
         mh_list.append(mh)
-        mh_tilde.append(tilde)
+        mh_tilde.append(-tilde if h > m1 else tilde)  # the sigma sequence is negated for the second block
 
     # check 3: 2 lambda + sum Y_h M_h is a polynomial in theta
-    q_poly = 2 * lam
-    for h in range(m):
-        q_poly = q_poly + sys.z[h] * mh_list[h]
+    q_poly = sum([z * mh for z, mh in zip(sys.z, mh_list)], 2 * lam)
     try:
         ps = to_theta_basis(q_poly, a, b)
     except NotInvariantError as exc:
@@ -365,10 +382,8 @@ def build_bundle(cfg, sys, custom_s: Optional[RationalFunction] = None) -> Opera
     # assemble the operator
     d_cl = classical_operator(ctx)
     d_ops = d_operators(ctx, cfg.m1, cfg.m2)
-    op = Fraction(1, 2) * op_poly(ps, d_cl)
-    for h in range(m):
-        term = compose(compose(op_poly(mh_tilde[h], d_cl), d_ops[h]), op_poly(sys.Y[h], d_cl))
-        op = op + term
+    terms = [compose(op_poly(mh_tilde[h], d_cl), d_ops[h], op_poly(sys.Y[h], d_cl)) for h in range(m)]
+    op = sum(terms, Fraction(1, 2) * op_poly(ps, d_cl))
     if not op.in_algebra:
         raise IdentityCheckFailed("build_bundle", "deg a_j <= j for the assembled D")
     return OperatorBundle(
@@ -395,7 +410,7 @@ def verify_eigen(bundle: OperatorBundle, cfg, sys, n_max: int) -> List[Fraction]
     D's coefficients are scaled to ints over one denominator, and its band on
     x^0..x^n_max built, once; each q_n is applied to that one band.
     """
-    rows, den = _scaled_rows(bundle.D)
+    rows, den = _scaled_rows(bundle.D.coeffs)
     band = _band(rows, n_max + 1)
     eigenvalues: List[Fraction] = []
     for n in range(n_max + 1):

@@ -477,6 +477,26 @@ def _convolve(a, b) -> list:
     return out
 
 
+def _pack(nums: Sequence[int], bits: int) -> int:
+    """sum nums[k] 2^(bits k), by Horner's rule: the value at x = 2^bits (Kronecker substitution)."""
+    value = 0
+    for c in reversed(nums):
+        value = (value << bits) + c
+    return value
+
+
+def _unpack(value: int, bits: int) -> list:
+    """The ints c_k, |c_k| < 2^(bits-1), with value = sum c_k 2^(bits k), lowest first."""
+    nums, mask, half = [], (1 << bits) - 1, 1 << (bits - 1)
+    while value:
+        c = value & mask
+        if c >= half:
+            c -= mask + 1
+        nums.append(c)
+        value = (value - c) >> bits
+    return nums
+
+
 def _primitive_ints(ints):
     """The integer list divided by its content (the gcd of its entries)."""
     g = math.gcd(*ints)

@@ -15,7 +15,8 @@ as one int-list product or combination, takes the weight moments from their
 Pearson recurrence and the Sobolev form B(p, x^j) as ints over one lcm of the
 moment and mass denominators. It takes the anti-difference from one triangular
 solve on ints, and reads reflection symmetry from the parity of a polynomial in
-y = x + (s+1)/2. Its weighted rank
+y = x + (s+1)/2. It sums the M_h over the lcm of the shifted denominators,
+one gcd per shift, as `Poly` products. Its weighted rank
 carries one echelon basis through each scan. Its cross-checks evaluate R_l(n)
 as a Sobolev form and sum the combinatorial identities as rationals. These
 are the plain algorithms it replaced (both blocks of z_l written out from
@@ -507,7 +508,7 @@ def reference_omega_entries(cfg, sys) -> list:
     ]
 
 
-def reference_mh(cfg, sys, S: RationalFunction) -> list:
+def reference_mh_from_minors(cfg, sys, S: RationalFunction) -> list:
     """M_1..M_m as rational functions, each shifted (h, j) minor rebuilt from
     its own shifted entries xi^l_{x+j-r, m-r} z_l(x+j-r)."""
     ctx = JacobiContext(Fraction(cfg.alpha), Fraction(cfg.beta))
@@ -530,6 +531,23 @@ def reference_mh(cfg, sys, S: RationalFunction) -> list:
                 minor = RationalFunction(minor)
             total = total + (-1) ** (h + j) * xi(ctx, m1, h, m - j) * S.shift(j) * minor
         out.append(total)
+    return out
+
+
+def reference_mh(sys, S: RationalFunction) -> list:
+    """M_1..M_m by the gcd-chain route: each (S / n2^m1)(x+j) lifted to the lcm of the m
+    shifted denominators, built by one gcd per shift, and the numerators summed as `Poly`
+    products; None for an M_h that is not a polynomial."""
+    cleared = RationalFunction(S.num, S.den * sys.clearing)
+    shifted = [cleared.shift(j) for j in range(1, len(sys.cofactors) + 1)]
+    lcm = ONE
+    for s_j in shifted:
+        lcm = lcm * s_j.den.div_exact(lcm.gcd(s_j.den))
+    lifted = [s_j.num * lcm.div_exact(s_j.den) for s_j in shifted]
+    out = []
+    for cofactors in sys.cofactors:
+        mh, rem = divmod(sum((u * c for u, c in zip(lifted, cofactors)), ZERO), lcm)
+        out.append(mh if rem.is_zero else None)
     return out
 
 

@@ -13,6 +13,7 @@ from kernel_reference import (
     reference_compose,
     reference_det,
     reference_mh,
+    reference_mh_from_minors,
     reference_omega_entries,
     reference_op_poly,
     reference_p_from_y_tuple,
@@ -28,7 +29,9 @@ from jacobisobolev.diffop import (
     _apply_band,
     _band,
     _omega,
+    _packed_sums,
     _scaled_rows,
+    _shift_multiple,
     DiffOp,
     EigenMismatch,
     build_bundle,
@@ -46,6 +49,8 @@ from jacobisobolev.exactmath import (
     Poly,
     RationalFunction,
     X,
+    _pack,
+    _unpack,
     pochhammer,
     theta_poly,
 )
@@ -190,6 +195,34 @@ class TestCompose:
         p = Poly([1, -2, 0, 3])
         assert compose(a, b).apply(p) == a.apply(b.apply(p))
 
+    @given(operators(4), operators(4), operators(4), st.one_of(st.none(), operators(3)))
+    @settings(max_examples=150, deadline=None)
+    def test_many_factors_match_nested_pairs(self, a, b, c, d):
+        # zero, degree-raising and sparse operators are all drawn (`operators`)
+        factors = [a, b, c] if d is None else [a, b, c, d]
+        left, right = factors[0], factors[-1]
+        for f in factors[1:]:
+            left = compose(left, f)
+        for f in reversed(factors[:-1]):
+            right = compose(f, right)
+        assert compose(*factors) == left == right
+
+    def test_degree_raising_and_zero_factors(self):
+        times_x, ddx = DiffOp([X]), DiffOp([Poly([]), ONE])
+        x_squared_ddx = DiffOp([Poly([]), X * X])
+        assert compose(times_x, times_x, times_x) == DiffOp([X**3])
+        assert compose(ddx, times_x, times_x) == compose(ddx, compose(times_x, times_x)) == DiffOp([2 * X, X * X])
+        assert compose(x_squared_ddx, ddx, times_x) == compose(compose(x_squared_ddx, ddx), times_x)
+        for factors in [(DiffOp(), ddx, times_x), (ddx, DiffOp(), times_x), (ddx, times_x, DiffOp())]:
+            assert compose(*factors) == DiffOp()
+
+    def test_needs_two_factors(self):
+        op = DiffOp([ONE, X])
+        with pytest.raises(TypeError):
+            compose(op)
+        with pytest.raises(TypeError):
+            compose()
+
 
 class TestIntKernel:
     """apply, compose and op_poly against the Fraction and Leibniz references."""
@@ -203,7 +236,7 @@ class TestIntKernel:
     @settings(max_examples=150, deadline=None)
     def test_one_band_applies_every_polynomial_it_spans(self, op, width, data):
         # verify_eigen builds one band for n_max + 1 columns and applies it to every q_n
-        rows, den = _scaled_rows(op)
+        rows, den = _scaled_rows(op.coeffs)
         band = _band(rows, width)
         for p in data.draw(st.lists(st.lists(coefficients, max_size=width).map(Poly), max_size=4)):
             assert _apply_band(band, den, p) == op.apply(p)
@@ -380,13 +413,13 @@ class TestOmegaAndMinors:
         sys_z = build_z(cfg)
         bundle = cached_bundle(cfg)
         assert bundle.Omega == reference_det(reference_omega_entries(cfg, sys_z))
-        assert [RationalFunction(mh) for mh in bundle.Mh] == reference_mh(cfg, sys_z, bundle.S)
+        assert [RationalFunction(mh) for mh in bundle.Mh] == reference_mh_from_minors(cfg, sys_z, bundle.S)
 
     def test_custom_s_matches_rebuilt_minors(self):
         cfg = scalar_example_config(1)
         sys_z = build_z(cfg)
         custom = build_bundle(cfg, sys_z, lowered_order_s(cfg, cached_bundle(cfg)))
-        assert [RationalFunction(mh) for mh in custom.Mh] == reference_mh(cfg, sys_z, custom.S)
+        assert [RationalFunction(mh) for mh in custom.Mh] == reference_mh_from_minors(cfg, sys_z, custom.S)
 
     def test_two_jet_custom_s_matches_rebuilt_minors(self):
         # criterion 7's lowered-order S at m = 4
@@ -394,7 +427,7 @@ class TestOmegaAndMinors:
         sys_z = build_z(cfg)
         custom = build_bundle(cfg, sys_z, two_jet_lowered_s(cfg, cached_bundle(cfg).Omega))
         assert custom.Omega == reference_det(reference_omega_entries(cfg, sys_z))
-        assert [RationalFunction(mh) for mh in custom.Mh] == reference_mh(cfg, sys_z, custom.S)
+        assert [RationalFunction(mh) for mh in custom.Mh] == reference_mh_from_minors(cfg, sys_z, custom.S)
 
     def test_second_bundle_reuses_held_minors(self, monkeypatch):
         # the M_h cofactors of the Casorati matrix do not depend on S
@@ -405,7 +438,7 @@ class TestOmegaAndMinors:
         custom = build_bundle(cfg, sys_z, lowered_order_s(cfg, first))
         assert not rf_dets
         for bundle in (first, custom):
-            assert [RationalFunction(mh) for mh in bundle.Mh] == reference_mh(cfg, sys_z, bundle.S)
+            assert [RationalFunction(mh) for mh in bundle.Mh] == reference_mh_from_minors(cfg, sys_z, bundle.S)
 
     # (3, 2, 2, 1) is covered by the held-Omega test below; here m = 4 and every row cleared
     @pytest.mark.parametrize("shape", [(4, 3, 2, 2), (1, 3, 3, 0)])
@@ -532,6 +565,90 @@ class TestCustomS:
         with pytest.raises(AssumptionFailed, match="M_1 is not a polynomial") as info:
             build_bundle(cfg, sys_z, RationalFunction(ONE) / sys_z.omega)
         assert info.value.which == "sigma_factorization"
+
+
+def e_shifted_by_j(q, m):
+    """`_shift_multiple` with E(x+j) in place of E(x+j-1): q(x+2) no longer divides it."""
+    first = q.shift(1)
+    step = first.div_exact(first.gcd(q))
+    return math.prod([step.shift(j) for j in range(2, m + 1)], start=first)
+
+
+class TestMhRoute:
+    """M_h over one shift-gcd multiple with packed sums, against the gcd chain with Poly sums."""
+
+    @pytest.mark.parametrize("shape", STANDARD_SHAPES)
+    def test_matches_gcd_chain_on_random_masses(self, shape):
+        for cfg in random_configs(shape, count=2):
+            sys_z = build_z(cfg)
+            assert list(cached_bundle(cfg).Mh) == reference_mh(sys_z, cached_bundle(cfg).S)
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 4])
+    def test_matches_gcd_chain_on_scalar_mass_custom_s(self, a):
+        # criterion 6's order-lowering S, m = 2
+        cfg = scalar_example_config(a)
+        sys_z = build_z(cfg)
+        custom = build_bundle(cfg, sys_z, lowered_order_s(cfg, cached_bundle(cfg)))
+        assert list(custom.Mh) == reference_mh(sys_z, custom.S)
+
+    @pytest.mark.parametrize("a", [2, 3, 4])
+    def test_matches_gcd_chain_on_two_jet_custom_s(self, a):
+        # criterion 7's order-lowering S, m = 4
+        cfg = two_jet_config(a)
+        sys_z = build_z(cfg)
+        custom = build_bundle(cfg, sys_z, two_jet_lowered_s(cfg, cached_bundle(cfg).Omega))
+        assert list(custom.Mh) == reference_mh(sys_z, custom.S)
+
+    @pytest.mark.parametrize(
+        "cfg", [scalar_example_config(1), baseline_config((3, 3, 2, 1)), two_jet_config(2)],
+        ids=["scalar-1", "baseline-3321", "two-jet-2"],
+    )
+    def test_s_over_omega_fails_on_both_routes(self, cfg):
+        sys_z = build_z(cfg)
+        s = RationalFunction(ONE) / sys_z.omega
+        assert reference_mh(sys_z, s)[0] is None
+        with pytest.raises(AssumptionFailed, match="M_1 is not a polynomial") as info:
+            build_bundle(cfg, sys_z, s)
+        assert info.value.which == "sigma_factorization"
+
+    @given(st.lists(st.integers(-4, 4), min_size=1, max_size=5), st.integers(0, 2), st.integers(1, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_shift_multiple_holds_every_shift(self, roots, quadratic, m):
+        # integer roots a few apart make q(x+j) and q(x+j-1) share factors
+        q = math.prod([X - r for r in roots], start=Poly([1, 0, 1]) ** quadratic)
+        common = _shift_multiple(q, m)
+        assert common.lead == 1
+        assert common.degree <= m * q.degree
+        for j in range(1, m + 1):
+            assert (common % q.shift(j)).is_zero
+
+    def test_inexact_lift_raises(self, monkeypatch):
+        # with E shifted by j, not j - 1, the multiple misses a factor of D_2
+        cfg = two_jet_config(2)
+        sys_z = build_z(cfg)
+        s = two_jet_lowered_s(cfg, cached_bundle(cfg).Omega)
+        q = RationalFunction(s.num, s.den * sys_z.clearing).den
+        assert not (e_shifted_by_j(q, cfg.m) % q.shift(2)).is_zero
+        monkeypatch.setattr(diffop, "_shift_multiple", e_shifted_by_j)
+        with pytest.raises(IdentityCheckFailed) as info:
+            build_bundle(cfg, sys_z, s)
+        assert info.value.stage == "build_bundle"
+        with pytest.raises(IdentityCheckFailed):
+            build_bundle(cfg, sys_z)
+
+    def test_packed_sums_at_the_bound(self):
+        # every product lands on x^1 with one sign, so the coefficient equals the bound
+        # sum_j |u_j|_1 |c_j|_1 = 3*7 + 5*2 = 31 (0b11111); the second row stays below it
+        us = [Poly([0, 3]), Poly([5])]
+        rows = [[Poly([7]), Poly([0, 2])], [Poly([-7]), Poly([0, -2])], [Poly([1]), Poly([0, 1])]]
+        assert _packed_sums(us, rows) == [Poly([0, 31]), Poly([0, -31]), Poly([0, 8])]
+        # the width is one bit past the bound: one bit fewer reads 31 as -1 and carries 1 up
+        bits = (31).bit_length()
+        packed = _pack([0, 3], bits) * _pack([7], bits) + _pack([5], bits) * _pack([0, 2], bits)
+        assert _unpack(packed, bits) == [0, -1, 1]
+        # over rational coefficients the bound is taken on the int numerators over each lcm
+        halves = [Poly([0, Fraction(3, 2)]), Poly([Fraction(5, 3)])]
+        assert _packed_sums(halves, rows[:1]) == [halves[0] * 7 + halves[1] * Poly([0, 2])]
 
 
 NEG_X = Poly([0, -1])

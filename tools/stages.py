@@ -4,7 +4,7 @@
 
 Run it from anywhere; ``--src`` (default: the ``src`` beside this directory)
 names the package tree to measure, so one copy of this script can time two
-trees. It writes four parts under ``--label`` in ``--out``, keeping the
+trees. It writes five parts under ``--label`` in ``--out``, keeping the
 other labels already there, so that one file holds a before and an after:
 
 - ``shapes``: each shape of ``SHAPES`` with m <= ``--m-max`` (4..10, default
@@ -28,6 +28,14 @@ other labels already there, so that one file holds a before and an after:
   the wall and CPU time of ``build_z`` and of Lambda(0..8) for the first config,
   which builds the shape's parts, and their medians over the others, which
   reuse them, and the sha256 of every config's P.
+- ``custom``: each entry of ``CUSTOM`` runs in a fresh process: acceptance
+  criterion 6's equal scalar masses (mass 1, alpha = beta = 1..4) and criterion
+  7's two-jet masses (m0 = 2, m1 = 1, alpha = beta = 2..4), each with its
+  order-lowering S = num / Omega, as the benchmark's verify sweep writes it
+  (``"den": "auto-omega"``). With Omega and the cofactors held, ``build_bundle``
+  runs ``CUSTOM_REPEATS`` times; the median and every CPU time are recorded.
+  Then ``cli.main`` writes the ``verify --custom-s`` report, whose exit code and
+  sha256 are recorded.
 - ``budget``: ``--repeats`` cold processes each of one construct-deep op
   (``construct --nmax 32`` at (3,2,2,1)) and one operator-high-order op
   (``operator --nmax 8`` at (4,3,2,1), order 22), run as ``python -m
@@ -35,7 +43,7 @@ other labels already there, so that one file holds a before and an after:
   wall time splits into start-up plus import (spawn to ``main``), ``main``,
   and exit (``main`` returned to process end, through ``sys.exit``). Child CPU
   time and peak RSS come from ``wait4``. Medians and every run are recorded.
-- ``mismatches``: the reports whose exit code or sha256, and the screens whose
+- ``mismatches``: the reports (``custom`` ones too) whose exit code or sha256, and the screens whose
   sha256 of P, differ from the one in ``RECORDED``, taken on the tree before
   the changes they guard. The file is written either way, and the run exits 1
   unless the list is empty.
@@ -46,6 +54,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import resource
@@ -66,6 +75,9 @@ RANDOM_M_MAX = 8
 SCREEN_M_MAX = 6
 SCREEN_CONFIGS = 16
 SCREEN_NMAX = 8
+# the custom part: (family, alpha) of criterion 6's scalar-mass and criterion 7's two-jet configs
+CUSTOM = [("scalar", a) for a in (1, 2, 3, 4)] + [("two-jet", a) for a in (2, 3, 4)]
+CUSTOM_REPEATS = 5
 REPORTS = {
     "construct": ["construct", "--nmax", "32"],
     "verify": ["verify"],
@@ -79,11 +91,20 @@ BUDGET_OPS = {
 # (exit code, sha256) of each report; the baseline-mass ones recorded on 30f53e2, before the
 # entry point froze the collector, the random-mass ones on 73ca9db, before z_l was built in x alone.
 # Under "<shape>/screen", the sha256 of every P of the shape's screen, recorded on d5a14c4, before
-# p, q, rho and the Pochhammer blocks were built once per shape.
+# p, q, rho and the Pochhammer blocks were built once per shape. Under "custom/<family>/<alpha>",
+# the verify --custom-s report of the custom part, recorded on d5c2547, before M_h was summed
+# over one shift-gcd multiple as packed ints.
 RECORDED = {
     "3,3,2,2/screen": "accc5f568a6b36a85fd3f101980262ffb4f4df496e71734685a20a04a0f7ab56",
     "4,4,3,2/screen": "95e6900a1d80fe2ac1394add1ee540ea3cf6776e81495813ce4c0650500b2c61",
     "4,4,3,3/screen": "7f892d4633a3677a403ee4517a9ce79431f4fcf49fb5e9ce6add3dffee93a300",
+    "custom/scalar/1": (0, "1b6b16a105b4b6de9763725d56907ca1382deb631bcd3473ef8be15248352e22"),
+    "custom/scalar/2": (0, "4f7762663b700424a4f49c56bf1a2109132376614ced84b5612cc017a5099b07"),
+    "custom/scalar/3": (0, "6e832a8eb8564a23c4544a17109779fe35167f1bebed53b11d25e95744a5dda4"),
+    "custom/scalar/4": (0, "85c7d4914886788ff234bd1504489ce11f5c3ed06ae44b762cf8245f1d71ff6a"),
+    "custom/two-jet/2": (0, "2fdc4a80f168d2bd012127707080fc04d0123a47d14c32715762d63c49bed286"),
+    "custom/two-jet/3": (0, "fc52ae2a1d2886191cde979cac15c11b8b0e15b7ed49fe43429f95e8b354e2d6"),
+    "custom/two-jet/4": (0, "e3f4ce521060f462d585f93a9244b2fe008d2d702431a17276a8818eb54f1aae"),
     "3,3,2,2": {
         "construct": (0, "68c06a4fee020b42c65b748fe0975e60dfa1940b3246b762de61d428918ac8ce"),
         "verify": (0, "56694304310509addced07c2b11c9c5b14c59c45a142855c4495014019b6fa8f"),
@@ -190,6 +211,34 @@ def random_config(shape, index=None) -> dict:
         "M": [[mass() for _ in range(m1)] for _ in range(m1)],
         "N": [[mass() for _ in range(m2)] for _ in range(m2)],
     }
+
+
+def custom_input(label: str):
+    """The config of a custom part entry ("scalar/<alpha>" or "two-jet/<alpha>") and the
+    numerator of its order-lowering S = num / Omega, as acceptance criteria 6 and 7 give them."""
+    from jacobisobolev import Poly
+    from jacobisobolev.exactmath import X, pochhammer
+
+    family, alpha = label.split("/")
+    a = int(alpha)
+    if family == "scalar":
+        mass = 1
+        config = {"alpha": a, "beta": a, "m1": 1, "m2": 1, "M": [[str(mass)]], "N": [[str(mass)]]}
+        r = Poly.constant(Fraction(4 ** (a - 1) * math.factorial(a - 1))) + (
+            mass * pochhammer(X - 1, a) * pochhammer(X + a, a)
+        ) * Fraction(1, 2 * math.factorial(a))
+        return config, Poly([2 * a - 2, 2]) * r
+    m0, m1 = 2, 1
+    config = {
+        "alpha": a, "beta": a, "m1": 2, "m2": 2,
+        "M": [[str(m0), str(m1)], ["0", "0"]], "N": [[str(m0), str(-m1)], ["0", "0"]],
+    }
+    r = (
+        Poly.constant(Fraction(16 ** (a - 1)) * math.factorial(a - 1) * math.factorial(a - 2))
+        + 2 * Fraction(4 ** (a - 1)) * m0 * pochhammer(X - 1, a - 1) * pochhammer(X + a - 1, a - 1)
+        - Fraction(4 ** (a - 1)) * m1 * Fraction(1, a) * pochhammer(X - 2, a) * pochhammer(X + a - 1, a)
+    )
+    return config, Poly([2 * a - 4, 2]) * r
 
 
 def key(shape) -> str:
@@ -306,6 +355,39 @@ def screen(shape) -> dict:
     }
 
 
+def custom(label: str) -> dict:
+    """build_bundle on one custom part entry, CUSTOM_REPEATS times with Omega and the
+    cofactors held, then its verify --custom-s report, in this (fresh) process."""
+    from jacobisobolev import RationalFunction, SobolevConfig, build_bundle, build_z
+    from jacobisobolev.cli import main
+
+    config, num = custom_input(label)
+    cfg = SobolevConfig.from_json(config)
+    system = build_z(cfg)
+    s = RationalFunction(num) / system.omega
+    system.cofactors  # held, as the verify command holds them when it builds the bundle
+    times = []
+    for _ in range(CUSTOM_REPEATS):
+        cpu = time.process_time()
+        build_bundle(cfg, system, s)
+        times.append(time.process_time() - cpu)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, s_path, out = (os.path.join(tmp, name) for name in ("config.json", "s.json", "verify.json"))
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        with open(s_path, "w", encoding="utf-8") as fh:
+            json.dump({"num": num.to_json(), "den": "auto-omega"}, fh)
+        code = main(["verify", "--config", path, "--custom-s", s_path, "--out", out])
+        with open(out, "rb") as fh:
+            report = {"exit": code, "sha256": hashlib.sha256(fh.read()).hexdigest()}
+    return {
+        "m": cfg.m,
+        "bundle_cpu_s": round(statistics.median(times), 6),
+        "bundle_cpu_s_runs": [round(t, 6) for t in times],
+        "report": report,
+    }
+
+
 def child_env(src: str) -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
@@ -375,6 +457,7 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="the package tree to measure")
     parser.add_argument("--shape", help=argparse.SUPPRESS)  # one config, in this process: JSON on stdout
     parser.add_argument("--screen", help=argparse.SUPPRESS)  # one shape's screen, in this process
+    parser.add_argument("--custom", help=argparse.SUPPRESS)  # one custom part entry, in this process
     args = parser.parse_args(argv)
     if args.shape:
         print(json.dumps(measure(config_of(args.shape))))
@@ -382,11 +465,14 @@ def main(argv=None) -> int:
     if args.screen:
         print(json.dumps(screen(tuple(map(int, args.screen.split(","))))))
         return 0
+    if args.custom:
+        print(json.dumps(custom(args.custom)))
+        return 0
     if not args.out:
         parser.error("--out is required")
 
     src = os.path.abspath(args.src)
-    result = {"python": sys.version.split()[0], "shapes": {}, "screen": {}, "mismatches": []}
+    result = {"python": sys.version.split()[0], "shapes": {}, "screen": {}, "custom": {}, "mismatches": []}
     for label in labels(args.m_max):
         record = result["shapes"][label] = run_child("--shape", label, src)
         line = " ".join(f"{name} {s['wall_s']:.3f}s/{s['bits']}b" for name, s in record["stages"].items())
@@ -402,6 +488,12 @@ def main(argv=None) -> int:
             print(f"{key(shape)} screen, first/rest median: {line}", flush=True)
             if RECORDED.get(f"{key(shape)}/screen") != record["sha256"]:
                 result["mismatches"].append(f"{key(shape)} screen")
+    for family, alpha in CUSTOM:
+        label = f"{family}/{alpha}"
+        record = result["custom"][label] = run_child("--custom", label, src)
+        print(f"custom {label} m={record['m']}: bundle {record['bundle_cpu_s'] * 1e3:.2f} ms cpu", flush=True)
+        if RECORDED.get(f"custom/{label}") != (record["report"]["exit"], record["report"]["sha256"]):
+            result["mismatches"].append(f"custom {label}")
     if args.repeats:
         result["budget"] = budget(src, args.repeats)
         for name, b in result["budget"].items():
